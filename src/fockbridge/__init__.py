@@ -25,7 +25,6 @@ from .frft import (
     fock_rotation,
     frft_coeffs,
     frft_integral,
-    frft_spectrum,
     spectral_projection,
 )
 from .hilbert import (
@@ -82,13 +81,11 @@ from .special import (
     BranchRule,
     branch_sqrt,
     erf_half_integral,
-    fock_basis_eval,
     gaussian_integral_closed,
     hermite_fn,
     hermite_fn_all,
     hermite_poly,
-    heaviside_multiplier,
-    reproducing_kernel,
+    sqrt_factorials,
 )
 from .verify import VerifyConfig, VerificationReport, run_suite
 

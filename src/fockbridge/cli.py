@@ -29,6 +29,7 @@ from .representation import (
     FockCoeffs,
     HermiteCoeffs,
     SampledSignal,
+    _as_callable,
     analyze,
     bargmann_coeff,
     inverse_bargmann_coeff,
@@ -36,14 +37,16 @@ from .representation import (
 )
 from .singular import (
     WaveletSpec,
+    const_symbol,
     gaussian_symbol,
     hilbert_symbol,
-    make_symbol,
     operator_norm_estimate,
     phi_from_g,
+    poly_symbol,
     s_phi_alpha_apply,
     s_phi_apply,
     s_phi_matrix,
+    wavelet_transform,
 )
 from .verify import VerifyConfig, default_threads, report_to_json, run_suite, SUITES
 
@@ -233,34 +236,15 @@ def _symbol_from_args(args):
     if args.symbol == "hilbert":
         return hilbert_symbol()
     if args.symbol == "const":
-        kappa = _parse_complex(args.kappa)
-        return make_symbol(
-            "const",
-            lambda z, k=kappa: np.full_like(np.asarray(z, dtype=complex), k),
-            FockCoeffs(np.array([kappa])),
-            0.0,
-            {"re": kappa.real, "im": kappa.imag},
-        )
+        return const_symbol(_parse_complex(args.kappa))
     if args.symbol == "poly":
         if not args.coeffs:
             raise UsageError("poly symbol needs --coeffs 're,im;re,im;...'")
-        mono = np.array([_parse_complex(part) for part in args.coeffs.split(";")])
-        taylor = FockCoeffs(
-            mono * np.sqrt(np.array([math.factorial(k) for k in range(mono.size)], dtype=float))
-        )
-        return make_symbol(
-            "poly",
-            lambda z, m=mono: np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), m),
-            taylor,
-            0.0,
-            {"degree": mono.size - 1},
-        )
+        return poly_symbol([_parse_complex(part) for part in args.coeffs.split(";")])
     if args.symbol == "from-g":
         if not args.g_file:
             raise UsageError("from-g symbol needs --g-file CSV")
         gsig = fileio.read_signal_csv(args.g_file)
-        from .representation import _as_callable
-
         return phi_from_g(WaveletSpec(_as_callable(gsig), args.s), gauss_hermite_rule(200))
     raise UsageError(f"unknown symbol kind {args.symbol!r}")
 
@@ -290,7 +274,7 @@ def _cmd_sop(args) -> int:
             sys.stdout.write(doc)
         return 0
     # matrix
-    mat = s_phi_matrix(sym, args.n, plane, alpha=args.alpha)
+    mat = s_phi_matrix(sym, _order(args), plane, alpha=args.alpha)
     doc = {
         "kind": sym.kind,
         "alpha": args.alpha,
@@ -303,9 +287,6 @@ def _cmd_sop(args) -> int:
 
 
 def _cmd_wavelet(args) -> int:
-    from .representation import _as_callable
-    from .singular import wavelet_transform
-
     gsig = fileio.read_signal_csv(args.gfile)
     fsig = fileio.read_signal_csv(args.infile)
     spec = WaveletSpec(_as_callable(gsig), args.s)

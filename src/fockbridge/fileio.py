@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .representation import FockCoeffs, HermiteCoeffs, SampledSignal
-from .representation import fock_eval
-from .singular import FockSymbol, gaussian_symbol, hilbert_symbol, make_symbol
+from .representation import FockCoeffs, HermiteCoeffs, SampledSignal, fock_eval
+from .singular import FockSymbol, const_symbol, gaussian_symbol, hilbert_symbol, make_symbol
 
 __all__ = [
     "read_signal_csv",
@@ -122,14 +121,7 @@ def read_symbol_json(path) -> FockSymbol:
     if kind == "hilbert":
         return hilbert_symbol()
     if kind == "const":
-        kappa = complex(params.get("re", 1.0), params.get("im", 0.0))
-        return make_symbol(
-            "const",
-            lambda z, k=kappa: np.full_like(np.asarray(z, dtype=complex), k),
-            FockCoeffs(np.array([kappa])),
-            0.0,
-            dict(params),
-        )
+        return const_symbol(complex(params.get("re", 1.0), params.get("im", 0.0)))
     # generic: rebuild the evaluator from the stored truncation (poly, from-g)
     growth = float(doc.get("growth_bound", 0.0))
     return make_symbol(

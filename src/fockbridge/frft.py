@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RepresentationUnavailableError
-from .quadrature import LineRule
+from .quadrature import MAX_LINE_SIZE, LineRule, gauss_hermite_rule
 from .representation import FockCoeffs, HermiteCoeffs
 from .special import SQRT_PI, BranchRule, branch_sqrt
 
@@ -26,7 +26,6 @@ __all__ = [
     "frft_integral",
     "fock_rotation",
     "spectral_projection",
-    "frft_spectrum",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -106,11 +105,6 @@ def spectral_projection(k: int, h: HermiteCoeffs) -> HermiteCoeffs:
     return HermiteCoeffs(c)
 
 
-def frft_spectrum(alpha, n: int) -> np.ndarray:
-    """The first n eigenvalues exp(-i n alpha) of the transform."""
-    return _phases(_angle(alpha), n)
-
-
 def _stage_values(fvals: np.ndarray, a: FrftAngle, x: np.ndarray, rule: LineRule) -> np.ndarray:
     """One quadrature pass of the defining integral, vectorized over x.
 
@@ -152,8 +146,6 @@ def frft_integral(f, alpha, x, rule: LineRule):
         # cover the outer rule's node span, so it runs on a larger rule, and
         # anything beyond its trusted radius is clipped to zero (the true
         # values there are Gaussian-negligible).
-        from .quadrature import MAX_LINE_SIZE, gauss_hermite_rule
-
         inner_rule = gauss_hermite_rule(min(MAX_LINE_SIZE, max(rule.size, 2 * rule.size)))
         inner = FrftAngle(math.pi / 2.0)
         outer = FrftAngle(a.alpha - math.pi / 2.0)

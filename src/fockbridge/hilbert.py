@@ -3,8 +3,9 @@
 The reference semantics of the fractional transform is the multiplier chain:
 rotate by the fractional Fourier transform, apply the two-sided step phase
 pointwise, rotate back.  The plane-kernel realization (an integral operator
-against the Gaussian measure with an entire kernel built from A_phi) is the
-validated alternative; the two are compared, not assumed equal.
+against the Gaussian measure with an entire kernel built from A_phi,
+evaluated by the package's one plane-operator engine) is the validated
+alternative; the two are compared, not assumed equal.
 """
 
 from __future__ import annotations
@@ -16,9 +17,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, EnvelopeError
-from .quadrature import PlaneRule, SplitLineRule, _fsum_complex, split_line_rule
-from .representation import FockCoeffs, HermiteCoeffs, SampledSignal, fock_eval
+from .errors import ConfigurationError
+from .quadrature import PlaneRule, SplitLineRule, split_line_rule
+from .representation import (
+    FockCoeffs,
+    HermiteCoeffs,
+    SampledSignal,
+    _plane_apply,
+    check_envelope,
+)
 from .special import A_eval, A_phi_eval, SQRT_PI, hermite_fn_all
 from .frft import FrftAngle
 
@@ -128,17 +135,6 @@ def fractional_hilbert(
     return HermiteCoeffs(v * np.exp(1j * a.alpha * np.arange(n_work)))
 
 
-def _guard_kernel_inputs(F: FockCoeffs, z: complex, z_max: float, order_max: int) -> None:
-    if abs(z) > z_max:
-        raise EnvelopeError(
-            f"|z|={abs(z):.3f} outside the kernel-resolvable region (|z| <= {z_max})"
-        )
-    if F.order > order_max:
-        raise EnvelopeError(
-            f"truncation {F.order} exceeds the kernel envelope cap {order_max}"
-        )
-
-
 def hilbert_fock_kernel_apply(
     F: FockCoeffs,
     params: HilbertParams,
@@ -150,19 +146,15 @@ def hilbert_fock_kernel_apply(
     """Plane-kernel form of the fractional Hilbert transform.
 
     (1/sqrt(pi)) * integral of f(w) e^{z conj(w)}
-    A_phi((e^{i alpha} z + e^{-i alpha} conj(w)) / sqrt(2)) dlambda(w).
-
-    The factors are multiplied smallest-first so no intermediate overflows
-    even at the extreme radial nodes.
+    A_phi((e^{i alpha} z + e^{-i alpha} conj(w)) / sqrt(2)) dlambda(w),
+    evaluated by the plane-operator engine.
     """
     z = complex(z)
-    _guard_kernel_inputs(F, z, z_max, order_max)
-    w = rule.nodes
-    wbar = np.conj(w)
+    check_envelope(F, z, z_max, order_max)
     ea = cmath.exp(1j * params.alpha)
-    u = (ea * z + wbar / ea) / math.sqrt(2.0)
-    terms = (rule.weights * np.exp(z * wbar)) * fock_eval(F, w) * A_phi_eval(params.phi, u)
-    return _fsum_complex(terms) / SQRT_PI
+    return _plane_apply(
+        F, z, rule, lambda wbar: A_phi_eval(params.phi, (ea * z + wbar / ea) / math.sqrt(2.0))
+    ) / SQRT_PI
 
 
 def hilbert_fock_S_apply(
@@ -178,9 +170,7 @@ def hilbert_fock_S_apply(
     dlambda(w), with A the antiderivative of e^{u^2} vanishing at 0.
     """
     z = complex(z)
-    _guard_kernel_inputs(F, z, z_max, order_max)
-    w = rule.nodes
-    wbar = np.conj(w)
-    u = (z - wbar) / math.sqrt(2.0)
-    terms = (rule.weights * np.exp(z * wbar)) * fock_eval(F, w) * A_eval(u)
-    return 2.0 * _fsum_complex(terms) / SQRT_PI
+    check_envelope(F, z, z_max, order_max)
+    return 2.0 * _plane_apply(
+        F, z, rule, lambda wbar: A_eval((z - wbar) / math.sqrt(2.0))
+    ) / SQRT_PI

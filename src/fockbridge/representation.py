@@ -19,7 +19,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, EnvelopeError
-from .quadrature import LineRule, PlaneRule, integrate_line, integrate_plane
+from .quadrature import LineRule, PlaneRule, _fsum_complex, integrate_line, integrate_plane
 from .special import NORM_CONSTANT, hermite_fn_all
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "bargmann_direct",
     "inverse_bargmann_direct",
     "fock_eval",
+    "check_envelope",
 ]
 
 #: Default guard on |z| for the direct integral transforms; larger arguments
@@ -60,7 +61,7 @@ class SampledSignal:
             raise ConfigurationError(f"signal needs at least 2 samples, got {vals.size}")
         if not self.dx > 0.0:
             raise ConfigurationError(f"grid spacing must be positive, got {self.dx}")
-        if not np.all(np.isfinite(vals.view(float))):
+        if not np.all(np.isfinite(vals)):
             raise ConfigurationError("signal contains non-finite samples")
 
     @property
@@ -193,6 +194,33 @@ def fock_eval(F: FockCoeffs, z):
     return complex(acc) if np.isscalar(z) or zarr.ndim == 0 else acc
 
 
+def check_envelope(F: FockCoeffs | None, z, z_max: float, order_max: int | None) -> None:
+    """The one envelope guard: refuse |z| > z_max, or F.order > order_max
+    unless ``F`` is None (direct integrals that bound only the point)."""
+    if abs(z) > z_max:
+        raise EnvelopeError(
+            f"|z|={abs(z):.3f} outside the envelope (|z| <= {z_max}); pass a larger "
+            "bound explicitly with a correspondingly larger rule"
+        )
+    if F is not None and F.order > order_max:
+        raise EnvelopeError(
+            f"truncation {F.order} exceeds the envelope cap {order_max}; the plane "
+            "rule cannot resolve the integrand"
+        )
+
+
+def _plane_apply(F: FockCoeffs, z: complex, rule: PlaneRule, kernel) -> complex:
+    """The plane-operator engine: integral of f(w) e^{z conj(w)} K(conj(w)) dlambda(w).
+
+    Every Fock-side integral operator is this sum with its own entire kernel
+    ``K`` (a callable on the conjugated nodes).  Factors are multiplied
+    smallest-first so no intermediate overflows at the extreme radial nodes.
+    """
+    w = rule.nodes
+    wbar = np.conj(w)
+    return _fsum_complex((rule.weights * np.exp(z * wbar)) * fock_eval(F, w) * kernel(wbar))
+
+
 def bargmann_direct(f, z: complex, rule: LineRule, z_max: float = DEFAULT_Z_MAX) -> complex:
     """Bargmann transform by its defining integral.
 
@@ -200,11 +228,7 @@ def bargmann_direct(f, z: complex, rule: LineRule, z_max: float = DEFAULT_Z_MAX)
     ``f`` must decay like the Hermite-Gaussian class for the rule to apply.
     """
     z = complex(z)
-    if abs(z) > z_max:
-        raise EnvelopeError(
-            f"|z|={abs(z):.3f} exceeds the guard {z_max}; pass z_max explicitly "
-            "with a correspondingly larger rule"
-        )
+    check_envelope(None, z, z_max, None)
     fc = _as_callable(f)
     pref = cmath.exp(-0.5 * z * z)
 
@@ -221,16 +245,7 @@ def inverse_bargmann_direct(
 
     c * integral of F(z) exp(2x conj(z) - x^2 - conj(z)^2/2) dlambda(z).
     """
-    if F.order > INVERSE_DIRECT_MAX_ORDER:
-        raise EnvelopeError(
-            f"truncation {F.order} exceeds {INVERSE_DIRECT_MAX_ORDER}; the plane "
-            "rule cannot resolve the integrand"
-        )
-    if abs(x) > x_max:
-        raise EnvelopeError(
-            f"|x|={abs(x):.3f} exceeds the guard {x_max}; pass x_max explicitly "
-            "with a correspondingly larger rule"
-        )
+    check_envelope(F, x, x_max, INVERSE_DIRECT_MAX_ORDER)
 
     def integrand(z):
         zb = np.conj(z)

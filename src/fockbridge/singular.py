@@ -2,7 +2,10 @@
 
 An operator S_phi acts by integrating f(w) e^{z conj(w)} phi(z - conj(w))
 against the Gaussian measure; its rotated variant substitutes
-e^{i alpha} z - e^{-i alpha} conj(w).  Symbols phi are carried as a
+e^{i alpha} z - e^{-i alpha} conj(w).  Both, and the Fock-side wavelet
+operator, are one call each into the plane-operator engine
+(``representation._plane_apply``) behind one envelope guard
+(``representation.check_envelope``).  Symbols phi are carried as a
 :class:`FockSymbol`: a closed-form evaluator plus its truncated coefficient
 vector, checked against each other at construction so the two can never
 drift apart silently.
@@ -22,15 +25,17 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, EnvelopeError
-from .quadrature import LineRule, PlaneRule, _fsum_complex, integrate_line
-from .representation import FockCoeffs, fock_eval
-from .special import A_eval, SQRT_PI
+from .quadrature import LineRule, PlaneRule, gauss_hermite_rule, integrate_line
+from .representation import FockCoeffs, _plane_apply, check_envelope, fock_eval
+from .special import A_eval, SQRT_PI, sqrt_factorials
 
 __all__ = [
     "FockSymbol",
     "WaveletSpec",
     "OperatorMatrix",
     "make_symbol",
+    "poly_symbol",
+    "const_symbol",
     "s_phi_apply",
     "s_phi_apply_deriv",
     "s_phi_alpha_apply",
@@ -80,10 +85,7 @@ class FockSymbol:
             )
 
     def monomial(self) -> np.ndarray:
-        n = self.taylor.order
-        return self.taylor.coeffs / np.sqrt(
-            np.array([math.factorial(k) for k in range(n)], dtype=float)
-        )
+        return self.taylor.coeffs / sqrt_factorials(self.taylor.order)
 
 
 def _taylor_check(evaluate, taylor: FockCoeffs) -> float:
@@ -118,6 +120,30 @@ def make_symbol(
     return sym
 
 
+def poly_symbol(mono) -> FockSymbol:
+    """Polynomial symbol from its plain monomial coefficients a_0, a_1, ..."""
+    mono = np.asarray(mono, dtype=complex)
+    return make_symbol(
+        "poly",
+        lambda z, m=mono: np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), m),
+        FockCoeffs(mono * sqrt_factorials(mono.size)),
+        0.0,
+        {"degree": mono.size - 1},
+    )
+
+
+def const_symbol(kappa: complex) -> FockSymbol:
+    """Constant symbol phi = kappa; S_phi is kappa times the identity."""
+    kappa = complex(kappa)
+    return make_symbol(
+        "const",
+        lambda z, k=kappa: np.full_like(np.asarray(z, dtype=complex), k),
+        FockCoeffs(np.array([kappa])),
+        0.0,
+        {"re": kappa.real, "im": kappa.imag},
+    )
+
+
 @dataclass(frozen=True)
 class WaveletSpec:
     """A wavelet g (callable on the line, in L^1 and L^2) and a dilation s != 0."""
@@ -144,7 +170,7 @@ class OperatorMatrix:
         e = np.asarray(self.entries, dtype=complex)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ConfigurationError(f"matrix must be square, got shape {e.shape}")
-        if not np.all(np.isfinite(e.view(float))):
+        if not np.all(np.isfinite(e)):
             raise ConfigurationError("matrix contains non-finite entries")
         e.flags.writeable = False
         object.__setattr__(self, "entries", e)
@@ -154,18 +180,20 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def _guard_envelope(phi: FockSymbol, z: complex, F: FockCoeffs, growth_cap: float,
-                    z_max: float, order_max: int) -> None:
+def _check_growth(phi: FockSymbol, growth_cap: float) -> None:
     if phi.growth_bound > growth_cap:
         raise EnvelopeError(
             f"symbol '{phi.kind}' has growth bound {phi.growth_bound}, outside the "
             f"validated envelope (<= {growth_cap}); operators with faster-growing "
             "symbols may be unbounded and their quadrature is not trusted here"
         )
-    if abs(z) > z_max:
-        raise EnvelopeError(f"|z|={abs(z):.3f} outside the envelope (|z| <= {z_max})")
-    if F.order > order_max:
-        raise EnvelopeError(f"truncation {F.order} exceeds the envelope cap {order_max}")
+
+
+def _s_phi(phi, F, z, rule, growth_cap, z_max, order_max, argument) -> complex:
+    """S_phi-type apply: kernel phi(argument(conj(w))) through the plane engine."""
+    _check_growth(phi, growth_cap)
+    check_envelope(F, z, z_max, order_max)
+    return _plane_apply(F, z, rule, lambda wbar: np.asarray(phi.evaluate(argument(wbar))))
 
 
 def s_phi_apply(
@@ -179,13 +207,7 @@ def s_phi_apply(
 ) -> complex:
     """Apply S_phi by plane quadrature of its defining kernel."""
     z = complex(z)
-    _guard_envelope(phi, z, F, growth_cap, z_max, order_max)
-    w = rule.nodes
-    wbar = np.conj(w)
-    terms = (rule.weights * np.exp(z * wbar)) * fock_eval(F, w) * np.asarray(
-        phi.evaluate(z - wbar)
-    )
-    return _fsum_complex(terms)
+    return _s_phi(phi, F, z, rule, growth_cap, z_max, order_max, lambda wbar: z - wbar)
 
 
 def s_phi_alpha_apply(
@@ -200,14 +222,10 @@ def s_phi_alpha_apply(
 ) -> complex:
     """Apply the rotated operator: kernel phi(e^{i a} z - e^{-i a} conj(w))."""
     z = complex(z)
-    _guard_envelope(phi, z, F, growth_cap, z_max, order_max)
-    w = rule.nodes
-    wbar = np.conj(w)
     ea = cmath.exp(1j * float(alpha))
-    terms = (rule.weights * np.exp(z * wbar)) * fock_eval(F, w) * np.asarray(
-        phi.evaluate(ea * z - wbar / ea)
+    return _s_phi(
+        phi, F, z, rule, growth_cap, z_max, order_max, lambda wbar: ea * z - wbar / ea
     )
-    return _fsum_complex(terms)
 
 
 def s_phi_apply_deriv(phi_monomial: np.ndarray, F: FockCoeffs, alpha: float = 0.0) -> FockCoeffs:
@@ -230,7 +248,7 @@ def s_phi_apply_deriv(phi_monomial: np.ndarray, F: FockCoeffs, alpha: float = 0.
             f"got symbol {a.size}, argument {F.order}"
         )
     # argument in plain monomial coefficients
-    b = F.coeffs / np.sqrt(np.array([math.factorial(m) for m in range(F.order)], dtype=float))
+    b = F.coeffs / sqrt_factorials(F.order)
     deg_f = F.order - 1
     deg_out = (a.size - 1) + deg_f
     out = np.zeros(deg_out + 1, dtype=complex)
@@ -249,8 +267,7 @@ def s_phi_apply_deriv(phi_monomial: np.ndarray, F: FockCoeffs, alpha: float = 0.
             phase = ea ** (k - 2 * j)
             coef = a[k] * math.comb(k, j) * (-1) ** j * phase
             out[k - j : k - j + d.size] += coef * d
-    norm = np.sqrt(np.array([math.factorial(n) for n in range(deg_out + 1)], dtype=float))
-    return FockCoeffs(out * norm)
+    return FockCoeffs(out * sqrt_factorials(deg_out + 1))
 
 
 def s_phi_matrix(
@@ -266,33 +283,45 @@ def s_phi_matrix(
     method "deriv" uses the polynomial route on the stored coefficients;
     "quadrature" samples S e_m on a circle of the given radius and reads the
     Taylor coefficients off a discrete Fourier transform; "auto" prefers
-    "deriv" whenever the stored coefficients fit its cap.
+    "deriv" whenever the stored coefficients fit its cap.  Either route
+    checks its whole envelope before computing the first column.
     """
     if n < 1:
         raise ConfigurationError(f"matrix size must be positive, got {n}")
+    # entry [i, m] of the derivative route draws on the symbol's Taylor
+    # coefficients through degree i + m, so it needs 2n - 1 of them; only
+    # polynomial symbols store their series complete
+    deriv_ok = n <= DERIV_ORDER_CAP and (
+        phi.kind in ("poly", "const") or phi.taylor.order >= 2 * n - 1
+    )
     if method == "auto":
         # the derivative route is exact for short polynomial symbols but its
         # alternating sums cancel catastrophically for long series symbols,
         # so those go through quadrature
-        method = (
-            "deriv"
-            if phi.taylor.order <= 12 and n <= DERIV_ORDER_CAP
-            else "quadrature"
-        )
+        method = "deriv" if phi.taylor.order <= 12 and deriv_ok else "quadrature"
+
+    def unit(m):
+        return FockCoeffs(np.eye(1, m + 1, m, dtype=complex)[0])
+
     entries = np.zeros((n, n), dtype=complex)
     if method == "deriv":
+        if not deriv_ok:
+            raise EnvelopeError(
+                f"derivative route at n={n} needs the Taylor series of symbol "
+                f"'{phi.kind}' through degree {2 * n - 2} and n <= {DERIV_ORDER_CAP}; "
+                f"it stores {phi.taylor.order} coefficients (use method='quadrature')"
+            )
         mono = phi.monomial()
         for m in range(n):
-            em = FockCoeffs(np.eye(1, m + 1, m, dtype=complex)[0])
-            entries[:, m] = s_phi_apply_deriv(mono, em, alpha=alpha).padded(n)
+            entries[:, m] = s_phi_apply_deriv(mono, unit(m), alpha=alpha).padded(n)
     elif method == "quadrature":
+        _check_growth(phi, GROWTH_CAP)
+        check_envelope(unit(n - 1), radius, S_Z_MAX, S_ORDER_MAX)
         n_circle = max(2 * n, 32)
         circle = radius * np.exp(2j * math.pi * np.arange(n_circle) / n_circle)
-        scale = radius ** np.arange(n) / np.sqrt(
-            np.array([math.factorial(j) for j in range(n)], dtype=float)
-        )
+        scale = radius ** np.arange(n) / sqrt_factorials(n)
         for m in range(n):
-            em = FockCoeffs(np.eye(1, m + 1, m, dtype=complex)[0])
+            em = unit(m)
             vals = np.array(
                 [s_phi_alpha_apply(phi, alpha, em, zc, rule) for zc in circle]
             )
@@ -360,15 +389,10 @@ def wavelet_fock_apply(
     times the inner line integral of g(t) exp(-s^2 t^2/2 - s t (z - conj(w))).
     """
     z = complex(z)
-    if abs(z) > z_max:
-        raise EnvelopeError(f"|z|={abs(z):.3f} outside the envelope (|z| <= {z_max})")
-    if F.order > order_max:
-        raise EnvelopeError(f"truncation {F.order} exceeds the envelope cap {order_max}")
-    w = plane.nodes
-    wbar = np.conj(w)
-    inner = _inner_wavelet_factor(spec, z - wbar, line)
-    terms = (plane.weights * np.exp(z * wbar)) * fock_eval(F, w) * inner
-    return math.sqrt(abs(spec.s) / math.pi) * _fsum_complex(terms)
+    check_envelope(F, z, z_max, order_max)
+    return math.sqrt(abs(spec.s) / math.pi) * _plane_apply(
+        F, z, plane, lambda wbar: _inner_wavelet_factor(spec, z - wbar, line)
+    )
 
 
 def phi_from_g(spec: WaveletSpec, rule: LineRule, n_taylor: int = 40) -> FockSymbol:
@@ -384,13 +408,11 @@ def phi_from_g(spec: WaveletSpec, rule: LineRule, n_taylor: int = 40) -> FockSym
 
     def norms(r: LineRule) -> tuple[float, float]:
         gv = np.asarray(spec.g(r.nodes), dtype=complex)
-        if not np.all(np.isfinite(gv.view(float))):
+        if not np.all(np.isfinite(gv)):
             raise ConfigurationError("wavelet produced non-finite values at rule nodes")
         l1 = float(np.sum(r.weights_nogauss * np.abs(gv)))
         l2 = float(np.sum(r.weights_nogauss * np.abs(gv) ** 2))
         return l1, l2
-
-    from .quadrature import gauss_hermite_rule
 
     l1a, l2a = norms(gauss_hermite_rule(max(2, (6 * rule.size) // 10)))
     l1b, l2b = norms(rule)
@@ -419,7 +441,7 @@ def phi_from_g(spec: WaveletSpec, rule: LineRule, n_taylor: int = 40) -> FockSym
     mu = np.power.outer(t, j).T @ gv
     fact = np.array([math.factorial(int(i)) for i in j], dtype=float)
     mono = pref * (-s) ** j * mu / fact
-    taylor = FockCoeffs(mono * np.sqrt(fact))
+    taylor = FockCoeffs(mono * sqrt_factorials(n_taylor))
 
     # growth estimate from two circles; polynomial factors bias it upward a
     # little, which is the safe direction for the envelope guard
@@ -451,9 +473,7 @@ def _poly_times_gaussian_symbol(
     gauss = np.zeros(n_taylor, dtype=complex)
     gauss[0::2] = [a**m / math.factorial(m) for m in range((n_taylor + 1) // 2)]
     mono = np.convolve(poly, gauss)[:n_taylor]
-    taylor = FockCoeffs(
-        mono * np.sqrt(np.array([math.factorial(n) for n in range(n_taylor)], dtype=float))
-    )
+    taylor = FockCoeffs(mono * sqrt_factorials(n_taylor))
     return make_symbol(kind, evaluate, taylor, a, params)
 
 
@@ -508,9 +528,7 @@ def gaussian_symbol(a: float, b: float) -> FockSymbol:
     mono[1] = -2.0 * a * b * mono[0]
     for m in range(1, n_taylor - 1):
         mono[m + 1] = (2.0 * a * mono[m - 1] - 2.0 * a * b * mono[m]) / (m + 1)
-    taylor = FockCoeffs(
-        mono * np.sqrt(np.array([math.factorial(n) for n in range(n_taylor)], dtype=float))
-    )
+    taylor = FockCoeffs(mono * sqrt_factorials(n_taylor))
     return make_symbol("gauss", evaluate, taylor, a, {"a": a, "b": b})
 
 
@@ -535,7 +553,5 @@ def hilbert_symbol(n_taylor: int = 60) -> FockSymbol:
         mono[j] = (2.0 / SQRT_PI) * (0.5**k / math.sqrt(2.0)) / (
             math.factorial(k) * j
         )
-    taylor = FockCoeffs(
-        mono * np.sqrt(np.array([math.factorial(n) for n in range(n_taylor)], dtype=float))
-    )
+    taylor = FockCoeffs(mono * sqrt_factorials(n_taylor))
     return make_symbol("hilbert", evaluate, taylor, 0.5, {})

@@ -400,7 +400,7 @@ def _check_sop_conjugation(cfg: VerifyConfig):
     parts = []
     for sym, alpha, base_method in (
         (_singular.gaussian_symbol(0.25, 0.3), 0.8, "quadrature"),
-        (_poly_symbol(np.array([0.2, 0.5 - 0.1j, 0.0, 0.3j])), -1.1, "deriv"),
+        (_singular.poly_symbol([0.2, 0.5 - 0.1j, 0.0, 0.3j]), -1.1, "deriv"),
     ):
         m0 = _singular.s_phi_matrix(sym, n, plane, method=base_method)
         ma = _singular.s_phi_matrix(sym, n, plane, alpha=alpha, method="quadrature")
@@ -408,19 +408,6 @@ def _check_sop_conjugation(cfg: VerifyConfig):
         lhs = (np.conj(d)[:, None] * m0.entries) * d[None, :]
         parts.append((float(np.abs(lhs - ma.entries).max()), 1e-6))
     return _normalized(parts)
-
-
-def _poly_symbol(mono: np.ndarray) -> "_singular.FockSymbol":
-    taylor = FockCoeffs(
-        mono * np.sqrt(np.array([math.factorial(k) for k in range(mono.size)], dtype=float))
-    )
-    return _singular.make_symbol(
-        "poly",
-        lambda z, m=mono: np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), m),
-        taylor,
-        0.0,
-        {"degree": mono.size - 1},
-    )
 
 
 def _check_pv_symbol(cfg: VerifyConfig):
@@ -458,7 +445,7 @@ def _check_sop_oracle(cfg: VerifyConfig):
         mono = (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)) * (
             0.6 ** np.arange(deg + 1)
         )
-        sym = _poly_symbol(mono)
+        sym = _singular.poly_symbol(mono)
         fdeg = rng.integers(0, 9)
         fc = rng.standard_normal(fdeg + 1) + 1j * rng.standard_normal(fdeg + 1)
         F = FockCoeffs(fc / np.linalg.norm(fc))

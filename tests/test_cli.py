@@ -123,6 +123,16 @@ class TestSopCommand:
         doc = json.loads((workdir / "mat.json").read_text())
         assert doc["n"] == 5 and doc["norm_estimate"] > 0
 
+    def test_matrix_outside_envelope_is_usage_error(self, workdir, capsys):
+        rc = run_command(
+            ["sop", "matrix", "--symbol", "gauss", "--a", "0.25", "--n", "200",
+             "--out", "mat.json"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
+        assert not (workdir / "mat.json").exists()
+
     def test_symbol_file_round_trip(self, workdir, capsys):
         rc = run_command(
             ["sop", "apply", "--symbol", "gauss", "--a", "0.25", "--b", "0.5",

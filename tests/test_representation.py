@@ -54,6 +54,14 @@ class TestTypes:
         assert h.norm() == pytest.approx(5.0)
         assert h.order == 2
 
+    def test_strided_samples_accepted(self):
+        a = np.arange(10) * (1 + 0.5j)
+        s = SampledSignal(0.0, 1.0, a[::2])
+        np.testing.assert_array_equal(s.values, a[::2])
+        a[4] = complex(np.inf, 0.0)
+        with pytest.raises(ConfigurationError):
+            SampledSignal(0.0, 1.0, a[::2])
+
     def test_signal_values_read_only(self):
         s = SampledSignal(0.0, 0.5, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):

@@ -14,7 +14,9 @@ from fockbridge.representation import (
     hermite_eval,
     inverse_bargmann_coeff,
 )
+from fockbridge import singular
 from fockbridge.singular import (
+    OperatorMatrix,
     WaveletSpec,
     gaussian_symbol,
     hilbert_symbol,
@@ -22,6 +24,7 @@ from fockbridge.singular import (
     operator_norm_estimate,
     phi_from_g,
     phi_n_closed,
+    poly_symbol,
     s_phi_alpha_apply,
     s_phi_apply,
     s_phi_apply_deriv,
@@ -37,19 +40,6 @@ LINE = gauss_hermite_rule(200)
 
 def unit_fock(n):
     return FockCoeffs(np.eye(1, n + 1, n, dtype=complex)[0])
-
-
-def poly_symbol(mono):
-    mono = np.asarray(mono, dtype=complex)
-    taylor = FockCoeffs(
-        mono * np.sqrt(np.array([math.factorial(k) for k in range(mono.size)], dtype=float))
-    )
-    return make_symbol(
-        "poly",
-        lambda z, m=mono: np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), m),
-        taylor,
-        0.0,
-    )
 
 
 class TestFockSymbol:
@@ -220,6 +210,48 @@ class TestMatrix:
         d = np.exp(-1j * alpha * np.arange(n))
         lhs = np.conj(d)[:, None] * m0.entries * d[None, :]
         assert float(np.abs(lhs - ma.entries).max()) < 1e-6
+
+    def test_deriv_route_refuses_truncated_series(self):
+        # the 40 stored coefficients of the Gaussian symbol cover n <= 20 only
+        with pytest.raises(EnvelopeError):
+            s_phi_matrix(gaussian_symbol(0.25, 0.0), 24, PLANE, method="deriv")
+
+    def test_deriv_route_inside_stored_series(self):
+        sym = gaussian_symbol(0.25, 0.0)
+        md = s_phi_matrix(sym, 20, PLANE, method="deriv")
+        mq = s_phi_matrix(sym, 20, PLANE, method="quadrature")
+        assert float(np.abs(md.entries - mq.entries).max()) < 1e-10
+
+    def test_auto_falls_back_to_quadrature_on_short_series(self):
+        taylor = FockCoeffs(np.array([0.3, 0.2, 0.1, 0.05, 0.02], dtype=complex))
+        sym = make_symbol("series", lambda z: fock_eval(taylor, z), taylor, 0.0)
+        np.testing.assert_array_equal(
+            s_phi_matrix(sym, 3, PLANE).entries,
+            s_phi_matrix(sym, 3, PLANE, method="deriv").entries,
+        )
+        np.testing.assert_array_equal(
+            s_phi_matrix(sym, 4, PLANE).entries,
+            s_phi_matrix(sym, 4, PLANE, method="quadrature").entries,
+        )
+
+    def test_quadrature_refuses_before_first_apply(self, monkeypatch):
+        def no_apply(*args, **kwargs):
+            raise AssertionError("plane apply ran before the envelope check")
+
+        monkeypatch.setattr(singular, "s_phi_alpha_apply", no_apply)
+        with pytest.raises(EnvelopeError):
+            s_phi_matrix(gaussian_symbol(0.25, 0.0), 25, PLANE, method="quadrature")
+        with pytest.raises(EnvelopeError):
+            s_phi_matrix(hilbert_symbol(), 4, PLANE, method="quadrature")
+
+    def test_strided_entries_accepted(self):
+        m = OperatorMatrix(np.arange(9).reshape(3, 3) * (1 - 2j))
+        mt = OperatorMatrix(m.entries.T)
+        np.testing.assert_array_equal(mt.entries, m.entries.T)
+        bad = np.ones((3, 3), dtype=complex)
+        bad[0, 2] = np.nan
+        with pytest.raises(ConfigurationError):
+            OperatorMatrix(bad.T)
 
     def test_norm_stability_gaussian_symbol(self):
         sym = gaussian_symbol(0.25, 0.0)

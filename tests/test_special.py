@@ -14,14 +14,13 @@ from fockbridge.special import (
     BranchRule,
     branch_sqrt,
     erf_half_integral,
-    fock_basis_eval,
     gaussian_integral_closed,
-    heaviside_multiplier,
     hermite_fn,
     hermite_fn_all,
     hermite_poly,
-    reproducing_kernel,
+    sqrt_factorials,
 )
+from fockbridge.representation import FockCoeffs, fock_eval
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -121,34 +120,42 @@ class TestHermiteFn:
                 assert table[n, j] == pytest.approx(hermite_fn(n, float(x)), rel=1e-13, abs=1e-15)
 
 
+def normalized_monomial(n: int, z: complex) -> complex:
+    """Normalized monomial z^n / sqrt(n!) through the package's one evaluator."""
+    return fock_eval(FockCoeffs(np.eye(1, n + 1, n, dtype=complex)[0]), z)
+
+
 class TestFockBasis:
     def test_order_zero(self):
-        assert fock_basis_eval(0, 3.7 - 2j) == 1.0
+        assert normalized_monomial(0, 3.7 - 2j) == 1.0
 
     def test_direct_substitution(self):
-        assert fock_basis_eval(2, 1j) == pytest.approx(-1 / math.sqrt(2), abs=1e-15)
+        assert normalized_monomial(2, 1j) == pytest.approx(-1 / math.sqrt(2), abs=1e-15)
 
     def test_high_order_reference(self):
         # 1.5**10 / sqrt(10!) to 20 digits
-        assert fock_basis_eval(10, 1.5) == pytest.approx(0.030271300139325437473, rel=1e-14)
+        assert normalized_monomial(10, 1.5) == pytest.approx(0.030271300139325437473, rel=1e-14)
 
     def test_large_order_no_overflow(self):
-        v = fock_basis_eval(400, 2.0 + 1.0j)
+        v = normalized_monomial(400, 2.0 + 1.0j)
         assert np.isfinite(v.real) and np.isfinite(v.imag)
 
 
-class TestReproducingKernel:
-    def test_zero_argument(self):
-        assert reproducing_kernel(1.3 - 0.2j, 0.0) == 1.0
+class TestSqrtFactorials:
+    def test_matches_float_factorials_bit_for_bit(self):
+        ref = np.sqrt(np.array([math.factorial(k) for k in range(171)], dtype=float))
+        np.testing.assert_array_equal(sqrt_factorials(171), ref)
 
-    def test_unit(self):
-        assert reproducing_kernel(1.0, 1.0) == pytest.approx(math.e, rel=1e-15)
+    def test_no_overflow_to_cli_cap(self):
+        mp.mp.dps = 40
+        got = sqrt_factorials(257)
+        assert np.all(np.isfinite(got))
+        for k in (171, 200, 256):
+            ref = mp.sqrt(mp.factorial(k))
+            assert abs(float((mp.mpf(got[k]) - ref) / ref)) <= 1e-14
 
-    def test_hand_value(self):
-        # (2+i) * conj(1-i) = (2+i)(1+i) = 1+3i
-        assert reproducing_kernel(2 + 1j, 1 - 1j) == pytest.approx(
-            complex(-2.6910786138197940018, 0.38360395354113107324), rel=1e-14
-        )
+    def test_empty(self):
+        assert sqrt_factorials(0).shape == (0,)
 
 
 class TestGaussianIntegralClosed:
@@ -276,24 +283,3 @@ class TestAEval:
             assert fd == pytest.approx(
                 math.sqrt(2 / math.pi) * math.exp(z * z / 2), rel=1e-6
             )
-
-
-class TestHeaviside:
-    def test_quarter_turn_positive(self):
-        assert heaviside_multiplier(math.pi / 2, 1.0) == pytest.approx(-1j, abs=1e-15)
-
-    def test_zero_phase(self):
-        assert heaviside_multiplier(0.0, 2.0) == 1.0
-        assert heaviside_multiplier(0.0, -2.0) == 1.0
-
-    def test_both_terms_fire_at_origin(self):
-        assert heaviside_multiplier(math.pi / 2, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert heaviside_multiplier(1.0, 0.0) == pytest.approx(2 * math.cos(1.0), abs=1e-15)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        phi=st.floats(min_value=-10, max_value=10),
-        x=st.floats(min_value=-50, max_value=50).filter(lambda v: v != 0.0),
-    )
-    def test_unit_modulus_off_origin(self, phi, x):
-        assert abs(abs(heaviside_multiplier(phi, x)) - 1.0) < 1e-15
