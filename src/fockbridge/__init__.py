@@ -78,7 +78,6 @@ from .special import (
     NORM_CONSTANT,
     A_eval,
     A_phi_eval,
-    BranchRule,
     branch_sqrt,
     erf_half_integral,
     gaussian_integral_closed,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -44,7 +43,6 @@ from .singular import (
     phi_from_g,
     poly_symbol,
     s_phi_alpha_apply,
-    s_phi_apply,
     s_phi_matrix,
     wavelet_transform,
 )
@@ -258,14 +256,12 @@ def _cmd_sop(args) -> int:
         data = fileio.read_coeffs_json(args.infile)
         if not isinstance(data, FockCoeffs):
             raise UsageError("sop apply expects Fock coefficient JSON")
-        values = []
-        for ztext in args.z:
-            z = _parse_complex(ztext)
-            if args.alpha:
-                val = s_phi_alpha_apply(sym, args.alpha, data, z, plane, growth_cap=args.growth_cap)
-            else:
-                val = s_phi_apply(sym, data, z, plane, growth_cap=args.growth_cap)
-            values.append({"z": [z.real, z.imag], "value": [val.real, val.imag]})
+        zs = [_parse_complex(ztext) for ztext in args.z]
+        vals = s_phi_alpha_apply(sym, args.alpha, data, zs, plane, growth_cap=args.growth_cap)
+        values = [
+            {"z": [z.real, z.imag], "value": [val.real, val.imag]}
+            for z, val in zip(zs, vals.tolist())
+        ]
         doc = json.dumps({"kind": sym.kind, "alpha": args.alpha, "values": values},
                          sort_keys=True, indent=1) + "\n"
         if args.outfile:
@@ -332,9 +328,8 @@ def _verify_settings(args) -> dict:
 
 def _cmd_verify(args) -> int:
     opts = _verify_settings(args)
-    env_cap = os.environ.get("FOCKBRIDGE_THREADS")
-    cap = max(1, int(env_cap)) if env_cap and env_cap.isdigit() else None
-    want = opts["threads"] if opts["threads"] else (cap or default_threads())
+    cap = default_threads()
+    want = opts["threads"] or cap or 1
     threads = min(want, cap) if cap else want
     cfg = VerifyConfig(
         seed=opts["seed"],

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import RepresentationUnavailableError
 from .quadrature import MAX_LINE_SIZE, LineRule, gauss_hermite_rule
 from .representation import FockCoeffs, HermiteCoeffs
-from .special import SQRT_PI, BranchRule, branch_sqrt
+from .special import SQRT_PI, branch_sqrt, shaped_like
 
 __all__ = [
     "FrftAngle",
@@ -76,23 +76,33 @@ def branched_prefactor(alpha) -> complex:
         raise RepresentationUnavailableError(
             f"prefactor undefined this close to a singular angle (sin={a.sin:.2e})"
         )
-    return branch_sqrt(1.0 - 1.0j * a.cot, BranchRule.ARG_IN_HALF_OPEN) / SQRT_PI
+    return branch_sqrt(1.0 - 1.0j * a.cot) / SQRT_PI
 
 
-def _phases(alpha: FrftAngle, n: int) -> np.ndarray:
-    return np.exp(-1j * alpha.alpha * np.arange(n))
+def _phases(alpha: float, n: int) -> np.ndarray:
+    """exp(-i alpha k) for k = 0..n-1, with alpha*k formed without rounding.
+
+    Rounding alpha*k costs half an ulp of the product (about 2e-15 at
+    alpha = pi/2, k = 16), enough to break the 1e-14 quarter-turn
+    identities.  So alpha is split into a 24-bit head, whose products with
+    k < 2^29 are exact, and a tail that carries the rest:
+    exp(-i head k) * exp(-i tail k).
+    """
+    head = float(np.float32(alpha))
+    k = np.arange(n)
+    return np.exp(-1j * head * k) * np.exp(-1j * (alpha - head) * k)
 
 
 def frft_coeffs(h: HermiteCoeffs, alpha) -> HermiteCoeffs:
     """Canonical fractional Fourier transform: c_n -> exp(-i n alpha) c_n."""
     a = _angle(alpha)
-    return HermiteCoeffs(h.coeffs * _phases(a, h.order))
+    return HermiteCoeffs(h.coeffs * _phases(a.alpha, h.order))
 
 
 def fock_rotation(F: FockCoeffs, alpha) -> FockCoeffs:
     """Taylor coefficients of z -> F(exp(-i alpha) z): c_n -> exp(-i n alpha) c_n."""
     a = _angle(alpha)
-    return FockCoeffs(F.coeffs * _phases(a, F.order))
+    return FockCoeffs(F.coeffs * _phases(a.alpha, F.order))
 
 
 def spectral_projection(k: int, h: HermiteCoeffs) -> HermiteCoeffs:
@@ -135,7 +145,6 @@ def frft_integral(f, alpha, x, rule: LineRule):
             f"integral form unavailable at sin(alpha)={a.sin:.2e}; "
             "frft_coeffs is exact for every angle"
         )
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     xarr = np.atleast_1d(np.asarray(x, dtype=float))
     if abs(a.cot) <= MAX_DIRECT_COT:
         fvals = np.asarray(f(rule.nodes), dtype=complex)
@@ -153,4 +162,4 @@ def frft_integral(f, alpha, x, rule: LineRule):
         mid = _stage_values(fvals, inner, rule.nodes, inner_rule)
         mid[np.abs(rule.nodes) > math.sqrt(0.9 * inner_rule.size)] = 0.0
         out = _stage_values(mid, outer, xarr, rule)
-    return complex(out[0]) if scalar else out
+    return shaped_like(out, x)

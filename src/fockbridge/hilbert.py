@@ -27,7 +27,7 @@ from .representation import (
     check_envelope,
 )
 from .special import A_eval, A_phi_eval, SQRT_PI, hermite_fn_all
-from .frft import FrftAngle
+from .frft import FrftAngle, _phases
 
 __all__ = [
     "HilbertParams",
@@ -119,8 +119,7 @@ def fractional_hilbert(
     _check_split_resolution(rule, n_work)
 
     a = FrftAngle(params.alpha)
-    phases = np.exp(-1j * a.alpha * np.arange(h.order))
-    u = h.coeffs * phases
+    u = h.coeffs * _phases(a.alpha, h.order)
 
     h_in_pos = hermite_fn_all(h.order - 1, rule.pos_nodes)
     parity_in = np.where(np.arange(h.order) % 2 == 0, 1.0, -1.0)
@@ -132,45 +131,34 @@ def fractional_hilbert(
     v = cmath.exp(-1j * params.phi) * (h_work @ (rule.pos_weights * g_pos))
     v = v + cmath.exp(1j * params.phi) * parity_w * (h_work @ (rule.pos_weights * g_neg))
 
-    return HermiteCoeffs(v * np.exp(1j * a.alpha * np.arange(n_work)))
+    return HermiteCoeffs(v * _phases(-a.alpha, n_work))
 
 
-def hilbert_fock_kernel_apply(
-    F: FockCoeffs,
-    params: HilbertParams,
-    z: complex,
-    rule: PlaneRule,
-    z_max: float = KERNEL_Z_MAX,
-    order_max: int = KERNEL_ORDER_MAX,
-) -> complex:
+def hilbert_fock_kernel_apply(F: FockCoeffs, params: HilbertParams, z, rule: PlaneRule):
     """Plane-kernel form of the fractional Hilbert transform.
 
     (1/sqrt(pi)) * integral of f(w) e^{z conj(w)}
     A_phi((e^{i alpha} z + e^{-i alpha} conj(w)) / sqrt(2)) dlambda(w),
-    evaluated by the plane-operator engine.
+    evaluated by the plane-operator engine at a point or an array of points.
     """
-    z = complex(z)
-    check_envelope(F, z, z_max, order_max)
+    check_envelope(F, z, KERNEL_Z_MAX, KERNEL_ORDER_MAX)
     ea = cmath.exp(1j * params.alpha)
     return _plane_apply(
-        F, z, rule, lambda wbar: A_phi_eval(params.phi, (ea * z + wbar / ea) / math.sqrt(2.0))
+        F,
+        z,
+        rule,
+        lambda zk, wbar: A_phi_eval(params.phi, (ea * zk + wbar / ea) / math.sqrt(2.0)),
     ) / SQRT_PI
 
 
-def hilbert_fock_S_apply(
-    F: FockCoeffs,
-    z: complex,
-    rule: PlaneRule,
-    z_max: float = KERNEL_Z_MAX,
-    order_max: int = KERNEL_ORDER_MAX,
-) -> complex:
+def hilbert_fock_S_apply(F: FockCoeffs, z, rule: PlaneRule):
     """Plane-kernel form of the classical Hilbert transform.
 
     (2/sqrt(pi)) * integral of f(w) e^{z conj(w)} A((z - conj(w))/sqrt(2))
-    dlambda(w), with A the antiderivative of e^{u^2} vanishing at 0.
+    dlambda(w), with A the antiderivative of e^{u^2} vanishing at 0, at a
+    point or an array of points.
     """
-    z = complex(z)
-    check_envelope(F, z, z_max, order_max)
+    check_envelope(F, z, KERNEL_Z_MAX, KERNEL_ORDER_MAX)
     return 2.0 * _plane_apply(
-        F, z, rule, lambda wbar: A_eval((z - wbar) / math.sqrt(2.0))
+        F, z, rule, lambda zk, wbar: A_eval((zk - wbar) / math.sqrt(2.0))
     ) / SQRT_PI

@@ -19,8 +19,15 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, EnvelopeError
-from .quadrature import LineRule, PlaneRule, _fsum_complex, integrate_line, integrate_plane
-from .special import NORM_CONSTANT, hermite_fn_all
+from .quadrature import (
+    LineRule,
+    PlaneRule,
+    _evaluate,
+    _fsum_complex,
+    integrate_line,
+    integrate_plane,
+)
+from .special import NORM_CONSTANT, hermite_fn_all, shaped_like
 
 __all__ = [
     "SampledSignal",
@@ -166,8 +173,7 @@ def synthesize(coeffs: HermiteCoeffs, x0: float, dx: float, m: int) -> SampledSi
 def hermite_eval(coeffs: HermiteCoeffs, x):
     """Pointwise sum_n c_n h_n(x); scalar in, scalar out."""
     xarr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = coeffs.coeffs @ hermite_fn_all(coeffs.order - 1, xarr)
-    return complex(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+    return shaped_like(coeffs.coeffs @ hermite_fn_all(coeffs.order - 1, xarr), x)
 
 
 def bargmann_coeff(h: HermiteCoeffs) -> FockCoeffs:
@@ -191,16 +197,18 @@ def fock_eval(F: FockCoeffs, z):
     for k in range(1, F.order):
         term = term * zarr / math.sqrt(k)
         acc = acc + F.coeffs[k] * term
-    return complex(acc) if np.isscalar(z) or zarr.ndim == 0 else acc
+    return shaped_like(acc, z)
 
 
 def check_envelope(F: FockCoeffs | None, z, z_max: float, order_max: int | None) -> None:
-    """The one envelope guard: refuse |z| > z_max, or F.order > order_max
-    unless ``F`` is None (direct integrals that bound only the point)."""
-    if abs(z) > z_max:
+    """The one envelope guard: refuse max |z| > z_max over a point or an
+    array of points, or F.order > order_max unless ``F`` is None (direct
+    integrals that bound only the point)."""
+    r = float(np.max(np.abs(z), initial=0.0))
+    if r > z_max:
         raise EnvelopeError(
-            f"|z|={abs(z):.3f} outside the envelope (|z| <= {z_max}); pass a larger "
-            "bound explicitly with a correspondingly larger rule"
+            f"|z|={r:.3f} outside the envelope (|z| <= {z_max}) that this "
+            "route's rule resolves"
         )
     if F is not None and F.order > order_max:
         raise EnvelopeError(
@@ -209,46 +217,63 @@ def check_envelope(F: FockCoeffs | None, z, z_max: float, order_max: int | None)
         )
 
 
-def _plane_apply(F: FockCoeffs, z: complex, rule: PlaneRule, kernel) -> complex:
-    """The plane-operator engine: integral of f(w) e^{z conj(w)} K(conj(w)) dlambda(w).
+def _points(z, dtype=complex) -> list:
+    """The points of a scalar or array ``z`` as Python numbers, in C order."""
+    return np.asarray(z, dtype=dtype).ravel().tolist()
+
+
+def _plane_apply(F: FockCoeffs, z, rule: PlaneRule, kernel):
+    """The plane-operator engine: integral of f(w) e^{z conj(w)} K(z, conj(w)) dlambda(w).
 
     Every Fock-side integral operator is this sum with its own entire kernel
-    ``K`` (a callable on the conjugated nodes).  Factors are multiplied
-    smallest-first so no intermediate overflows at the extreme radial nodes.
+    ``K``, a callable on one point and the conjugated nodes.  ``z`` is a
+    point or an array of points and the result has its shape.  f is
+    evaluated once; each point then gets its own exactly rounded sum, with
+    factors multiplied smallest-first so no intermediate overflows at the
+    extreme radial nodes.
     """
-    w = rule.nodes
-    wbar = np.conj(w)
-    return _fsum_complex((rule.weights * np.exp(z * wbar)) * fock_eval(F, w) * kernel(wbar))
+    wbar = np.conj(rule.nodes)
+    fw = fock_eval(F, rule.nodes)
+    return shaped_like(
+        [
+            _fsum_complex((rule.weights * np.exp(zk * wbar)) * fw * kernel(zk, wbar))
+            for zk in _points(z)
+        ],
+        z,
+    )
 
 
-def bargmann_direct(f, z: complex, rule: LineRule, z_max: float = DEFAULT_Z_MAX) -> complex:
-    """Bargmann transform by its defining integral.
+def bargmann_direct(f, z, rule: LineRule, z_max: float = DEFAULT_Z_MAX):
+    """Bargmann transform by its defining integral, at a point or an array of points.
 
     c * integral of f(x) exp(2xz - x^2 - z^2/2) dx, where c = (2/pi)^{1/4}.
-    ``f`` must decay like the Hermite-Gaussian class for the rule to apply.
+    ``f`` must decay like the Hermite-Gaussian class for the rule to apply;
+    it is evaluated once on the rule's nodes whatever the number of points.
     """
-    z = complex(z)
     check_envelope(None, z, z_max, None)
-    fc = _as_callable(f)
-    pref = cmath.exp(-0.5 * z * z)
+    fx = _evaluate(_as_callable(f), rule.nodes)
 
-    def integrand(x):
-        return np.asarray(fc(x), dtype=complex) * np.exp(2.0 * x * z - x * x)
+    def at(zk):
+        integral = integrate_line(rule, lambda x: fx * np.exp(2.0 * x * zk - x * x))
+        return NORM_CONSTANT * cmath.exp(-0.5 * zk * zk) * integral
 
-    return NORM_CONSTANT * pref * integrate_line(rule, integrand)
+    return shaped_like([at(zk) for zk in _points(z)], z)
 
 
-def inverse_bargmann_direct(
-    F: FockCoeffs, x: float, rule: PlaneRule, x_max: float = DEFAULT_Z_MAX
-) -> complex:
-    """Inverse Bargmann transform by its defining integral.
+def inverse_bargmann_direct(F: FockCoeffs, x, rule: PlaneRule, x_max: float = DEFAULT_Z_MAX):
+    """Inverse Bargmann transform by its defining integral, at a real point
+    or an array of real points.
 
     c * integral of F(z) exp(2x conj(z) - x^2 - conj(z)^2/2) dlambda(z).
     """
     check_envelope(F, x, x_max, INVERSE_DIRECT_MAX_ORDER)
+    fz = fock_eval(F, rule.nodes)
+    zb = np.conj(rule.nodes)
+    half_zb2 = 0.5 * zb * zb
 
-    def integrand(z):
-        zb = np.conj(z)
-        return fock_eval(F, z) * np.exp(2.0 * x * zb - x * x - 0.5 * zb * zb)
+    def at(xk):
+        return NORM_CONSTANT * integrate_plane(
+            rule, lambda _: fz * np.exp(2.0 * xk * zb - xk * xk - half_zb2)
+        )
 
-    return NORM_CONSTANT * integrate_plane(rule, integrand)
+    return shaped_like([at(xk) for xk in _points(x, float)], x)

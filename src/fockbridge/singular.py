@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigurationError, EnvelopeError
 from .quadrature import LineRule, PlaneRule, gauss_hermite_rule, integrate_line
 from .representation import FockCoeffs, _plane_apply, check_envelope, fock_eval
-from .special import A_eval, SQRT_PI, sqrt_factorials
+from .special import A_eval, SQRT_PI, shaped_like, sqrt_factorials
 
 __all__ = [
     "FockSymbol",
@@ -189,42 +189,29 @@ def _check_growth(phi: FockSymbol, growth_cap: float) -> None:
         )
 
 
-def _s_phi(phi, F, z, rule, growth_cap, z_max, order_max, argument) -> complex:
-    """S_phi-type apply: kernel phi(argument(conj(w))) through the plane engine."""
-    _check_growth(phi, growth_cap)
-    check_envelope(F, z, z_max, order_max)
-    return _plane_apply(F, z, rule, lambda wbar: np.asarray(phi.evaluate(argument(wbar))))
-
-
 def s_phi_apply(
-    phi: FockSymbol,
-    F: FockCoeffs,
-    z: complex,
-    rule: PlaneRule,
-    growth_cap: float = GROWTH_CAP,
-    z_max: float = S_Z_MAX,
-    order_max: int = S_ORDER_MAX,
-) -> complex:
-    """Apply S_phi by plane quadrature of its defining kernel."""
-    z = complex(z)
-    return _s_phi(phi, F, z, rule, growth_cap, z_max, order_max, lambda wbar: z - wbar)
+    phi: FockSymbol, F: FockCoeffs, z, rule: PlaneRule, growth_cap: float = GROWTH_CAP
+):
+    """Apply S_phi by plane quadrature of its defining kernel, at a point or
+    an array of points: the rotated operator at alpha = 0."""
+    return s_phi_alpha_apply(phi, 0.0, F, z, rule, growth_cap)
 
 
 def s_phi_alpha_apply(
     phi: FockSymbol,
     alpha: float,
     F: FockCoeffs,
-    z: complex,
+    z,
     rule: PlaneRule,
     growth_cap: float = GROWTH_CAP,
-    z_max: float = S_Z_MAX,
-    order_max: int = S_ORDER_MAX,
-) -> complex:
-    """Apply the rotated operator: kernel phi(e^{i a} z - e^{-i a} conj(w))."""
-    z = complex(z)
+):
+    """Apply the rotated operator, kernel phi(e^{i a} z - e^{-i a} conj(w)),
+    at a point or an array of points."""
+    _check_growth(phi, growth_cap)
+    check_envelope(F, z, S_Z_MAX, S_ORDER_MAX)
     ea = cmath.exp(1j * float(alpha))
-    return _s_phi(
-        phi, F, z, rule, growth_cap, z_max, order_max, lambda wbar: ea * z - wbar / ea
+    return _plane_apply(
+        F, z, rule, lambda zk, wbar: np.asarray(phi.evaluate(ea * zk - wbar / ea))
     )
 
 
@@ -321,30 +308,16 @@ def s_phi_matrix(
         circle = radius * np.exp(2j * math.pi * np.arange(n_circle) / n_circle)
         scale = radius ** np.arange(n) / sqrt_factorials(n)
         for m in range(n):
-            em = unit(m)
-            vals = np.array(
-                [s_phi_alpha_apply(phi, alpha, em, zc, rule) for zc in circle]
-            )
-            taylor = np.fft.fft(vals)[:n] / n_circle
-            entries[:, m] = taylor / scale
+            vals = s_phi_alpha_apply(phi, alpha, unit(m), circle, rule)
+            entries[:, m] = np.fft.fft(vals)[:n] / n_circle / scale
     else:
         raise ConfigurationError(f"unknown matrix method {method!r}")
     return OperatorMatrix(entries)
 
 
-def operator_norm_estimate(mat: OperatorMatrix, iterations: int = 200) -> float:
-    """Largest singular value of the truncated matrix by power iteration."""
-    a = mat.entries
-    v = np.ones(mat.size) / math.sqrt(mat.size)
-    sigma = 0.0
-    for _ in range(iterations):
-        w = a.conj().T @ (a @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        sigma = math.sqrt(nw)
-    return sigma
+def operator_norm_estimate(mat: OperatorMatrix) -> float:
+    """Largest singular value of the truncated matrix (LAPACK SVD)."""
+    return float(np.linalg.norm(mat.entries, 2))
 
 
 # --- wavelet bridge ---------------------------------------------------------
@@ -374,24 +347,15 @@ def _inner_wavelet_factor(spec: WaveletSpec, u: np.ndarray, rule: LineRule) -> n
     return np.exp(expo) @ gv
 
 
-def wavelet_fock_apply(
-    F: FockCoeffs,
-    spec: WaveletSpec,
-    z: complex,
-    plane: PlaneRule,
-    line: LineRule,
-    z_max: float = S_Z_MAX,
-    order_max: int = S_ORDER_MAX,
-) -> complex:
-    """Fock-side wavelet operator by nested quadrature.
+def wavelet_fock_apply(F: FockCoeffs, spec: WaveletSpec, z, plane: PlaneRule, line: LineRule):
+    """Fock-side wavelet operator by nested quadrature, at a point or an array of points.
 
     sqrt(|s|/pi) * integral over w of f(w) e^{z conj(w)} dlambda(w)
     times the inner line integral of g(t) exp(-s^2 t^2/2 - s t (z - conj(w))).
     """
-    z = complex(z)
-    check_envelope(F, z, z_max, order_max)
+    check_envelope(F, z, S_Z_MAX, S_ORDER_MAX)
     return math.sqrt(abs(spec.s) / math.pi) * _plane_apply(
-        F, z, plane, lambda wbar: _inner_wavelet_factor(spec, z - wbar, line)
+        F, z, plane, lambda zk, wbar: _inner_wavelet_factor(spec, zk - wbar, line)
     )
 
 
@@ -430,8 +394,7 @@ def phi_from_g(spec: WaveletSpec, rule: LineRule, n_taylor: int = 40) -> FockSym
 
     def evaluate(z):
         zarr = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = pref * _inner_wavelet_factor(spec, zarr, rule)
-        return complex(out[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
+        return shaped_like(pref * _inner_wavelet_factor(spec, zarr, rule), z)
 
     t = rule.nodes
     gv = np.asarray(spec.g(t), dtype=complex) * rule.weights_nogauss * np.exp(

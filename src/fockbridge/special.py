@@ -1,15 +1,14 @@
 """Scalar special functions used by every kernel in the package.
 
 Everything here is pure and thread-safe. Complex square roots go through
-:func:`branch_sqrt` with an explicit :class:`BranchRule`; nothing else in the
-package is allowed to take a bare square root of a complex quantity, because
-the two branch conventions in play are easy to mix up silently.
+:func:`branch_sqrt`; nothing else in the package is allowed to take a bare
+square root of a complex quantity, so the one branch convention cannot be
+mixed up silently.
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from scipy.special import erf, erfi
 
 __all__ = [
     "NORM_CONSTANT",
-    "BranchRule",
     "branch_sqrt",
     "hermite_poly",
     "hermite_fn",
@@ -36,31 +34,22 @@ SQRT_PI = math.sqrt(math.pi)
 NORM_CONSTANT = (2.0 / math.pi) ** 0.25
 
 
-class BranchRule(enum.Enum):
-    """Square-root branch conventions.
+def branch_sqrt(w: complex) -> complex:
+    """Square root of ``w`` with its argument in (-pi/2, pi/2].
 
-    PRINCIPAL_HALF_ARG: root of a radicand with positive real part; the
-    argument of the root lies in (-pi/4, pi/4).
-
-    ARG_IN_HALF_OPEN: argument of the root forced into (-pi/2, pi/2];
-    valid for any nonzero radicand.
+    The principal root maps arg(w) in (-pi, pi] onto that interval; adding
+    0.0 turns a -0.0 imaginary part into +0.0, so the negative real axis
+    maps onto the positive imaginary axis whatever the sign of its zero.
     """
-
-    PRINCIPAL_HALF_ARG = "principal_half_arg"
-    ARG_IN_HALF_OPEN = "arg_in_half_open"
-
-
-def branch_sqrt(w: complex, rule: BranchRule) -> complex:
-    """Square root of ``w`` under the declared branch rule."""
     w = complex(w)
-    if rule is BranchRule.PRINCIPAL_HALF_ARG:
-        if not w.real > 0.0:
-            raise ValueError(
-                f"PRINCIPAL_HALF_ARG requires Re(w) > 0, got {w!r}"
-            )
-        return cmath.sqrt(w)
-    # Principal square root maps arg(w) in (-pi, pi] onto (-pi/2, pi/2].
-    return cmath.sqrt(w)
+    return cmath.sqrt(complex(w.real, w.imag + 0.0))
+
+
+def shaped_like(values, z):
+    """``values`` with the shape of the points ``z``: a Python complex for a
+    scalar or 0-d ``z``, else a complex ndarray of ``z``'s shape."""
+    out = np.asarray(values, dtype=complex).reshape(np.shape(z))
+    return complex(out) if out.ndim == 0 else out
 
 
 def hermite_poly(n: int, x: float) -> float:
@@ -136,7 +125,7 @@ def gaussian_integral_closed(a: float, b: float) -> complex:
     """
     if not a > 0.0:
         raise ValueError(f"requires a > 0, got a={a}")
-    return SQRT_PI / branch_sqrt(complex(a, b), BranchRule.PRINCIPAL_HALF_ARG)
+    return SQRT_PI / branch_sqrt(complex(a, b))
 
 
 def erf_half_integral(z: complex) -> complex:
@@ -158,12 +147,10 @@ def A_phi_eval(phi: float, z):
     Accepts a scalar or an ndarray for ``z``; the return matches the input.
     """
     zarr = np.asarray(z, dtype=complex)
-    val = SQRT_PI * (math.cos(phi) - 1j * math.sin(phi) * erf(zarr))
-    return complex(val) if np.isscalar(z) or zarr.ndim == 0 else val
+    return shaped_like(SQRT_PI * (math.cos(phi) - 1j * math.sin(phi) * erf(zarr)), z)
 
 
 def A_eval(z):
     """Antiderivative of exp(u^2) vanishing at 0: A(z) = (sqrt(pi)/2) erfi(z)."""
     zarr = np.asarray(z, dtype=complex)
-    val = 0.5 * SQRT_PI * erfi(zarr)
-    return complex(val) if np.isscalar(z) or zarr.ndim == 0 else val
+    return shaped_like(0.5 * SQRT_PI * erfi(zarr), z)

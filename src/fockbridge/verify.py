@@ -38,14 +38,10 @@ from .representation import (
     fock_eval,
     hermite_eval,
     inverse_bargmann_coeff,
+    inverse_bargmann_direct,
     synthesize,
 )
-from .special import (
-    NORM_CONSTANT,
-    gaussian_integral_closed,
-    hermite_fn,
-    hermite_fn_all,
-)
+from .special import gaussian_integral_closed, hermite_fn, hermite_fn_all
 
 __all__ = [
     "VerifyConfig",
@@ -156,24 +152,9 @@ def _check_bargmann_hermite(cfg: VerifyConfig):
     worst = 0.0
     for n in range(16):
         f = lambda x, n=n: hermite_fn_all(n, np.atleast_1d(x))[n]
-        for z in zs:
-            en = fock_eval(FockCoeffs(np.eye(1, n + 1, n, dtype=complex)[0]), z)
-            worst = max(worst, abs(bargmann_direct(f, z, rule) - en))
+        en = fock_eval(FockCoeffs(np.eye(1, n + 1, n, dtype=complex)[0]), zs)
+        worst = max(worst, float(np.abs(bargmann_direct(f, zs, rule) - en).max()))
     return worst, 1e-8
-
-
-def _fock_to_line_callable(F: FockCoeffs, plane):
-    """Inverse Bargmann integral as a vectorized callable on the line."""
-    w = plane.nodes
-    wbar = np.conj(w)
-    fw = fock_eval(F, w) * plane.weights
-
-    def g(x):
-        xarr = np.atleast_1d(np.asarray(x, dtype=float))
-        kern = np.exp(2.0 * np.outer(xarr, wbar) - (xarr * xarr)[:, None] - 0.5 * wbar * wbar)
-        return NORM_CONSTANT * (kern @ fw)
-
-    return g
 
 
 def _check_frft_fock_rotation(cfg: VerifyConfig):
@@ -186,12 +167,13 @@ def _check_frft_fock_rotation(cfg: VerifyConfig):
     for alpha in (0.3, math.pi / 2, 2.1):
         coeffs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         F = FockCoeffs(coeffs / np.linalg.norm(coeffs))
-        g = _fock_to_line_callable(F, plane)
-        rotated = lambda x, g=g, alpha=alpha: _frft.frft_integral(g, alpha, x, line)
-        for z in zs:
-            lhs = bargmann_direct(rotated, z, brule)
-            rhs = fock_eval(F, np.exp(-1j * alpha) * z)
-            parts.append((abs(lhs - rhs), 1e-7))
+        # frft_integral samples g on its whole 240- or 480-node rule, far
+        # past the inverse integral's default |x| <= 3; the 1e-7 comparison
+        # with the exact rotation below bounds those values
+        g = lambda x: inverse_bargmann_direct(F, x, plane, x_max=math.inf)
+        lhs = bargmann_direct(lambda x: _frft.frft_integral(g, alpha, x, line), zs, brule)
+        rhs = fock_eval(F, np.exp(-1j * alpha) * zs)
+        parts.append((float(np.abs(lhs - rhs).max()), 1e-7))
     # coefficient-level intertwining
     h = HermiteCoeffs(rng.standard_normal(12) + 1j * rng.standard_normal(12))
     for alpha in (0.3, math.pi / 2, 2.1):
@@ -279,9 +261,8 @@ def _check_hilbert_kernel_vs_chain(cfg: VerifyConfig):
             chain = bargmann_coeff(
                 _hilbert.fractional_hilbert(inverse_bargmann_coeff(F), params)
             )
-            for z in zs:
-                kern = _hilbert.hilbert_fock_kernel_apply(F, params, z, plane)
-                worst = max(worst, abs(kern - fock_eval(chain, z)))
+            kern = _hilbert.hilbert_fock_kernel_apply(F, params, zs, plane)
+            worst = max(worst, float(np.abs(kern - fock_eval(chain, zs)).max()))
     return worst, 1e-5
 
 
@@ -319,9 +300,8 @@ def _check_hilbert_grid_consistency(cfg: VerifyConfig):
     for n in range(5):
         F = FockCoeffs(np.eye(1, n + 1, n, dtype=complex)[0])
         via_grid = _grid_hilbert_coeffs(n, 24, cfg)
-        for z in zs:
-            kern = _hilbert.hilbert_fock_S_apply(F, z, plane)
-            parts.append((abs(kern - fock_eval(via_grid, z)), 1e-5))
+        kern = _hilbert.hilbert_fock_S_apply(F, zs, plane)
+        parts.append((float(np.abs(kern - fock_eval(via_grid, zs)).max()), 1e-5))
     # involution H(Hf) = -f on mean-free signals
     m, dx = 2**16, 0.05
     x0 = -0.5 * m * dx
@@ -355,11 +335,10 @@ def _check_wavelet_three_path(cfg: VerifyConfig):
             wf = lambda t, fx=fx, spec=spec: np.array(
                 [_singular.wavelet_transform(fx, spec, float(xx), line) for xx in np.atleast_1d(t)]
             )
-            for z in zs:
-                p1 = _singular.wavelet_fock_apply(F, spec, z, plane, line)
-                p2 = bargmann_direct(wf, z, brule)
-                p3 = _singular.s_phi_apply(sym, F, z, plane)
-                worst = max(worst, abs(p1 - p2), abs(p1 - p3), abs(p2 - p3))
+            p1 = _singular.wavelet_fock_apply(F, spec, zs, plane, line)
+            p2 = bargmann_direct(wf, zs, brule)
+            p3 = _singular.s_phi_apply(sym, F, zs, plane)
+            worst = max(worst, float(np.abs([p1 - p2, p1 - p3, p2 - p3]).max()))
     return worst, 1e-5
 
 
@@ -450,9 +429,9 @@ def _check_sop_oracle(cfg: VerifyConfig):
         fc = rng.standard_normal(fdeg + 1) + 1j * rng.standard_normal(fdeg + 1)
         F = FockCoeffs(fc / np.linalg.norm(fc))
         exact = _singular.s_phi_apply_deriv(mono, F)
-        for z in _random_points(rng, 10, 1.5):
-            q = _singular.s_phi_apply(sym, F, z, plane)
-            worst = max(worst, abs(q - fock_eval(exact, z)))
+        zs = _random_points(rng, 10, 1.5)
+        q = _singular.s_phi_apply(sym, F, zs, plane)
+        worst = max(worst, float(np.abs(q - fock_eval(exact, zs)).max()))
     return worst, 1e-6
 
 
@@ -507,12 +486,13 @@ def run_suite(suite: str = "all", cfg: VerifyConfig | None = None) -> Verificati
     return VerificationReport(cfg, tuple(results))
 
 
-def default_threads() -> int:
-    raw = os.environ.get("FOCKBRIDGE_THREADS", "1")
+def default_threads() -> int | None:
+    """The worker-thread cap set by FOCKBRIDGE_THREADS (at least 1), or None
+    when it is unset or not an integer; the one reader of the variable."""
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return max(1, int(os.environ["FOCKBRIDGE_THREADS"]))
+    except (KeyError, ValueError):
+        return None
 
 
 def report_to_json(report: VerificationReport, compact: bool = False) -> str:

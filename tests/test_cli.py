@@ -7,6 +7,7 @@ import pytest
 from fockbridge import fileio
 from fockbridge.cli import run_command
 from fockbridge.representation import FockCoeffs, HermiteCoeffs, synthesize
+from fockbridge.verify import default_threads
 
 
 @pytest.fixture()
@@ -185,6 +186,16 @@ class TestVerifyCommand:
     def test_thread_env_cap(self, workdir, monkeypatch):
         monkeypatch.setenv("FOCKBRIDGE_THREADS", "2")
         assert run_command(["verify", "--suite", "basis", "--threads", "8"]) == 0
+
+    @pytest.mark.parametrize(
+        "raw, cap", [(None, None), ("2", 2), (" 2", 2), ("0", 1), ("many", None)]
+    )
+    def test_thread_env_reader(self, monkeypatch, raw, cap):
+        if raw is None:
+            monkeypatch.delenv("FOCKBRIDGE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FOCKBRIDGE_THREADS", raw)
+        assert default_threads() == cap
 
     def test_config_file_with_flag_override(self, workdir, capsys):
         (workdir / "cfg.json").write_text('{"suite": "basis", "seed": 11, "compact": true}')

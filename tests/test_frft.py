@@ -17,6 +17,7 @@ from fockbridge.frft import (
 from fockbridge.quadrature import gauss_hermite_rule
 from fockbridge.representation import FockCoeffs, HermiteCoeffs, fock_eval, hermite_eval
 from fockbridge.special import hermite_fn_all
+from fockbridge.verify import CHECKS, VerifyConfig
 
 RULE = gauss_hermite_rule(240)
 
@@ -150,6 +151,12 @@ class TestSpectralProjection:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             spectral_projection(4, HermiteCoeffs(np.ones(3, dtype=complex)))
+
+    @pytest.mark.parametrize("seed", [937, 1681])
+    def test_verify_check_at_seed(self, seed):
+        # exp(-i alpha n) with alpha*n rounded failed the 1e-14 identity here
+        err, tol = CHECKS["frft.spectral_projection"][0](VerifyConfig(seed=seed))
+        assert err <= tol
 
 
 def diagonal_spectrum(alpha, n):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockbridge import hilbert
 from fockbridge.errors import ConfigurationError, EnvelopeError
 from fockbridge.hilbert import (
     HilbertParams,
@@ -24,6 +25,16 @@ from fockbridge.representation import (
 from fockbridge.special import hermite_fn
 
 PLANE = plane_gaussian_rule(64, 256)
+
+#: The two plane-kernel transforms at an array of points.
+_F = FockCoeffs(np.array([0.6, -0.2j, 1.0, 0.3 + 0.1j]))
+_SMALL = plane_gaussian_rule(16, 32)
+KERNEL_OPS = {
+    "hilbert_fock_kernel_apply": lambda z: hilbert_fock_kernel_apply(
+        _F, HilbertParams(0.7, 1.1), z, _SMALL
+    ),
+    "hilbert_fock_S_apply": lambda z: hilbert_fock_S_apply(_F, z, _SMALL),
+}
 
 
 def unit_fock(n):
@@ -183,6 +194,21 @@ class TestKernelApply:
         quarter = hilbert_fock_kernel_apply(F, HilbertParams(alpha, math.pi / 2), z, PLANE)
         combo = math.cos(phi) * fock_eval(F, z) + math.sin(phi) * quarter
         assert full == pytest.approx(combo, abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_OPS))
+    def test_points_as_array(self, name, array_contract):
+        # the final 1/sqrt(pi) divides a complex array, which numpy does by
+        # multiplying with the reciprocal: 1 ulp off Python's complex division
+        array_contract(KERNEL_OPS[name], max_ulp=1)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_OPS))
+    def test_array_refused_before_the_engine(self, name, monkeypatch):
+        def no_engine(*args, **kwargs):
+            raise AssertionError("plane engine ran before the envelope check")
+
+        monkeypatch.setattr(hilbert, "_plane_apply", no_engine)
+        with pytest.raises(EnvelopeError):
+            KERNEL_OPS[name](np.append(np.linspace(0.0, 1.9, 9), -2.05))
 
     def test_envelope_guards(self):
         F = unit_fock(0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockbridge import representation
 from fockbridge.errors import ConfigurationError, EnvelopeError
 from fockbridge.quadrature import gauss_hermite_rule, plane_gaussian_rule
 from fockbridge.representation import (
@@ -193,6 +194,17 @@ class TestBargmannDirect:
         got = bargmann_direct(lambda x: np.exp(-x * x), 4.0, gauss_hermite_rule(400), z_max=5.0)
         assert got == pytest.approx((math.pi / 2) ** 0.25, abs=1e-8)
 
+    def test_points_as_array(self, array_contract):
+        f = lambda x: hermite_fn_all(3, np.atleast_1d(x))[3]
+        array_contract(lambda z: bargmann_direct(f, z, RULE))
+
+    def test_array_refused_before_f_is_evaluated(self):
+        def f(x):
+            raise AssertionError("integrand evaluated before the envelope check")
+
+        with pytest.raises(EnvelopeError):
+            bargmann_direct(f, np.append(np.linspace(0.0, 2.9, 9), 3.05j), RULE)
+
 
 class TestInverseBargmannDirect:
     def test_ground_state(self):
@@ -211,6 +223,18 @@ class TestInverseBargmannDirect:
     def test_truncation_guard(self):
         with pytest.raises(EnvelopeError):
             inverse_bargmann_direct(FockCoeffs(np.ones(41, dtype=complex)), 0.0, PLANE)
+
+    def test_points_as_array(self, array_contract):
+        F = FockCoeffs(np.array([0.5, -0.3j, 0.2, 0.1 + 0.1j]))
+        array_contract(lambda x: inverse_bargmann_direct(F, x, PLANE), np.linspace(-2.9, 2.7, 10))
+
+    def test_array_refused_before_any_work(self, monkeypatch):
+        def no_eval(*args, **kwargs):
+            raise AssertionError("integrand evaluated before the envelope check")
+
+        monkeypatch.setattr(representation, "fock_eval", no_eval)
+        with pytest.raises(EnvelopeError):
+            inverse_bargmann_direct(unit_fock(1), np.linspace(-2.0, 3.1, 10), PLANE)
 
     def test_cross_check_with_synthesize(self):
         rng = np.random.default_rng(5)

@@ -37,6 +37,19 @@ from fockbridge.special import NORM_CONSTANT, hermite_fn_all
 PLANE = plane_gaussian_rule(64, 256)
 LINE = gauss_hermite_rule(200)
 
+#: The plane operators at an array of points; small rules keep the per-point
+#: comparison fast, since the contract is about shape and bits, not accuracy.
+_F = FockCoeffs(np.array([0.6, -0.2j, 1.0, 0.3 + 0.1j]))
+_GAUSS = gaussian_symbol(0.25, 0.3)
+_SMALL = plane_gaussian_rule(16, 32)
+PLANE_OPS = {
+    "s_phi_apply": lambda z: s_phi_apply(_GAUSS, _F, z, _SMALL),
+    "s_phi_alpha_apply": lambda z: s_phi_alpha_apply(_GAUSS, 0.8, _F, z, _SMALL),
+    "wavelet_fock_apply": lambda z: wavelet_fock_apply(
+        _F, WaveletSpec(lambda t: np.exp(-t * t), 1.0), z, _SMALL, gauss_hermite_rule(40)
+    ),
+}
+
 
 def unit_fock(n):
     return FockCoeffs(np.eye(1, n + 1, n, dtype=complex)[0])
@@ -106,6 +119,19 @@ class TestSPhiApply:
             s_phi_apply(sym, FockCoeffs(np.ones(25, dtype=complex)), 0.5, PLANE)
         with pytest.raises(EnvelopeError):
             s_phi_apply(hilbert_symbol(), unit_fock(0), 0.5, PLANE)
+
+    @pytest.mark.parametrize("name", sorted(PLANE_OPS))
+    def test_points_as_array(self, name, array_contract):
+        array_contract(PLANE_OPS[name])
+
+    @pytest.mark.parametrize("name", sorted(PLANE_OPS))
+    def test_array_refused_before_the_engine(self, name, monkeypatch):
+        def no_engine(*args, **kwargs):
+            raise AssertionError("plane engine ran before the envelope check")
+
+        monkeypatch.setattr(singular, "_plane_apply", no_engine)
+        with pytest.raises(EnvelopeError):
+            PLANE_OPS[name](np.append(np.linspace(0.0, 1.9, 9), 2.05j))
 
     def test_pv_symbol_matches_dedicated_kernel_behind_raised_cap(self):
         sym = hilbert_symbol()
@@ -252,6 +278,10 @@ class TestMatrix:
         bad[0, 2] = np.nan
         with pytest.raises(ConfigurationError):
             OperatorMatrix(bad.T)
+
+    def test_norm_is_largest_singular_value(self):
+        mat = OperatorMatrix(np.diag([0.999, 1.0]).astype(complex))
+        assert abs(operator_norm_estimate(mat) - 1.0) <= 1e-12
 
     def test_norm_stability_gaussian_symbol(self):
         sym = gaussian_symbol(0.25, 0.0)

@@ -11,7 +11,6 @@ from fockbridge.special import (
     NORM_CONSTANT,
     A_eval,
     A_phi_eval,
-    BranchRule,
     branch_sqrt,
     erf_half_integral,
     gaussian_integral_closed,
@@ -37,22 +36,27 @@ class TestNormConstant:
 class TestBranchSqrt:
     def test_principal_half_arg_interval(self):
         for w in (1 + 1j, 2 - 3j, 0.5 + 0j, 1e-3 - 5j):
-            r = branch_sqrt(w, BranchRule.PRINCIPAL_HALF_ARG)
+            r = branch_sqrt(w)
             assert abs(r * r - w) < 1e-14 * abs(w)
             assert -math.pi / 4 < cmath.phase(r) < math.pi / 4
 
     def test_principal_rejects_nonpositive_real_part(self):
-        with pytest.raises(ValueError):
-            branch_sqrt(-1 + 1j, BranchRule.PRINCIPAL_HALF_ARG)
+        # branch_sqrt itself takes any radicand; the root with argument in
+        # (-pi/4, pi/4) is asked for only by gaussian_integral_closed, which
+        # refuses a radicand w = a + ib with Re(w) <= 0 (or NaN) before the root.
+        for w in (-1 + 1j, 1j, complex(-0.0, 1.0), -4 + 0j, complex(math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                gaussian_integral_closed(w.real, w.imag)
 
     def test_half_open_interval(self):
         for w in (1 - 10j, -4 + 0j, -1 - 1e-12j, 3j, 1 + 0j):
-            r = branch_sqrt(w, BranchRule.ARG_IN_HALF_OPEN)
+            r = branch_sqrt(w)
             assert abs(r * r - w) < 1e-13 * abs(w)
             assert -math.pi / 2 < cmath.phase(r) <= math.pi / 2
 
     def test_negative_axis_maps_up(self):
-        assert abs(branch_sqrt(-4 + 0j, BranchRule.ARG_IN_HALF_OPEN) - 2j) < 1e-15
+        for w in (-4 + 0j, complex(-4.0, -0.0)):
+            assert abs(branch_sqrt(w) - 2j) < 1e-15
 
 
 class TestHermitePoly:
