@@ -288,11 +288,7 @@ def _cmd_wavelet(args) -> int:
     spec = WaveletSpec(_as_callable(gsig), args.s)
     if args.symbol_out:
         fileio.write_symbol_json(phi_from_g(spec, gauss_hermite_rule(200)), args.symbol_out)
-    rule = gauss_hermite_rule(240)
-    f = _as_callable(fsig)
-    values = np.array(
-        [wavelet_transform(f, spec, float(x), rule) for x in fsig.grid]
-    )
+    values = wavelet_transform(_as_callable(fsig), spec, fsig.grid, gauss_hermite_rule(240))
     fileio.write_signal_csv(SampledSignal(fsig.x0, fsig.dx, values), args.outfile)
     return 0
 
@@ -363,7 +359,9 @@ def run_command(argv: list[str] | None = None) -> int:
     """Parse and execute; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # numpy warnings would add stderr lines; non-finite values are refused anyway
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f'fockbridge: error=usage detail="{exc}"\n')
         return 2

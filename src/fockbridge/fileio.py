@@ -64,8 +64,27 @@ def _pairs(vec: np.ndarray) -> list[list[float]]:
 def _unpairs(pairs) -> np.ndarray:
     try:
         return np.array([complex(p[0], p[1]) for p in pairs], dtype=complex)
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, KeyError) as exc:
         raise ConfigurationError(f"malformed [re, im] pair list: {exc}") from exc
+
+
+def _read_object(path) -> dict:
+    """The JSON document at ``path``, which must be an object."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{path}: the document must be a JSON object")
+    return doc
+
+
+def _number(doc: dict, key: str, path, default=None) -> float:
+    """The number at ``doc[key]``; refused when missing without a default."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{path}: '{key}' is missing or not a number ({value!r})")
+    return float(value)
 
 
 def write_coeffs_json(coeffs, path) -> None:
@@ -77,15 +96,12 @@ def write_coeffs_json(coeffs, path) -> None:
 
 
 def read_coeffs_json(path):
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    doc = _read_object(path)
     basis = doc.get("basis")
     if basis not in ("hermite", "fock"):
         raise ConfigurationError(f"{path}: basis must be 'hermite' or 'fock'")
     coeffs = _unpairs(doc.get("coeffs", []))
-    if "n" in doc and int(doc["n"]) != coeffs.size:
+    if "n" in doc and doc["n"] != coeffs.size:
         raise ConfigurationError(
             f"{path}: declared n={doc['n']} but {coeffs.size} coefficients given"
         )
@@ -109,21 +125,21 @@ def _jsonable(v) -> bool:
 
 
 def read_symbol_json(path) -> FockSymbol:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    doc = _read_object(path)
     kind = doc.get("kind")
     params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigurationError(f"{path}: params must be a JSON object")
     taylor = FockCoeffs(_unpairs(doc.get("taylor", [])))
     if kind == "gauss":
-        return gaussian_symbol(float(params["a"]), float(params["b"]))
+        return gaussian_symbol(_number(params, "a", path), _number(params, "b", path))
     if kind == "hilbert":
         return hilbert_symbol()
     if kind == "const":
-        return const_symbol(complex(params.get("re", 1.0), params.get("im", 0.0)))
+        re, im = _number(params, "re", path, 1.0), _number(params, "im", path, 0.0)
+        return const_symbol(complex(re, im))
     # generic: rebuild the evaluator from the stored truncation (poly, from-g)
-    growth = float(doc.get("growth_bound", 0.0))
+    growth = _number(doc, "growth_bound", path, 0.0)
     return make_symbol(
         kind or "taylor",
         lambda z, t=taylor: fock_eval(t, np.asarray(z, dtype=complex)),

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import RepresentationUnavailableError
 from .quadrature import MAX_LINE_SIZE, LineRule, gauss_hermite_rule
 from .representation import FockCoeffs, HermiteCoeffs
-from .special import SQRT_PI, branch_sqrt, shaped_like
+from .special import SQRT_PI, branch_sqrt, finite_param, shaped_like
 
 __all__ = [
     "FrftAngle",
@@ -42,12 +42,12 @@ MAX_DIRECT_COT = 1.25
 
 @dataclass(frozen=True)
 class FrftAngle:
-    """Transform angle, reduced once to (-pi, pi] at construction."""
+    """Finite transform angle, reduced once to (-pi, pi] at construction."""
 
     alpha: float
 
     def __post_init__(self):
-        a = math.remainder(float(self.alpha), _TWO_PI)
+        a = math.remainder(finite_param(self.alpha, "transform angle"), _TWO_PI)
         if a <= -math.pi:
             a += _TWO_PI
         object.__setattr__(self, "alpha", a)

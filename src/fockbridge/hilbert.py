@@ -19,14 +19,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .quadrature import PlaneRule, SplitLineRule, split_line_rule
-from .representation import (
-    FockCoeffs,
-    HermiteCoeffs,
-    SampledSignal,
-    _plane_apply,
-    check_envelope,
-)
-from .special import A_eval, A_phi_eval, SQRT_PI, hermite_fn_all
+from .representation import FockCoeffs, HermiteCoeffs, SampledSignal, _plane_apply
+from .special import A_eval, A_phi_eval, SQRT_PI, finite_param, hermite_fn_all
 from .frft import FrftAngle, _phases
 
 __all__ = [
@@ -36,10 +30,6 @@ __all__ = [
     "hilbert_fock_kernel_apply",
     "hilbert_fock_S_apply",
 ]
-
-#: Kernel-resolvable region for the plane-kernel operators.
-KERNEL_Z_MAX = 2.0
-KERNEL_ORDER_MAX = 24
 
 #: Default working truncation of the multiplier chain.  Output tails beyond
 #: ~40 are invisible to Fock-side evaluation at |z| <= 2, so 48 keeps chain
@@ -58,7 +48,7 @@ class HilbertParams:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", FrftAngle(self.alpha).alpha)
-        object.__setattr__(self, "phi", float(self.phi))
+        object.__setattr__(self, "phi", finite_param(self.phi, "phase angle"))
 
 
 def hilbert_classical_grid(s: SampledSignal) -> SampledSignal:
@@ -141,13 +131,9 @@ def hilbert_fock_kernel_apply(F: FockCoeffs, params: HilbertParams, z, rule: Pla
     A_phi((e^{i alpha} z + e^{-i alpha} conj(w)) / sqrt(2)) dlambda(w),
     evaluated by the plane-operator engine at a point or an array of points.
     """
-    check_envelope(F, z, KERNEL_Z_MAX, KERNEL_ORDER_MAX)
     ea = cmath.exp(1j * params.alpha)
     return _plane_apply(
-        F,
-        z,
-        rule,
-        lambda zk, wbar: A_phi_eval(params.phi, (ea * zk + wbar / ea) / math.sqrt(2.0)),
+        F, z, rule, lambda zk, wbar: A_phi_eval(params.phi, (ea * zk + wbar / ea) / math.sqrt(2.0))
     ) / SQRT_PI
 
 
@@ -158,7 +144,6 @@ def hilbert_fock_S_apply(F: FockCoeffs, z, rule: PlaneRule):
     dlambda(w), with A the antiderivative of e^{u^2} vanishing at 0, at a
     point or an array of points.
     """
-    check_envelope(F, z, KERNEL_Z_MAX, KERNEL_ORDER_MAX)
     return 2.0 * _plane_apply(
         F, z, rule, lambda zk, wbar: A_eval((zk - wbar) / math.sqrt(2.0))
     ) / SQRT_PI

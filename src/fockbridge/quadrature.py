@@ -5,10 +5,10 @@ product of a radial Gauss-Laguerre rule (substitution t = r^2) with a uniform
 angular rule, integrating against the probability measure
 (1/pi) exp(-|z|^2) dA(z).
 
-Rules are immutable and cached by size.  All reductions use exactly-rounded
-summation (Shewchuk's algorithm via math.fsum) in fixed node order, so every
-integral is bit-reproducible across runs regardless of how the integrand
-values were produced.
+Rules are immutable and cached by size.  Every rule sum in the package goes
+through one reducer, :func:`rule_sum`: exactly-rounded summation (math.fsum)
+in fixed node order, so every integral is bit-reproducible however its
+integrand values were produced, and a non-finite term is refused.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import EvaluationFailureError
+from .special import shaped_like
 
 __all__ = [
     "LineRule",
@@ -74,8 +75,6 @@ class PlaneRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    radial_size: int
-    angular_size: int
 
     @property
     def size(self) -> int:
@@ -211,7 +210,7 @@ def plane_gaussian_rule(k_radial: int, k_angular: int) -> PlaneRule:
     ring = np.exp(1j * theta)
     nodes = (r[:, None] * ring[None, :]).ravel()
     weights = np.repeat(lam / k_angular, k_angular)
-    return PlaneRule(_freeze(nodes), _freeze(weights), k_radial, k_angular)
+    return PlaneRule(_freeze(nodes), _freeze(weights))
 
 
 @lru_cache(maxsize=None)
@@ -225,10 +224,6 @@ def split_line_rule(k: int = 240, extent: float = 12.0) -> SplitLineRule:
     nodes = 0.5 * extent * (u + 1.0)
     weights = 0.5 * extent * w
     return SplitLineRule(_freeze(nodes), _freeze(weights), extent)
-
-
-def _fsum_complex(values: np.ndarray) -> complex:
-    return complex(math.fsum(values.real), math.fsum(values.imag))
 
 
 def _evaluate(f, nodes: np.ndarray) -> np.ndarray:
@@ -255,6 +250,28 @@ def _check_finite(vals: np.ndarray, nodes: np.ndarray, what: str) -> None:
         )
 
 
+def rule_sum(weights, values: np.ndarray, nodes: np.ndarray, what: str) -> complex:
+    """The one rule reduction: the exactly rounded sum of weights * values
+    in node order.  A non-finite value (checked before weighting, which would
+    turn inf into NaN with a numpy warning), an overflowing term or an
+    overflowing sum raises EvaluationFailureError."""
+    _check_finite(values, nodes, what)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = weights * values
+    _check_finite(terms, nodes, what)
+    try:
+        return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    except OverflowError as exc:
+        raise EvaluationFailureError(f"{what}: the rule sum overflows") from exc
+
+
+def rule_sum_per_point(weights_values, z, nodes: np.ndarray, what: str, dtype=complex):
+    """One :func:`rule_sum` per point of a scalar or array ``z``, in ``z``'s
+    shape; ``weights_values(zk)`` gives the weights and values at one point."""
+    points = np.asarray(z, dtype=dtype).ravel().tolist()
+    return shaped_like([rule_sum(*weights_values(zk), nodes, what) for zk in points], z)
+
+
 def integrate_line(rule: LineRule, f, gaussian_part_removed: bool = False) -> complex:
     """Integrate f over the real line against dx.
 
@@ -263,14 +280,10 @@ def integrate_line(rule: LineRule, f, gaussian_part_removed: bool = False) -> co
     the full integrand (it must decay at least like exp(-x^2) for the rule
     to converge) and the division happens numerically via the lifted weights.
     """
-    vals = _evaluate(f, rule.nodes)
-    _check_finite(vals, rule.nodes, "line integrand")
     w = rule.weights if gaussian_part_removed else rule.weights_nogauss
-    return _fsum_complex(w * vals)
+    return rule_sum(w, _evaluate(f, rule.nodes), rule.nodes, "line integrand")
 
 
 def integrate_plane(rule: PlaneRule, f) -> complex:
     """Integrate f over the plane against the Gaussian probability measure."""
-    vals = _evaluate(f, rule.nodes)
-    _check_finite(vals, rule.nodes, "plane integrand")
-    return _fsum_complex(rule.weights * vals)
+    return rule_sum(rule.weights, _evaluate(f, rule.nodes), rule.nodes, "plane integrand")

@@ -11,7 +11,6 @@ for cross-validation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -19,14 +18,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, EnvelopeError
-from .quadrature import (
-    LineRule,
-    PlaneRule,
-    _evaluate,
-    _fsum_complex,
-    integrate_line,
-    integrate_plane,
-)
+from .quadrature import LineRule, PlaneRule, _evaluate, rule_sum, rule_sum_per_point
 from .special import NORM_CONSTANT, hermite_fn_all, shaped_like
 
 __all__ = [
@@ -46,6 +38,10 @@ __all__ = [
 #: Default guard on |z| for the direct integral transforms; larger arguments
 #: need an explicitly larger rule.
 DEFAULT_Z_MAX = 3.0
+
+#: The plane operators' envelope: the |z| range and truncation their rules resolve.
+PLANE_Z_MAX = 2.0
+PLANE_ORDER_MAX = 24
 
 #: Truncation cap for inverse_bargmann_direct (the integrand must stay
 #: resolvable by the plane rule).
@@ -83,6 +79,15 @@ class SampledSignal:
 class _CoeffVector:
     coeffs: np.ndarray
 
+    def __post_init__(self):
+        c = np.asarray(self.coeffs, dtype=complex)
+        if c.ndim != 1 or c.size < 1:
+            raise ConfigurationError("coefficients must be a nonempty 1-d vector")
+        if not np.all(np.isfinite(c)):
+            raise ConfigurationError("coefficients contain non-finite entries")
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
@@ -102,26 +107,12 @@ class HermiteCoeffs(_CoeffVector):
 
     coeffs: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1 or c.size < 1:
-            raise ConfigurationError("coefficients must be a nonempty 1-d vector")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
 
 @dataclass(frozen=True)
 class FockCoeffs(_CoeffVector):
     """Coefficients against the normalized monomials; entry n multiplies z^n/sqrt(n!)."""
 
     coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1 or c.size < 1:
-            raise ConfigurationError("coefficients must be a nonempty 1-d vector")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
 
 
 def _as_callable(f):
@@ -154,13 +145,9 @@ def analyze(f, n_coeffs: int, rule: LineRule) -> HermiteCoeffs:
     fvals = np.asarray(_as_callable(f)(rule.nodes), dtype=complex)
     hmat = hermite_fn_all(n_coeffs - 1, rule.nodes)
     weighted = rule.weights_nogauss * fvals
-    coeffs = np.array(
-        [
-            complex(math.fsum(hmat[n] * weighted.real), math.fsum(hmat[n] * weighted.imag))
-            for n in range(n_coeffs)
-        ]
+    return HermiteCoeffs(
+        [rule_sum(hmat[n], weighted, rule.nodes, "analysis integrand") for n in range(n_coeffs)]
     )
-    return HermiteCoeffs(coeffs)
 
 
 def synthesize(coeffs: HermiteCoeffs, x0: float, dx: float, m: int) -> SampledSignal:
@@ -200,12 +187,15 @@ def fock_eval(F: FockCoeffs, z):
     return shaped_like(acc, z)
 
 
-def check_envelope(F: FockCoeffs | None, z, z_max: float, order_max: int | None) -> None:
+def check_envelope(
+    F: FockCoeffs | None, z, z_max: float = PLANE_Z_MAX, order_max: int = PLANE_ORDER_MAX
+) -> None:
     """The one envelope guard: refuse max |z| > z_max over a point or an
-    array of points, or F.order > order_max unless ``F`` is None (direct
-    integrals that bound only the point)."""
+    array of points (a NaN point included), or F.order > order_max unless
+    ``F`` is None (direct integrals that bound only the point).  The
+    defaults are the plane operators' envelope."""
     r = float(np.max(np.abs(z), initial=0.0))
-    if r > z_max:
+    if not r <= z_max:
         raise EnvelopeError(
             f"|z|={r:.3f} outside the envelope (|z| <= {z_max}) that this "
             "route's rule resolves"
@@ -217,29 +207,22 @@ def check_envelope(F: FockCoeffs | None, z, z_max: float, order_max: int | None)
         )
 
 
-def _points(z, dtype=complex) -> list:
-    """The points of a scalar or array ``z`` as Python numbers, in C order."""
-    return np.asarray(z, dtype=dtype).ravel().tolist()
-
-
 def _plane_apply(F: FockCoeffs, z, rule: PlaneRule, kernel):
     """The plane-operator engine: integral of f(w) e^{z conj(w)} K(z, conj(w)) dlambda(w).
 
     Every Fock-side integral operator is this sum with its own entire kernel
     ``K``, a callable on one point and the conjugated nodes.  ``z`` is a
-    point or an array of points and the result has its shape.  f is
-    evaluated once; each point then gets its own exactly rounded sum, with
-    factors multiplied smallest-first so no intermediate overflows at the
-    extreme radial nodes.
+    point or an array of points and the result has its shape.  The plane
+    envelope is checked first; f is then evaluated once, and each point gets
+    its own rule sum, with factors multiplied smallest-first so no
+    intermediate overflows at the extreme radial nodes.
     """
+    check_envelope(F, z)
     wbar = np.conj(rule.nodes)
     fw = fock_eval(F, rule.nodes)
-    return shaped_like(
-        [
-            _fsum_complex((rule.weights * np.exp(zk * wbar)) * fw * kernel(zk, wbar))
-            for zk in _points(z)
-        ],
-        z,
+    return rule_sum_per_point(
+        lambda zk: ((rule.weights * np.exp(zk * wbar)) * fw, kernel(zk, wbar)),
+        z, rule.nodes, "plane-operator integrand",
     )
 
 
@@ -250,14 +233,13 @@ def bargmann_direct(f, z, rule: LineRule, z_max: float = DEFAULT_Z_MAX):
     ``f`` must decay like the Hermite-Gaussian class for the rule to apply;
     it is evaluated once on the rule's nodes whatever the number of points.
     """
-    check_envelope(None, z, z_max, None)
-    fx = _evaluate(_as_callable(f), rule.nodes)
-
-    def at(zk):
-        integral = integrate_line(rule, lambda x: fx * np.exp(2.0 * x * zk - x * x))
-        return NORM_CONSTANT * cmath.exp(-0.5 * zk * zk) * integral
-
-    return shaped_like([at(zk) for zk in _points(z)], z)
+    check_envelope(None, z, z_max)
+    x = rule.nodes
+    fx = _evaluate(_as_callable(f), x)
+    return NORM_CONSTANT * rule_sum_per_point(
+        lambda zk: (rule.weights_nogauss, fx * np.exp(2.0 * x * zk - x * x - 0.5 * zk * zk)),
+        z, x, "Bargmann integrand",
+    )
 
 
 def inverse_bargmann_direct(F: FockCoeffs, x, rule: PlaneRule, x_max: float = DEFAULT_Z_MAX):
@@ -270,10 +252,7 @@ def inverse_bargmann_direct(F: FockCoeffs, x, rule: PlaneRule, x_max: float = DE
     fz = fock_eval(F, rule.nodes)
     zb = np.conj(rule.nodes)
     half_zb2 = 0.5 * zb * zb
-
-    def at(xk):
-        return NORM_CONSTANT * integrate_plane(
-            rule, lambda _: fz * np.exp(2.0 * xk * zb - xk * xk - half_zb2)
-        )
-
-    return shaped_like([at(xk) for xk in _points(x, float)], x)
+    return NORM_CONSTANT * rule_sum_per_point(
+        lambda xk: (rule.weights, fz * np.exp(2.0 * xk * zb - xk * xk - half_zb2)),
+        x, rule.nodes, "inverse Bargmann integrand", float,
+    )

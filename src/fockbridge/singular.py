@@ -4,11 +4,10 @@ An operator S_phi acts by integrating f(w) e^{z conj(w)} phi(z - conj(w))
 against the Gaussian measure; its rotated variant substitutes
 e^{i alpha} z - e^{-i alpha} conj(w).  Both, and the Fock-side wavelet
 operator, are one call each into the plane-operator engine
-(``representation._plane_apply``) behind one envelope guard
-(``representation.check_envelope``).  Symbols phi are carried as a
-:class:`FockSymbol`: a closed-form evaluator plus its truncated coefficient
-vector, checked against each other at construction so the two can never
-drift apart silently.
+(``representation._plane_apply``), which checks the plane envelope before
+any work.  Symbols phi are carried as a :class:`FockSymbol`: a closed-form
+evaluator plus its truncated coefficient vector, checked against each other
+at construction so the two can never drift apart silently.
 
 For polynomial data there is a second, quadrature-free route
 (:func:`s_phi_apply_deriv`) built on the differentiated reproducing
@@ -25,9 +24,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, EnvelopeError
-from .quadrature import LineRule, PlaneRule, gauss_hermite_rule, integrate_line
+from .quadrature import LineRule, PlaneRule, _evaluate, gauss_hermite_rule, rule_sum_per_point
 from .representation import FockCoeffs, _plane_apply, check_envelope, fock_eval
-from .special import A_eval, SQRT_PI, shaped_like, sqrt_factorials
+from .special import A_eval, SQRT_PI, finite_param, shaped_like, sqrt_factorials
 
 __all__ = [
     "FockSymbol",
@@ -49,16 +48,21 @@ __all__ = [
     "hilbert_symbol",
 ]
 
-#: Validated envelope for the quadrature operators.
+#: Validated symbol growth for the quadrature operators.
 GROWTH_CAP = 0.4
-S_Z_MAX = 2.0
-S_ORDER_MAX = 24
 
 #: Hard cap for the polynomial (derivative-identity) route.
 DERIV_ORDER_CAP = 40
 
 _SYMBOL_CHECK_TOL = 1e-8
 _PHI_N_MAX = 30
+
+#: Radius of the circle on which s_phi_matrix's quadrature route samples.
+MATRIX_RADIUS = 1.5
+
+#: Stored Taylor truncations of the wavelet-induced and principal-value symbols.
+_FROM_G_TAYLOR = 40
+_HILBERT_TAYLOR = 60
 
 
 @dataclass(frozen=True)
@@ -90,14 +94,13 @@ class FockSymbol:
 
 def _taylor_check(evaluate, taylor: FockCoeffs) -> float:
     """Worst evaluator-vs-coefficients disagreement on circles |z| <= 2,
-    relative where the symbol is large (family members reach ~1e11 there)."""
-    worst = 0.0
-    for r in (0.5, 1.0, 1.5, 2.0):
-        z = r * np.exp(2j * math.pi * np.arange(24) / 24)
-        vals = np.asarray(evaluate(z))
-        resid = np.abs(vals - fock_eval(taylor, z)) / np.maximum(1.0, np.abs(vals))
-        worst = max(worst, float(resid.max()))
-    return worst
+    relative where the symbol is large (family members reach ~1e11 there);
+    NaN when the evaluator gives NaN anywhere."""
+    ring = np.exp(2j * math.pi * np.arange(24) / 24)
+    z = np.concatenate([r * ring for r in (0.5, 1.0, 1.5, 2.0)])
+    vals = np.asarray(evaluate(z))
+    resid = np.abs(vals - fock_eval(taylor, z)) / np.maximum(1.0, np.abs(vals))
+    return float(resid.max())
 
 
 def make_symbol(
@@ -112,7 +115,7 @@ def make_symbol(
     sym = FockSymbol(kind, evaluate, taylor, growth_bound, params or {})
     if check:
         resid = _taylor_check(evaluate, taylor)
-        if resid > _SYMBOL_CHECK_TOL:
+        if not resid <= _SYMBOL_CHECK_TOL:
             raise ConfigurationError(
                 f"symbol '{kind}': stored coefficients disagree with the evaluator "
                 f"by {resid:.2e} on |z| <= 2 (tolerance {_SYMBOL_CHECK_TOL:.0e})"
@@ -146,13 +149,13 @@ def const_symbol(kappa: complex) -> FockSymbol:
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    """A wavelet g (callable on the line, in L^1 and L^2) and a dilation s != 0."""
+    """A wavelet g (callable on the line, in L^1 and L^2) and a finite dilation s != 0."""
 
     g: Callable = field(repr=False)
     s: float = 1.0
 
     def __post_init__(self):
-        if self.s == 0.0:
+        if finite_param(self.s, "dilation") == 0.0:
             raise ConfigurationError("dilation must be nonzero")
 
 
@@ -181,7 +184,7 @@ class OperatorMatrix:
 
 
 def _check_growth(phi: FockSymbol, growth_cap: float) -> None:
-    if phi.growth_bound > growth_cap:
+    if not phi.growth_bound <= growth_cap:
         raise EnvelopeError(
             f"symbol '{phi.kind}' has growth bound {phi.growth_bound}, outside the "
             f"validated envelope (<= {growth_cap}); operators with faster-growing "
@@ -208,8 +211,7 @@ def s_phi_alpha_apply(
     """Apply the rotated operator, kernel phi(e^{i a} z - e^{-i a} conj(w)),
     at a point or an array of points."""
     _check_growth(phi, growth_cap)
-    check_envelope(F, z, S_Z_MAX, S_ORDER_MAX)
-    ea = cmath.exp(1j * float(alpha))
+    ea = cmath.exp(1j * finite_param(alpha, "rotation angle"))
     return _plane_apply(
         F, z, rule, lambda zk, wbar: np.asarray(phi.evaluate(ea * zk - wbar / ea))
     )
@@ -263,18 +265,18 @@ def s_phi_matrix(
     rule: PlaneRule,
     alpha: float = 0.0,
     method: str = "auto",
-    radius: float = 1.5,
 ) -> OperatorMatrix:
     """Truncated matrix entries[n, m] = <S e_m, e_n>.
 
     method "deriv" uses the polynomial route on the stored coefficients;
-    "quadrature" samples S e_m on a circle of the given radius and reads the
+    "quadrature" samples S e_m on the circle |z| = MATRIX_RADIUS and reads the
     Taylor coefficients off a discrete Fourier transform; "auto" prefers
     "deriv" whenever the stored coefficients fit its cap.  Either route
     checks its whole envelope before computing the first column.
     """
     if n < 1:
         raise ConfigurationError(f"matrix size must be positive, got {n}")
+    finite_param(alpha, "rotation angle")
     # entry [i, m] of the derivative route draws on the symbol's Taylor
     # coefficients through degree i + m, so it needs 2n - 1 of them; only
     # polynomial symbols store their series complete
@@ -303,10 +305,10 @@ def s_phi_matrix(
             entries[:, m] = s_phi_apply_deriv(mono, unit(m), alpha=alpha).padded(n)
     elif method == "quadrature":
         _check_growth(phi, GROWTH_CAP)
-        check_envelope(unit(n - 1), radius, S_Z_MAX, S_ORDER_MAX)
+        check_envelope(unit(n - 1), MATRIX_RADIUS)
         n_circle = max(2 * n, 32)
-        circle = radius * np.exp(2j * math.pi * np.arange(n_circle) / n_circle)
-        scale = radius ** np.arange(n) / sqrt_factorials(n)
+        circle = MATRIX_RADIUS * np.exp(2j * math.pi * np.arange(n_circle) / n_circle)
+        scale = MATRIX_RADIUS ** np.arange(n) / sqrt_factorials(n)
         for m in range(n):
             vals = s_phi_alpha_apply(phi, alpha, unit(m), circle, rule)
             entries[:, m] = np.fft.fft(vals)[:n] / n_circle / scale
@@ -323,19 +325,20 @@ def operator_norm_estimate(mat: OperatorMatrix) -> float:
 # --- wavelet bridge ---------------------------------------------------------
 
 
-def wavelet_transform(f, spec: WaveletSpec, x: float, rule: LineRule) -> complex:
-    """Continuous wavelet transform by quadrature.
+def wavelet_transform(f, spec: WaveletSpec, x, rule: LineRule):
+    """Continuous wavelet transform by quadrature, at a real point or an
+    array of real points.
 
     (1/sqrt(|s| pi)) * integral of f(t) g((t - x)/s) dt; both f and g must
-    decay like the Hermite-Gaussian class on the rule's node range.
+    decay like the Hermite-Gaussian class on the rule's node range.  ``f``
+    is evaluated once on the rule's nodes whatever the number of points.
     """
-    s = spec.s
-    g = spec.g
-
-    def integrand(t):
-        return np.asarray(f(t), dtype=complex) * np.asarray(g((t - x) / s), dtype=complex)
-
-    return integrate_line(rule, integrand) / math.sqrt(abs(s) * math.pi)
+    t = rule.nodes
+    ft = _evaluate(f, t)
+    return rule_sum_per_point(
+        lambda xk: (rule.weights_nogauss, ft * np.asarray(spec.g((t - xk) / spec.s))),
+        x, t, "wavelet integrand", float,
+    ) / math.sqrt(abs(spec.s) * math.pi)
 
 
 def _inner_wavelet_factor(spec: WaveletSpec, u: np.ndarray, rule: LineRule) -> np.ndarray:
@@ -353,13 +356,12 @@ def wavelet_fock_apply(F: FockCoeffs, spec: WaveletSpec, z, plane: PlaneRule, li
     sqrt(|s|/pi) * integral over w of f(w) e^{z conj(w)} dlambda(w)
     times the inner line integral of g(t) exp(-s^2 t^2/2 - s t (z - conj(w))).
     """
-    check_envelope(F, z, S_Z_MAX, S_ORDER_MAX)
     return math.sqrt(abs(spec.s) / math.pi) * _plane_apply(
         F, z, plane, lambda zk, wbar: _inner_wavelet_factor(spec, zk - wbar, line)
     )
 
 
-def phi_from_g(spec: WaveletSpec, rule: LineRule, n_taylor: int = 40) -> FockSymbol:
+def phi_from_g(spec: WaveletSpec, rule: LineRule) -> FockSymbol:
     """Symbol induced by a wavelet: phi(z) = sqrt(|s|/pi) * inner integral.
 
     The coefficient vector comes from the moment expansion
@@ -400,11 +402,11 @@ def phi_from_g(spec: WaveletSpec, rule: LineRule, n_taylor: int = 40) -> FockSym
     gv = np.asarray(spec.g(t), dtype=complex) * rule.weights_nogauss * np.exp(
         -0.5 * s * s * t * t
     )
-    j = np.arange(n_taylor)
+    j = np.arange(_FROM_G_TAYLOR)
     mu = np.power.outer(t, j).T @ gv
     fact = np.array([math.factorial(int(i)) for i in j], dtype=float)
     mono = pref * (-s) ** j * mu / fact
-    taylor = FockCoeffs(mono * sqrt_factorials(n_taylor))
+    taylor = FockCoeffs(mono * sqrt_factorials(_FROM_G_TAYLOR))
 
     # growth estimate from two circles; polynomial factors bias it upward a
     # little, which is the safe direction for the envelope guard
@@ -416,18 +418,15 @@ def phi_from_g(spec: WaveletSpec, rule: LineRule, n_taylor: int = 40) -> FockSym
     return make_symbol("from-g", evaluate, taylor, bound, {"s": s})
 
 
-def _poly_times_gaussian_symbol(
-    kind: str, poly: np.ndarray, a: float, params: dict, n_taylor: int | None = None
-) -> FockSymbol:
+def _poly_times_gaussian_symbol(kind: str, poly: np.ndarray, a: float, params: dict) -> FockSymbol:
     """Symbol (poly in z) * exp(a z^2) with exact coefficient convolution.
 
     The stored truncation must reproduce the evaluator on |z| <= 2, so it
     grows with the polynomial degree.
     """
-    if n_taylor is None:
-        # the cross terms poly_j * a^m/m! keep contributing at |z| = 2 until
-        # the Gaussian series index is past ~60 for a near the envelope cap
-        n_taylor = poly.size + 64
+    # the cross terms poly_j * a^m/m! keep contributing at |z| = 2 until the
+    # Gaussian series index is past ~60 for a near the envelope cap
+    n_taylor = poly.size + 64
 
     def evaluate(z):
         zarr = np.asarray(z, dtype=complex)
@@ -487,7 +486,10 @@ def gaussian_symbol(a: float, b: float) -> FockSymbol:
 
     n_taylor = DERIV_ORDER_CAP
     mono = np.zeros(n_taylor, dtype=complex)
-    mono[0] = cmath.exp(a * b * b)
+    try:
+        mono[0] = math.exp(a * b * b)
+    except OverflowError:
+        raise EnvelopeError(f"Gaussian symbol shift b={b} overflows exp(a b^2) at a={a}") from None
     mono[1] = -2.0 * a * b * mono[0]
     for m in range(1, n_taylor - 1):
         mono[m + 1] = (2.0 * a * mono[m - 1] - 2.0 * a * b * mono[m]) / (m + 1)
@@ -495,7 +497,7 @@ def gaussian_symbol(a: float, b: float) -> FockSymbol:
     return make_symbol("gauss", evaluate, taylor, a, {"a": a, "b": b})
 
 
-def hilbert_symbol(n_taylor: int = 60) -> FockSymbol:
+def hilbert_symbol() -> FockSymbol:
     """The principal-value symbol (2/sqrt(pi)) A(z/sqrt(2)).
 
     Odd entire function with phi(0) = 0 and phi'(z) = sqrt(2/pi) e^{z^2/2};
@@ -508,13 +510,11 @@ def hilbert_symbol(n_taylor: int = 60) -> FockSymbol:
         zarr = np.asarray(z, dtype=complex)
         return 2.0 / SQRT_PI * A_eval(zarr / math.sqrt(2.0))
 
-    mono = np.zeros(n_taylor, dtype=complex)
-    for k in range((n_taylor - 1) // 2 + 1):
+    mono = np.zeros(_HILBERT_TAYLOR, dtype=complex)
+    for k in range(_HILBERT_TAYLOR // 2):
         j = 2 * k + 1
-        if j >= n_taylor:
-            break
         mono[j] = (2.0 / SQRT_PI) * (0.5**k / math.sqrt(2.0)) / (
             math.factorial(k) * j
         )
-    taylor = FockCoeffs(mono * sqrt_factorials(n_taylor))
+    taylor = FockCoeffs(mono * sqrt_factorials(_HILBERT_TAYLOR))
     return make_symbol("hilbert", evaluate, taylor, 0.5, {})

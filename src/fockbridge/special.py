@@ -14,6 +14,8 @@ import math
 import numpy as np
 from scipy.special import erf, erfi
 
+from .errors import ConfigurationError
+
 __all__ = [
     "NORM_CONSTANT",
     "branch_sqrt",
@@ -43,6 +45,14 @@ def branch_sqrt(w: complex) -> complex:
     """
     w = complex(w)
     return cmath.sqrt(complex(w.real, w.imag + 0.0))
+
+
+def finite_param(value, what: str) -> float:
+    """``value`` as a float; a NaN or infinite value raises ConfigurationError."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{what} must be finite, got {value}")
+    return value
 
 
 def shaped_like(values, z):

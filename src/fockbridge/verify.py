@@ -332,9 +332,7 @@ def _check_wavelet_three_path(cfg: VerifyConfig):
             F = FockCoeffs(np.eye(1, n + 1, n, dtype=complex)[0])
             h = inverse_bargmann_coeff(F)
             fx = lambda t, h=h: hermite_eval(h, t)
-            wf = lambda t, fx=fx, spec=spec: np.array(
-                [_singular.wavelet_transform(fx, spec, float(xx), line) for xx in np.atleast_1d(t)]
-            )
+            wf = lambda t, fx=fx, spec=spec: _singular.wavelet_transform(fx, spec, t, line)
             p1 = _singular.wavelet_fock_apply(F, spec, zs, plane, line)
             p2 = bargmann_direct(wf, zs, brule)
             p3 = _singular.s_phi_apply(sym, F, zs, plane)

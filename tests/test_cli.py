@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import fockbridge
 
 from fockbridge import fileio
 from fockbridge.cli import run_command
@@ -222,3 +228,73 @@ class TestUsageErrors:
 
     def test_bad_n(self, workdir):
         assert run_command(["frft", "--alpha", "1", "--in", "sig.csv", "--out", "x.csv", "--n", "400"]) == 2
+
+
+#: Non-finite values where they enter: each must be refused, not written out.
+NONFINITE = {
+    "frft_alpha": ["frft", "--alpha", "nan", "--in", "h.json", "--out", "x.json"],
+    "hilbert_phi": ["hilbert", "--phi", "nan", "--in", "h.json", "--out", "x.json"],
+    "frft_coeffs": ["frft", "--alpha", "0.5", "--in", "nan.json", "--out", "x.json"],
+    "sop_z": ["sop", "apply", "--symbol", "gauss", "--a", "0.25", "--in", "F.json", "--z", "nan,0"],
+    "sop_alpha": ["sop", "apply", "--symbol", "gauss", "--a", "0.25", "--alpha", "nan",
+                  "--in", "F.json", "--z", "0,0"],
+    "const_kappa": ["sop", "apply", "--symbol", "const", "--kappa", "nan,0", "--in", "F.json",
+                    "--z", "0,0"],
+    "poly_coeffs": ["sop", "apply", "--symbol", "poly", "--coeffs", "nan,0", "--in", "F.json",
+                    "--z", "0,0"],
+    "gauss_b": ["sop", "apply", "--symbol", "gauss", "--a", "0.25", "--b", "nan", "--in", "F.json",
+                "--z", "0,0"],
+}
+
+#: Malformed files that once escaped as tracebacks.
+MALFORMED = {
+    "gauss_without_params": (
+        ["sop", "apply", "--symbol-file", "bad.json", "--in", "F.json", "--z", "0,0"],
+        '{"kind": "gauss", "params": {}, "taylor": [[1, 0]]}',
+    ),
+    "top_level_list": (["frft", "--alpha", "1", "--in", "bad.json", "--out", "x.json"], "[1, 2]"),
+}
+
+
+class TestContract:
+    @pytest.mark.parametrize("name", sorted(NONFINITE))
+    def test_nonfinite_input_refused(self, name, workdir, capsys):
+        (workdir / "nan.json").write_text('{"basis": "hermite", "coeffs": [[1, 0], [NaN, 0]]}')
+        assert run_command(NONFINITE[name]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
+        assert not (workdir / "x.json").exists()
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_file_refused(self, name, workdir, capsys):
+        argv, text = MALFORMED[name]
+        (workdir / "bad.json").write_text(text)
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
+
+    def test_overflowing_rule_sum_is_a_numerical_failure(self, workdir, capsys):
+        # finite terms whose running sum passes the largest double
+        fileio.write_coeffs_json(FockCoeffs(np.array([0.0, 1e307])), workdir / "big.json")
+        rc = run_command(
+            ["sop", "apply", "--symbol", "const", "--kappa", "1e3,0", "--in", "big.json", "--z", "0,0"]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fockbridge: error=numerical") and err.count("\n") == 1
+
+    def test_overflowing_symbol_is_a_numerical_failure(self, workdir):
+        # a separate process, so any numpy warning would reach its stderr
+        taylor = [[0.0, 0.0]] * 19 + [[1e300, 0.0]]
+        (workdir / "big.json").write_text(
+            json.dumps({"kind": "poly", "params": {}, "growth_bound": 0.0, "taylor": taylor})
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fockbridge.cli", "sop", "apply", "--symbol-file", "big.json",
+             "--in", "F.json", "--z", "0.5,0"],
+            cwd=workdir, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("fockbridge: error=numerical") and proc.stderr.count("\n") == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fockbridge import hilbert
+from fockbridge import representation
 from fockbridge.errors import ConfigurationError, EnvelopeError
 from fockbridge.hilbert import (
     HilbertParams,
@@ -203,10 +203,11 @@ class TestKernelApply:
 
     @pytest.mark.parametrize("name", sorted(KERNEL_OPS))
     def test_array_refused_before_the_engine(self, name, monkeypatch):
+        # fock_eval is the engine's first step after its envelope check
         def no_engine(*args, **kwargs):
             raise AssertionError("plane engine ran before the envelope check")
 
-        monkeypatch.setattr(hilbert, "_plane_apply", no_engine)
+        monkeypatch.setattr(representation, "fock_eval", no_engine)
         with pytest.raises(EnvelopeError):
             KERNEL_OPS[name](np.append(np.linspace(0.0, 1.9, 9), -2.05))
 

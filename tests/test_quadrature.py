@@ -10,6 +10,7 @@ from fockbridge.quadrature import (
     integrate_line,
     integrate_plane,
     plane_gaussian_rule,
+    rule_sum,
     split_line_rule,
 )
 
@@ -116,6 +117,17 @@ class TestIntegrateLine:
         with pytest.raises(EvaluationFailureError) as exc:
             integrate_line(r, bad, gaussian_part_removed=True)
         assert exc.value.node_index == 3
+
+    def test_overflowing_term_refused(self):
+        # finite values whose weighted terms or partial sums overflow; with
+        # RuntimeWarning raised as an error, this also shows the refusal is
+        # warning-free
+        nodes = np.array([-1.0, 0.0, 1.0])
+        with pytest.raises(EvaluationFailureError) as exc:
+            rule_sum(np.array([1.0, 4.0, 1.0]), np.array([1.0, 1e308, 1.0]), nodes, "terms")
+        assert exc.value.node_index == 1
+        with pytest.raises(EvaluationFailureError):
+            rule_sum(np.ones(3), np.array([1e308, 1e308, 1.0]), nodes, "partial sums")
 
     def test_bit_reproducible(self):
         r = gauss_hermite_rule(128)

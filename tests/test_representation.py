@@ -55,6 +55,12 @@ class TestTypes:
         assert h.norm() == pytest.approx(5.0)
         assert h.order == 2
 
+    @pytest.mark.parametrize("kind", [HermiteCoeffs, FockCoeffs])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_coeff_vector_refuses_nonfinite(self, kind, bad):
+        with pytest.raises(ConfigurationError):
+            kind(np.array([1.0, bad, 0.5j]))
+
     def test_strided_samples_accepted(self):
         a = np.arange(10) * (1 + 0.5j)
         s = SampledSignal(0.0, 1.0, a[::2])

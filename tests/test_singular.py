@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fockbridge.errors import ConfigurationError, EnvelopeError
+from fockbridge.errors import ConfigurationError, EnvelopeError, EvaluationFailureError
 from fockbridge.hilbert import hilbert_fock_S_apply
 from fockbridge.quadrature import gauss_hermite_rule, plane_gaussian_rule
 from fockbridge.representation import (
@@ -14,7 +14,7 @@ from fockbridge.representation import (
     hermite_eval,
     inverse_bargmann_coeff,
 )
-from fockbridge import singular
+from fockbridge import representation, singular
 from fockbridge.singular import (
     OperatorMatrix,
     WaveletSpec,
@@ -65,6 +65,15 @@ class TestFockSymbol:
                 0.0,
             )
 
+    def test_nan_evaluator_rejected(self):
+        with pytest.raises(ConfigurationError):
+            make_symbol(
+                "nan",
+                lambda z: np.full(np.shape(z), np.nan, dtype=complex),
+                FockCoeffs(np.array([1.0 + 0j])),
+                0.0,
+            )
+
     def test_growth_bound_range(self):
         with pytest.raises(ConfigurationError):
             make_symbol(
@@ -83,7 +92,7 @@ class TestFockSymbol:
         # from N to 2N
         for eps, b in ((0.5, 0.0), (1.0, 1.2), (2.0, -0.7)):
             spec = WaveletSpec(lambda t, e=eps, b=b: np.exp(-0.5 * e * t * t + b * t), 1.0)
-            sym = phi_from_g(spec, LINE, n_taylor=40)
+            sym = phi_from_g(spec, LINE)
             half = float(np.linalg.norm(sym.taylor.coeffs[:20]))
             full = float(np.linalg.norm(sym.taylor.coeffs[:40]))
             assert abs(full - half) <= 0.01 * full
@@ -111,6 +120,25 @@ class TestSPhiApply:
                 z * z - 1.0, abs=1e-12
             )
 
+    def test_nan_kernel_is_an_evaluation_failure(self):
+        # NaN wherever |z - conj(w)| > 3: the outer plane nodes hit it
+        sym = make_symbol(
+            "holey",
+            lambda u: np.where(np.abs(u) > 3.0, np.nan, 1.0 + 0j),
+            FockCoeffs(np.array([1.0 + 0j])),
+            0.0,
+            check=False,
+        )
+        with pytest.raises(EvaluationFailureError):
+            s_phi_apply(sym, unit_fock(1), 0.5, PLANE)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_nonfinite_angle_refused(self, alpha):
+        with pytest.raises(ConfigurationError):
+            s_phi_alpha_apply(_GAUSS, alpha, _F, 0.5, _SMALL)
+        with pytest.raises(ConfigurationError):
+            s_phi_matrix(poly_symbol([1.0]), 2, _SMALL, alpha=alpha)
+
     def test_envelope_guards(self):
         sym = poly_symbol([1.0])
         with pytest.raises(EnvelopeError):
@@ -126,10 +154,11 @@ class TestSPhiApply:
 
     @pytest.mark.parametrize("name", sorted(PLANE_OPS))
     def test_array_refused_before_the_engine(self, name, monkeypatch):
+        # fock_eval is the engine's first step after its envelope check
         def no_engine(*args, **kwargs):
             raise AssertionError("plane engine ran before the envelope check")
 
-        monkeypatch.setattr(singular, "_plane_apply", no_engine)
+        monkeypatch.setattr(representation, "fock_eval", no_engine)
         with pytest.raises(EnvelopeError):
             PLANE_OPS[name](np.append(np.linspace(0.0, 1.9, 9), 2.05j))
 
@@ -337,6 +366,27 @@ class TestWavelet:
         with pytest.raises(ConfigurationError):
             WaveletSpec(lambda t: np.exp(-t * t), 0.0)
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf])
+    def test_dilation_nonfinite(self, s):
+        with pytest.raises(ConfigurationError):
+            WaveletSpec(lambda t: np.exp(-t * t), s)
+
+    def test_points_as_array(self, array_contract):
+        calls = []
+
+        def f(t):
+            calls.append(np.size(t))
+            return hermite_fn_all(1, np.atleast_1d(t))[1]
+
+        spec = WaveletSpec(lambda t: np.exp(-t * t), 2.0)
+        wavelet_transform(f, spec, np.linspace(-1.9, 1.9, 10), LINE)
+        assert calls == [LINE.size]
+        # the final 1/sqrt(|s| pi) divides a complex array: 1 ulp, as for the
+        # Hilbert kernels
+        array_contract(
+            lambda x: wavelet_transform(f, spec, x, LINE), np.linspace(-1.9, 1.9, 10), max_ulp=1
+        )
+
 
 class TestWaveletFock:
     def test_reduces_to_symbol_operator(self):
@@ -481,7 +531,7 @@ class TestHilbertSymbol:
         # the normalized coefficients follow a clean n^{-3/4} law (the
         # Stirling estimate of sqrt(n!) against the series), which is
         # square-summable; verify the law and the finite norm at N=60
-        sym = hilbert_symbol(n_taylor=60)
+        sym = hilbert_symbol()
         c = np.abs(sym.taylor.coeffs)
         odd = np.arange(21, 60, 2)
         scaled = c[odd] * odd**0.75
