@@ -270,7 +270,7 @@ def _cmd_sop(args) -> int:
             sys.stdout.write(doc)
         return 0
     # matrix
-    mat = s_phi_matrix(sym, _order(args), plane, alpha=args.alpha)
+    mat = s_phi_matrix(sym, _order(args), plane, alpha=args.alpha, growth_cap=args.growth_cap)
     doc = {
         "kind": sym.kind,
         "alpha": args.alpha,

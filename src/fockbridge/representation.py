@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, EnvelopeError
 from .quadrature import LineRule, PlaneRule, _evaluate, rule_sum, rule_sum_per_point
@@ -118,6 +117,10 @@ class FockCoeffs(_CoeffVector):
 def _as_callable(f):
     """Wrap a SampledSignal as a callable: cubic inside the grid, zero outside."""
     if isinstance(f, SampledSignal):
+        # scipy.interpolate pulls in scipy.optimize, a heavy import that most
+        # runs never need: load it only when a sampled signal needs it
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(f.grid, f.values, extrapolate=False)
 
         def evaluate(x):

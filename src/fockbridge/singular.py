@@ -64,6 +64,9 @@ MATRIX_RADIUS = 1.5
 _FROM_G_TAYLOR = 40
 _HILBERT_TAYLOR = 60
 
+#: Elements of the wavelet kernel's u × nodes exponential formed at once.
+_INNER_BLOCK = 2**18
+
 
 @dataclass(frozen=True)
 class FockSymbol:
@@ -265,6 +268,7 @@ def s_phi_matrix(
     rule: PlaneRule,
     alpha: float = 0.0,
     method: str = "auto",
+    growth_cap: float = GROWTH_CAP,
 ) -> OperatorMatrix:
     """Truncated matrix entries[n, m] = <S e_m, e_n>.
 
@@ -272,11 +276,13 @@ def s_phi_matrix(
     "quadrature" samples S e_m on the circle |z| = MATRIX_RADIUS and reads the
     Taylor coefficients off a discrete Fourier transform; "auto" prefers
     "deriv" whenever the stored coefficients fit its cap.  Either route
-    checks its whole envelope before computing the first column.
+    checks the symbol's growth against ``growth_cap``, as the plane
+    operators do, and its whole envelope before computing the first column.
     """
     if n < 1:
         raise ConfigurationError(f"matrix size must be positive, got {n}")
     finite_param(alpha, "rotation angle")
+    _check_growth(phi, growth_cap)
     # entry [i, m] of the derivative route draws on the symbol's Taylor
     # coefficients through degree i + m, so it needs 2n - 1 of them; only
     # polynomial symbols store their series complete
@@ -304,13 +310,12 @@ def s_phi_matrix(
         for m in range(n):
             entries[:, m] = s_phi_apply_deriv(mono, unit(m), alpha=alpha).padded(n)
     elif method == "quadrature":
-        _check_growth(phi, GROWTH_CAP)
         check_envelope(unit(n - 1), MATRIX_RADIUS)
         n_circle = max(2 * n, 32)
         circle = MATRIX_RADIUS * np.exp(2j * math.pi * np.arange(n_circle) / n_circle)
         scale = MATRIX_RADIUS ** np.arange(n) / sqrt_factorials(n)
         for m in range(n):
-            vals = s_phi_alpha_apply(phi, alpha, unit(m), circle, rule)
+            vals = s_phi_alpha_apply(phi, alpha, unit(m), circle, rule, growth_cap)
             entries[:, m] = np.fft.fft(vals)[:n] / n_circle / scale
     else:
         raise ConfigurationError(f"unknown matrix method {method!r}")
@@ -342,12 +347,27 @@ def wavelet_transform(f, spec: WaveletSpec, x, rule: LineRule):
 
 
 def _inner_wavelet_factor(spec: WaveletSpec, u: np.ndarray, rule: LineRule) -> np.ndarray:
-    """integral of g(t) exp(-s^2 t^2 / 2 - s t u) dt for an array of u."""
+    """integral of g(t) exp(-s^2 t^2 / 2 - s t u) dt for an array of u.
+
+    The u × nodes exponential is formed in row blocks of at most
+    _INNER_BLOCK elements (4 MiB of complex), so memory stays bounded
+    whatever the number of points.
+    """
     s = spec.s
     t = rule.nodes
     gv = np.asarray(spec.g(t), dtype=complex) * rule.weights_nogauss
-    expo = -0.5 * s * s * t * t - s * np.multiply.outer(u, t)
-    return np.exp(expo) @ gv
+    gauss = -0.5 * s * s * t * t
+    uf = np.ravel(u)
+    out = np.empty(uf.shape, dtype=complex)
+    # block sizes differ by at most one row, so no block is a lone row unless
+    # u is one point: numpy sums a single row as a dot product, which rounds
+    # differently from the matrix-vector product of a larger block
+    rows = max(1, _INNER_BLOCK // t.size)
+    blocks = max(1, -(-uf.size // rows))
+    edges = np.arange(blocks + 1) * uf.size // blocks
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        out[lo:hi] = np.exp(gauss - s * np.multiply.outer(uf[lo:hi], t)) @ gv
+    return out.reshape(np.shape(u))
 
 
 def wavelet_fock_apply(F: FockCoeffs, spec: WaveletSpec, z, plane: PlaneRule, line: LineRule):

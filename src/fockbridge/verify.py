@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import frft as _frft
 from . import hilbert as _hilbert
@@ -388,6 +387,9 @@ def _check_sop_conjugation(cfg: VerifyConfig):
 
 
 def _check_pv_symbol(cfg: VerifyConfig):
+    # scipy.integrate pulls in scipy.optimize; only this oracle needs it
+    from scipy.integrate import quad
+
     sym = _singular.hilbert_symbol()
     # the value at 0 must be exactly zero, not merely small
     at_zero = complex(sym.evaluate(0.0))

@@ -140,6 +140,27 @@ class TestSopCommand:
         assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
         assert not (workdir / "mat.json").exists()
 
+    @pytest.mark.parametrize(
+        "symbol, cap, code",
+        [
+            (["--symbol", "gauss", "--a", "0.3"], "0.1", 2),
+            (["--symbol", "gauss", "--a", "0.3"], "0.3", 0),
+            (["--symbol", "hilbert"], "0.4", 2),
+            (["--symbol", "hilbert"], "0.5", 0),
+            (["--symbol", "poly", "--coeffs", "0,0;1,0"], "0", 0),
+        ],
+    )
+    def test_apply_and_matrix_share_the_growth_cap(self, symbol, cap, code, workdir, capsys):
+        for command, tail in (
+            ("apply", ["--in", "F.json", "--z", "0.3,0.1"]),
+            ("matrix", ["--n", "3", "--out", "mat.json"]),
+        ):
+            assert run_command(["sop", command, *symbol, "--growth-cap", cap, *tail]) == code
+            err = capsys.readouterr().err
+            assert err.count("\n") == (code != 0)
+            assert err.startswith("fockbridge: error=usage" if code else "")
+        assert (workdir / "mat.json").exists() == (code == 0)
+
     def test_symbol_file_round_trip(self, workdir, capsys):
         rc = run_command(
             ["sop", "apply", "--symbol", "gauss", "--a", "0.25", "--b", "0.5",
@@ -298,3 +319,18 @@ class TestContract:
         )
         assert proc.returncode == 3
         assert proc.stderr.startswith("fockbridge: error=numerical") and proc.stderr.count("\n") == 1
+
+
+class TestImportHygiene:
+    def test_import_leaves_heavy_scipy_submodules_unloaded(self):
+        # scipy.interpolate and scipy.integrate both pull in the heavy
+        # scipy.optimize; they load on first use only
+        env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fockbridge, fockbridge.cli; print(' '.join(sorted(sys.modules)))"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        loaded = set(proc.stdout.split())
+        assert "fockbridge.cli" in loaded
+        assert not loaded & {"scipy.optimize", "scipy.interpolate", "scipy.integrate"}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,22 @@ class TestMatrix:
         with pytest.raises(EnvelopeError):
             s_phi_matrix(hilbert_symbol(), 4, PLANE, method="quadrature")
 
+    @pytest.mark.parametrize("method", ["deriv", "quadrature", "auto"])
+    def test_growth_cap_checked_up_front(self, method, monkeypatch):
+        def no_apply(*args, **kwargs):
+            raise AssertionError("a column was computed before the growth check")
+
+        monkeypatch.setattr(singular, "s_phi_alpha_apply", no_apply)
+        monkeypatch.setattr(singular, "s_phi_apply_deriv", no_apply)
+        with pytest.raises(EnvelopeError, match="<= 0.1"):
+            s_phi_matrix(gaussian_symbol(0.25, 0.0), 4, PLANE, method=method, growth_cap=0.1)
+
+    def test_raised_cap_reaches_the_quadrature(self):
+        m = s_phi_matrix(hilbert_symbol(), 3, PLANE, growth_cap=0.5)
+        # S_phi for the odd principal-value symbol is antisymmetric on e_0, e_1
+        assert m.entries[1, 0] == pytest.approx(-m.entries[0, 1], abs=1e-12)
+        assert abs(m.entries[1, 0]) == pytest.approx(math.sqrt(2 / math.pi), abs=1e-12)
+
     def test_strided_entries_accepted(self):
         m = OperatorMatrix(np.arange(9).reshape(3, 3) * (1 - 2j))
         mt = OperatorMatrix(m.entries.T)
@@ -415,7 +432,61 @@ class TestWaveletFock:
             assert abs(p1 - p2) < 1e-5 and abs(p1 - p3) < 1e-5 and abs(p2 - p3) < 1e-5
 
 
+def _traced_peak(fn):
+    """Peak bytes allocated during ``fn()``, as tracemalloc sees them (numpy
+    reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestInnerWaveletMemory:
+    """The inner line integral forms its u × nodes exponential in row blocks:
+    one plane point (16384 nodes against 200 line nodes) would otherwise
+    allocate two 52 MB complex arrays."""
+
+    SPEC = WaveletSpec(lambda t: np.exp(-t * t), 1.0)
+    POINTS = 1.9 * np.exp(2j * np.pi * np.arange(16384) / 16384) * np.linspace(0, 1, 16384)
+
+    def test_fock_apply_point_bounded(self):
+        F = unit_fock(2)
+        peak = _traced_peak(lambda: wavelet_fock_apply(F, self.SPEC, 0.4 - 0.3j, PLANE, LINE))
+        assert peak <= 16 * 2**20
+
+    def test_symbol_evaluate_bounded(self):
+        sym = phi_from_g(self.SPEC, LINE)
+        peak = _traced_peak(lambda: sym.evaluate(self.POINTS))
+        assert peak <= 16 * 2**20
+
+    def test_blocks_equal_one_block(self, monkeypatch):
+        # 2 * rows + 1 points: a split into full blocks would leave one lone row
+        rows = singular._INNER_BLOCK // LINE.size
+        points = (self.POINTS, self.POINTS[: 2 * rows + 1])
+        sym = phi_from_g(self.SPEC, LINE)
+        F = unit_fock(2)
+
+        def values():
+            return [sym.evaluate(z) for z in points] + [
+                wavelet_fock_apply(F, self.SPEC, 0.4 - 0.3j, PLANE, LINE)
+            ]
+
+        blocked = values()
+        monkeypatch.setattr(singular, "_INNER_BLOCK", self.POINTS.size * LINE.size)
+        for got, want in zip(blocked, values()):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestPhiFromG:
+    def test_points_as_array(self, array_contract):
+        # a lone point's inner integral is a dot product, an array's a
+        # matrix-vector product: they round apart by a few ulp
+        array_contract(
+            phi_from_g(WaveletSpec(lambda t: np.exp(-t * t), 2.0), LINE).evaluate, max_ulp=4
+        )
+
     def test_family_closed_forms(self):
         zs = 2.0 * np.exp(2j * np.pi * np.arange(8) / 8) * np.array(
             [1, 0.5, 0.9, 0.3, 1, 0.7, 0.2, 0.8]
