@@ -12,11 +12,12 @@ recorded, not extrapolated.
 import sys
 
 from fockbridge.quadrature import plane_gaussian_rule
+from fockbridge.representation import PLANE_RULE_SIZES
 from fockbridge.singular import gaussian_symbol, operator_norm_estimate, s_phi_matrix
 
 
 def main() -> int:
-    plane = plane_gaussian_rule(64, 256)
+    plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
     print(f"{'a':>6} {'norm N=12':>12} {'norm N=16':>12} {'drift':>8}")
     for a in (0.05, 0.1, 0.2, 0.3, 0.35, 0.4):
         sym = gaussian_symbol(a, 0.0)

@@ -20,6 +20,7 @@ from fockbridge.errors import ConfigurationError
 from fockbridge.hilbert import hilbert_classical_grid
 from fockbridge.quadrature import gauss_hermite_rule, plane_gaussian_rule
 from fockbridge.representation import (
+    PLANE_RULE_SIZES,
     FockCoeffs,
     HermiteCoeffs,
     analyze,
@@ -32,7 +33,7 @@ from fockbridge.singular import WaveletSpec, hilbert_symbol, phi_from_g, s_phi_a
 
 def main() -> int:
     line = gauss_hermite_rule(200)
-    plane = plane_gaussian_rule(64, 256)
+    plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
 
     print("1. the induced-symbol constructor rejects the 1/x wavelet:")
     try:

@@ -83,7 +83,6 @@ from .special import (
     gaussian_integral_closed,
     hermite_fn,
     hermite_fn_all,
-    hermite_poly,
     sqrt_factorials,
 )
 from .verify import VerifyConfig, VerificationReport, run_suite

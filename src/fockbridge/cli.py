@@ -25,6 +25,7 @@ from .frft import fock_rotation, frft_coeffs
 from .hilbert import HilbertParams, fractional_hilbert, hilbert_classical_grid
 from .quadrature import gauss_hermite_rule, plane_gaussian_rule
 from .representation import (
+    PLANE_RULE_SIZES,
     FockCoeffs,
     HermiteCoeffs,
     SampledSignal,
@@ -121,10 +122,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--config", help="JSON file mirroring the flags below; explicit flags win")
     sp.add_argument("--suite", default=None, choices=SUITES)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--order", type=int, default=None, help="default coefficient truncation")
-    sp.add_argument("--line-size", dest="line_size", type=int, default=None)
-    sp.add_argument("--plane-radial", dest="plane_radial", type=int, default=None)
-    sp.add_argument("--plane-angular", dest="plane_angular", type=int, default=None)
     sp.add_argument("--timings", action="store_const", const=True, default=None,
                     help="record wall times (breaks byte determinism)")
     sp.add_argument("--compact", action="store_const", const=True, default=None,
@@ -251,7 +248,7 @@ def _cmd_sop(args) -> int:
     sym = _symbol_from_args(args)
     if args.symbol_out:
         fileio.write_symbol_json(sym, args.symbol_out)
-    plane = plane_gaussian_rule(64, 256)
+    plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
     if args.sop_command == "apply":
         data = fileio.read_coeffs_json(args.infile)
         if not isinstance(data, FockCoeffs):
@@ -293,10 +290,7 @@ def _cmd_wavelet(args) -> int:
     return 0
 
 
-_VERIFY_CONFIG_KEYS = (
-    "suite", "seed", "order", "line_size", "plane_radial", "plane_angular",
-    "timings", "compact", "threads", "out",
-)
+_VERIFY_CONFIG_KEYS = ("suite", "seed", "timings", "compact", "threads", "out")
 
 
 def _verify_settings(args) -> dict:
@@ -311,8 +305,7 @@ def _verify_settings(args) -> dict:
         if unknown:
             raise UsageError(f"{args.config}: unknown keys {sorted(unknown)}")
     defaults = {
-        "suite": "all", "seed": 42, "order": 64, "line_size": 200,
-        "plane_radial": 64, "plane_angular": 256, "timings": False,
+        "suite": "all", "seed": 42, "timings": False,
         "compact": False, "threads": None, "out": None,
     }
     out = {}
@@ -327,15 +320,7 @@ def _cmd_verify(args) -> int:
     cap = default_threads()
     want = opts["threads"] or cap or 1
     threads = min(want, cap) if cap else want
-    cfg = VerifyConfig(
-        seed=opts["seed"],
-        coeff_order=opts["order"],
-        line_size=opts["line_size"],
-        plane_radial=opts["plane_radial"],
-        plane_angular=opts["plane_angular"],
-        timings=bool(opts["timings"]),
-        threads=threads,
-    )
+    cfg = VerifyConfig(seed=opts["seed"], timings=bool(opts["timings"]), threads=threads)
     report = run_suite(opts["suite"], cfg)
     text = report_to_json(report, compact=bool(opts["compact"]))
     if opts["out"]:

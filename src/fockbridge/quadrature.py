@@ -86,20 +86,13 @@ class SplitLineRule:
     """Two Gauss-Legendre panels on [-extent, 0) and (0, extent].
 
     Used for integrands with a jump at the origin; no node ever lands on 0.
-    Weights are plain dx weights (no Gaussian folded in).
+    Weights are plain dx weights (no Gaussian folded in).  Only the positive
+    panel is stored; the negative one has nodes -pos_nodes and the same weights.
     """
 
     pos_nodes: np.ndarray
     pos_weights: np.ndarray
     extent: float
-
-    @property
-    def neg_nodes(self) -> np.ndarray:
-        return -self.pos_nodes
-
-    @property
-    def neg_weights(self) -> np.ndarray:
-        return self.pos_weights
 
 
 def _christoffel_lifted_weights(nodes: np.ndarray, k: int) -> np.ndarray:

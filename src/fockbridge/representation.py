@@ -42,6 +42,10 @@ DEFAULT_Z_MAX = 3.0
 PLANE_Z_MAX = 2.0
 PLANE_ORDER_MAX = 24
 
+#: (radial, angular) node counts of the plane rule that resolves that
+#: envelope; verify's tolerances are pinned on it.
+PLANE_RULE_SIZES = (64, 256)
+
 #: Truncation cap for inverse_bargmann_direct (the integrand must stay
 #: resolvable by the plane rule).
 INVERSE_DIRECT_MAX_ORDER = 40

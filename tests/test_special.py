@@ -16,12 +16,24 @@ from fockbridge.special import (
     gaussian_integral_closed,
     hermite_fn,
     hermite_fn_all,
-    hermite_poly,
     sqrt_factorials,
 )
 from fockbridge.representation import FockCoeffs, fock_eval
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def hermite_poly(n: int, x: float) -> float:
+    """Physicists' Hermite polynomial H_n(x) by the three-term recurrence:
+    the polynomial-form reference for hermite_fn."""
+    if n < 0:
+        raise ValueError(f"order must be nonnegative, got {n}")
+    if n == 0:
+        return 1.0
+    hm, h = 1.0, 2.0 * x
+    for m in range(1, n):
+        hm, h = h, 2.0 * x * h - 2.0 * m * hm
+    return h
 
 
 class TestNormConstant:
