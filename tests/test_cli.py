@@ -356,3 +356,38 @@ class TestImportHygiene:
         assert "fockbridge.cli" in loaded
         assert not loaded & {"scipy.optimize", "scipy.interpolate", "scipy.integrate"}
         assert after_check == "False"
+
+    def test_rules_symbols_and_sop_matrices_load_no_scipy(self, workdir):
+        # Rules come from numpy.linalg and the erf kernels import scipy.special
+        # on first use, so the import, every rule the package builds, symbol
+        # construction, a derivative-route matrix and a CLI data command run
+        # without any scipy module.
+        env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
+        code = (
+            "import math, sys\n"
+            "import fockbridge, fockbridge.cli\n"
+            "from fockbridge import (A_eval, gauss_hermite_rule, gaussian_symbol, phi_n_closed,\n"
+            "    plane_gaussian_rule, s_phi_matrix, split_line_rule)\n"
+            "from fockbridge.representation import PLANE_RULE_SIZES\n"
+            "from fockbridge.singular import poly_symbol\n"
+            "for k in (64, 120, 160, 200, 240, 480, 512):\n"
+            "    gauss_hermite_rule(k)\n"
+            "plane = plane_gaussian_rule(*PLANE_RULE_SIZES)\n"
+            "split_line_rule()\n"
+            "gaussian_symbol(0.25, 0.3), phi_n_closed(3, 1.0)\n"
+            "s_phi_matrix(poly_symbol([1.0, 0.5j, 0.2]), 8, plane, method='deriv')\n"
+            "assert fockbridge.cli.run_command(['bargmann', '--in', 'h.json', '--out', 'F2.json']) == 0\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')) or '-')\n"
+            "z = 0.3 + 0.2j\n"
+            "value = A_eval(z)\n"
+            "loaded = 'scipy.special' in sys.modules\n"
+            "import scipy.special\n"
+            "print(loaded, value == 0.5 * math.sqrt(math.pi) * complex(scipy.special.erfi(z)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, cwd=workdir, capture_output=True, text=True, timeout=120, check=True,
+        )
+        before_erf, after_erf = proc.stdout.splitlines()
+        assert before_erf == "-"
+        assert after_erf == "True True"

@@ -1,11 +1,18 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
+from fockbridge import quadrature
 from fockbridge.errors import EvaluationFailureError
 from fockbridge.quadrature import (
     LineRule,
+    _christoffel_lifted_weights,
+    _gauss_laguerre,
+    _laguerre_christoffel_weights,
+    _laguerre_pair,
     gauss_hermite_rule,
     integrate_line,
     integrate_plane,
@@ -224,3 +231,147 @@ class TestSplitLineRule:
             split_line_rule(0, 5.0)
         with pytest.raises(ValueError):
             split_line_rule(10, -1.0)
+
+
+# Every size the package builds, every small size, and a stride above them.
+HERMITE_SIZES = sorted(set(range(1, 65)) | {120, 160, 200, 240, 480, 512} | set(range(65, 513, 29)))
+LAGUERRE_SIZES = sorted(set(range(1, 65)) | {256} | set(range(65, 257, 23)))
+
+
+def _hermite_reference(k: int):
+    """The rule as built on scipy's tridiagonal eigensolver."""
+    if k == 1:
+        nodes = np.zeros(1)
+    else:
+        nodes = eigh_tridiagonal(np.zeros(k), np.sqrt(np.arange(1, k) / 2.0), eigvals_only=True)
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights_nogauss = _christoffel_lifted_weights(nodes, k)
+    return nodes, weights_nogauss * np.exp(-nodes * nodes), weights_nogauss
+
+
+def _laguerre_reference(k: int):
+    if k == 1:
+        return np.ones(1), np.ones(1)
+    nodes = eigh_tridiagonal(2.0 * np.arange(k) + 1.0, np.arange(1.0, k), eigvals_only=True)
+    for _ in range(2):
+        lk, lkm = _laguerre_pair(k, nodes)
+        nodes = nodes - lk * nodes / (k * (lk - lkm))
+    return nodes, _laguerre_christoffel_weights(nodes, k)
+
+
+class TestRuleBitIdentity:
+    """The numpy Jacobi eigensolver reaches LAPACK dsterf on the same data as
+    scipy's tridiagonal one, so every rule is the same to the last bit."""
+
+    @pytest.mark.parametrize("k", HERMITE_SIZES)
+    def test_hermite(self, k):
+        r = gauss_hermite_rule(k)
+        nodes, weights, weights_nogauss = _hermite_reference(k)
+        assert np.array_equal(r.nodes, nodes)
+        assert np.array_equal(r.weights, weights)
+        assert np.array_equal(r.weights_nogauss, weights_nogauss)
+
+    @pytest.mark.parametrize("k", LAGUERRE_SIZES)
+    def test_laguerre(self, k):
+        nodes, weights = _gauss_laguerre(k)
+        ref_nodes, ref_weights = _laguerre_reference(k)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_weights)
+
+
+def _oracle_indices(k: int) -> list[int]:
+    """Every k//16-th node, the extremes and the middle."""
+    return sorted(set(range(0, k, k // 16)) | {0, k // 2, k - 1})
+
+
+def _hermite_recurrence(k: int, x):
+    """(p_k, p_{k-1}, sum_{j<k} p_j^2) at x for the polynomials orthonormal
+    against exp(-x^2)."""
+    p_prev, p, total = mp.mpf(0), mp.pi ** mp.mpf(-0.25), mp.mpf(0)
+    for j in range(k):
+        total += p * p
+        p_prev, p = p, mp.sqrt(mp.mpf(2) / (j + 1)) * x * p - mp.sqrt(mp.mpf(j) / (j + 1)) * p_prev
+    return p, p_prev, total
+
+
+def _laguerre_recurrence(k: int, t):
+    """(L_k, L_{k-1}, sum_{m<k} L_m^2) at t; the L_m are orthonormal against exp(-t)."""
+    l_prev, l, total = mp.mpf(0), mp.mpf(1), mp.mpf(0)
+    for m in range(k):
+        total += l * l
+        l_prev, l = l, ((2 * m + 1 - t) * l - m * l_prev) / (m + 1)
+    return l, l_prev, total
+
+
+class TestRuleMpmathOracle:
+    """Nodes polished by Newton steps at 40 digits on the normalized
+    recurrences, and Christoffel weights there: an oracle that shares no
+    code with the eigensolver route."""
+
+    @pytest.mark.parametrize("k", [64, 200, 512])
+    def test_hermite(self, k):
+        r = gauss_hermite_rule(k)
+        with mp.workdps(40):
+            for i in _oracle_indices(k):
+                x = mp.mpf(r.nodes[i])
+                for _ in range(2):
+                    p, p_prev, _ = _hermite_recurrence(k, x)
+                    x -= p / (mp.sqrt(2 * k) * p_prev)
+                _, _, total = _hermite_recurrence(k, x)
+                assert abs(r.nodes[i] - x) < 2e-13
+                assert abs(r.weights_nogauss[i] / (mp.exp(x * x) / total) - 1) < 2e-13
+
+    def test_laguerre(self):
+        k = 64
+        nodes, weights = _gauss_laguerre(k)
+        with mp.workdps(40):
+            for i in _oracle_indices(k):
+                t = mp.mpf(nodes[i])
+                for _ in range(2):
+                    l, l_prev, _ = _laguerre_recurrence(k, t)
+                    t -= l * t / (k * (l - l_prev))
+                _, _, total = _laguerre_recurrence(k, t)
+                assert abs(nodes[i] / t - 1) < 1e-13
+                assert abs(weights[i] * total - 1) < 1e-13
+
+
+class TestRuleSizes:
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (gauss_hermite_rule, (2.5,)),
+            (gauss_hermite_rule, (64.0,)),
+            (gauss_hermite_rule, ("64",)),
+            (plane_gaussian_rule, (64.0, 256)),
+            (plane_gaussian_rule, (64, 256.0)),
+            (split_line_rule, (240.5,)),
+            (split_line_rule, (240.0,)),
+        ],
+        ids=["line-2.5", "line-64.0", "line-str", "radial-64.0", "angular-256.0",
+             "panel-240.5", "panel-240.0"],
+    )
+    def test_non_integral_size_refused(self, build, args, monkeypatch):
+        # The integral sizes are cached first: a float equal to a cached size
+        # must still be refused, not served from the cache.
+        gauss_hermite_rule(64), plane_gaussian_rule(64, 256), split_line_rule(240)
+
+        def no_work(*_):
+            raise AssertionError("a rule was built for a bad size")
+
+        monkeypatch.setattr(quadrature, "_jacobi_eigenvalues", no_work)
+        monkeypatch.setattr(quadrature, "_gauss_laguerre", no_work)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_work)
+        with pytest.raises(ValueError, match="integer"):
+            build(*args)
+
+    def test_numpy_integer_size_accepted(self):
+        r = gauss_hermite_rule(np.int64(64))
+        assert np.array_equal(r.nodes, gauss_hermite_rule(64).nodes)
+        p = plane_gaussian_rule(np.int64(16), np.int32(32))
+        assert np.array_equal(p.weights, plane_gaussian_rule(16, 32).weights)
+
+    @pytest.mark.parametrize("k", [1, 64])
+    def test_laguerre_cache_frozen(self, k):
+        for a in _gauss_laguerre(k):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
