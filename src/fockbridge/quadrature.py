@@ -5,15 +5,14 @@ product of a radial Gauss-Laguerre rule (substitution t = r^2) with a uniform
 angular rule, integrating against the probability measure
 (1/pi) exp(-|z|^2) dA(z).
 
-Rules are immutable and cached by size; the caches are typed, so a float
-size is refused rather than served a cached rule.  Gauss-Hermite and
-Gauss-Laguerre nodes come from Golub-Welsch: the eigenvalues of the rule's
-Jacobi matrix, computed by LAPACK's ``dsterf`` (implicit QL/QR) through
-``numpy.linalg``, so building a rule loads no scipy module.  Every rule sum
-in the package goes through one reducer, :func:`rule_sum`: exactly-rounded
-summation (math.fsum) in fixed node order, so every integral is
-bit-reproducible however its integrand values were produced, and a
-non-finite term is refused.
+Rules are immutable and cached by size; a float size is refused rather
+than served a cached rule.  Gauss-Hermite and Gauss-Laguerre nodes come
+from Golub-Welsch: the eigenvalues of the rule's Jacobi matrix, computed by
+LAPACK's ``dsterf`` (implicit QL/QR) through ``numpy.linalg``, so building
+a rule loads no scipy module.  Every rule sum in the package goes through
+one reducer, :func:`rule_sum`: exactly-rounded summation (math.fsum) in
+fixed node order, so every integral is bit-reproducible however its
+integrand values were produced, and a non-finite term is refused.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ __all__ = [
     "integrate_line",
     "integrate_plane",
 ]
-
-_SQRT_PI = math.sqrt(math.pi)
 
 MAX_LINE_SIZE = 512
 MAX_RADIAL_SIZE = 256
@@ -222,16 +219,19 @@ def plane_gaussian_rule(k_radial: int, k_angular: int) -> PlaneRule:
     return PlaneRule(_freeze(nodes), _freeze(weights))
 
 
-@lru_cache(maxsize=None, typed=True)
 def split_line_rule(k: int = 240, extent: float = 12.0) -> SplitLineRule:
-    """Gauss-Legendre panel rule on (0, extent], mirrored onto [-extent, 0)."""
+    """Gauss-Legendre panel rule on (0, extent], mirrored onto [-extent, 0);
+    one cached rule per (int k, float extent), however the call spells it."""
     _check_size(k, "panel size")
     if not extent > 0.0:
         raise ValueError(f"extent must be positive, got {extent}")
+    return _split_line_rule(int(k), float(extent))
+
+
+@lru_cache(maxsize=None)
+def _split_line_rule(k: int, extent: float) -> SplitLineRule:
     u, w = np.polynomial.legendre.leggauss(k)
-    nodes = 0.5 * extent * (u + 1.0)
-    weights = 0.5 * extent * w
-    return SplitLineRule(_freeze(nodes), _freeze(weights), extent)
+    return SplitLineRule(_freeze(0.5 * extent * (u + 1.0)), _freeze(0.5 * extent * w), extent)
 
 
 def _evaluate(f, nodes: np.ndarray) -> np.ndarray:

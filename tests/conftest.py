@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,19 @@ def array_contract():
         assert type(apply(np.asarray(points[3]))) is complex
 
     return check
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak bytes allocated during ``fn()``, as tracemalloc sees them (numpy
+    reports its buffers to it)."""
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

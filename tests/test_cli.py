@@ -338,24 +338,31 @@ class TestImportHygiene:
     def test_import_leaves_heavy_scipy_submodules_unloaded(self):
         # scipy.interpolate and scipy.integrate both pull in the heavy
         # scipy.optimize; they load on first use only.  The grid Hilbert
-        # check projects on its own FFT grid, so it needs no spline either.
+        # check projects on its own FFT grid, so it needs no spline either,
+        # and the PV check's oracle is the split Gauss-Legendre rule, so
+        # neither check loads any scipy submodule but scipy.special.
         env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
         code = (
             "import sys, fockbridge, fockbridge.cli\n"
             "print(' '.join(sorted(sys.modules)))\n"
-            "from fockbridge.verify import VerifyConfig, _check_hilbert_grid_consistency\n"
+            "from fockbridge.verify import (VerifyConfig, _check_hilbert_grid_consistency,\n"
+            "    _check_pv_symbol)\n"
             "_check_hilbert_grid_consistency(VerifyConfig())\n"
             "print('scipy.interpolate' in sys.modules)\n"
+            "_check_pv_symbol(VerifyConfig())\n"
+            "print(' '.join(sorted(sys.modules)))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        after_import, after_check = proc.stdout.splitlines()
+        after_import, after_grid, after_pv = proc.stdout.splitlines()
         loaded = set(after_import.split())
         assert "fockbridge.cli" in loaded
         assert not loaded & {"scipy.optimize", "scipy.interpolate", "scipy.integrate"}
-        assert after_check == "False"
+        assert after_grid == "False"
+        heavy = {"scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.interpolate"}
+        assert not set(after_pv.split()) & heavy
 
     def test_rules_symbols_and_sop_matrices_load_no_scipy(self, workdir):
         # Rules come from numpy.linalg and the erf kernels import scipy.special

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -23,6 +24,7 @@ from fockbridge.representation import (
     synthesize,
 )
 from fockbridge.special import hermite_fn
+from fockbridge.verify import _grid_hilbert_coeffs, _pv_oracle
 
 PLANE = plane_gaussian_rule(64, 256)
 
@@ -248,3 +250,22 @@ class TestSApply:
             for z in (0.5 + 0.5j, -0.9 + 0.9j):
                 s = hilbert_fock_S_apply(unit_fock(n), z, PLANE)
                 assert s == pytest.approx(fock_eval(grid, z), abs=1e-5)
+
+
+class TestVerifyOracles:
+    """The oracles of the ``symbols.pv_hilbert`` and ``hilbert.grid_consistency``
+    checks, against an independent reference and a memory bound."""
+
+    # the check's three points, then two more with |z| <= 1.5
+    @pytest.mark.parametrize("z", [0.4 + 0j, 1.0 + 0.5j, -1.3 + 0.2j, 1.5j, -0.9 - 1.1j])
+    def test_pv_oracle_matches_mpmath(self, z):
+        with mp.workdps(40):
+            w = mp.mpc(z)
+            integrand = lambda t: 2 * mp.exp(-t * t) * mp.sinh(mp.sqrt(2) * t * w) / t
+            ref = complex(mp.quad(integrand, [0, 2, 6, mp.inf]) / mp.pi)
+        assert abs(_pv_oracle(z) - ref) <= 1e-12
+
+    def test_grid_coeffs_memory_bounded(self, traced_peak):
+        # one complex row of 2^17 samples, not the (n+1) x 2^17 Hermite
+        # matrix cast to complex (18 MiB traced when it was)
+        assert traced_peak(lambda: _grid_hilbert_coeffs(4, 24)) <= 10 * 2**20

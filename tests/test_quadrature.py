@@ -232,6 +232,18 @@ class TestSplitLineRule:
         with pytest.raises(ValueError):
             split_line_rule(10, -1.0)
 
+    def test_one_cache_entry_per_rule(self):
+        # defaults, an integral extent, keywords and a numpy size all name
+        # the 240-node rule on +-12: one cached object, built once
+        rule = split_line_rule()
+        assert split_line_rule(240, 12.0) is rule
+        assert split_line_rule(240, 12) is rule
+        assert split_line_rule(k=240) is rule
+        assert split_line_rule(np.int64(240), extent=12) is rule
+        assert isinstance(rule.extent, float)
+        with pytest.raises(ValueError, match="integer"):
+            split_line_rule(240.5)
+
 
 # Every size the package builds, every small size, and a stride above them.
 HERMITE_SIZES = sorted(set(range(1, 65)) | {120, 160, 200, 240, 480, 512} | set(range(65, 513, 29)))

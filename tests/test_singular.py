@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,17 +431,6 @@ class TestWaveletFock:
             assert abs(p1 - p2) < 1e-5 and abs(p1 - p3) < 1e-5 and abs(p2 - p3) < 1e-5
 
 
-def _traced_peak(fn):
-    """Peak bytes allocated during ``fn()``, as tracemalloc sees them (numpy
-    reports its buffers to it)."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestInnerWaveletMemory:
     """The inner line integral forms its u × nodes exponential in row blocks:
     one plane point (16384 nodes against 200 line nodes) would otherwise
@@ -451,14 +439,14 @@ class TestInnerWaveletMemory:
     SPEC = WaveletSpec(lambda t: np.exp(-t * t), 1.0)
     POINTS = 1.9 * np.exp(2j * np.pi * np.arange(16384) / 16384) * np.linspace(0, 1, 16384)
 
-    def test_fock_apply_point_bounded(self):
+    def test_fock_apply_point_bounded(self, traced_peak):
         F = unit_fock(2)
-        peak = _traced_peak(lambda: wavelet_fock_apply(F, self.SPEC, 0.4 - 0.3j, PLANE, LINE))
+        peak = traced_peak(lambda: wavelet_fock_apply(F, self.SPEC, 0.4 - 0.3j, PLANE, LINE))
         assert peak <= 16 * 2**20
 
-    def test_symbol_evaluate_bounded(self):
+    def test_symbol_evaluate_bounded(self, traced_peak):
         sym = phi_from_g(self.SPEC, LINE)
-        peak = _traced_peak(lambda: sym.evaluate(self.POINTS))
+        peak = traced_peak(lambda: sym.evaluate(self.POINTS))
         assert peak <= 16 * 2**20
 
     def test_blocks_equal_one_block(self, monkeypatch):
