@@ -157,6 +157,11 @@ def _to_hermite(data, n: int) -> tuple[HermiteCoeffs, SampledSignal | None]:
     return data, None
 
 
+def _write_grid(h: HermiteCoeffs, path) -> None:
+    """Write ``h`` sampled on the fixed dump grid (-8 to 8, step 0.0125) as CSV."""
+    fileio.write_signal_csv(synthesize(h, -8.0, 0.0125, 1281), path)
+
+
 def _emit_like_input(result: HermiteCoeffs, data, args) -> None:
     if isinstance(data, SampledSignal):
         out = synthesize(result, data.x0, data.dx, data.values.size)
@@ -166,8 +171,7 @@ def _emit_like_input(result: HermiteCoeffs, data, args) -> None:
     else:
         fileio.write_coeffs_json(result, args.outfile)
     if getattr(args, "dump_grid", None):
-        grid = synthesize(result, -8.0, 0.0125, 1281)
-        fileio.write_signal_csv(grid, args.dump_grid)
+        _write_grid(result, args.dump_grid)
 
 
 def _cmd_frft(args) -> int:
@@ -200,14 +204,14 @@ def _cmd_bargmann(args) -> int:
             raise UsageError("--inverse expects Fock coefficient JSON input")
         result = inverse_bargmann_coeff(data)
         if str(args.outfile).lower().endswith(".csv"):
-            fileio.write_signal_csv(synthesize(result, -8.0, 0.0125, 1281), args.outfile)
+            _write_grid(result, args.outfile)
         else:
             fileio.write_coeffs_json(result, args.outfile)
         return 0
     h, _ = _to_hermite(data, _order(args))
     fileio.write_coeffs_json(bargmann_coeff(h), args.outfile)
     if getattr(args, "dump_grid", None):
-        fileio.write_signal_csv(synthesize(h, -8.0, 0.0125, 1281), args.dump_grid)
+        _write_grid(h, args.dump_grid)
     return 0
 
 

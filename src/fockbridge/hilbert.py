@@ -2,10 +2,11 @@
 
 The reference semantics of the fractional transform is the multiplier chain:
 rotate by the fractional Fourier transform, apply the two-sided step phase
-pointwise, rotate back.  The plane-kernel realization (an integral operator
-against the Gaussian measure with an entire kernel built from A_phi,
-evaluated by the package's one plane-operator engine) is the validated
-alternative; the two are compared, not assumed equal.
+through the exact Hermite-basis matrix of sgn(x), rotate back.  The
+plane-kernel realization (an integral operator against the Gaussian measure
+with an entire kernel built from A_phi, evaluated by the package's one
+plane-operator engine) is the validated alternative; the two are compared,
+not assumed equal.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .quadrature import PlaneRule, SplitLineRule, split_line_rule
+from .errors import EnvelopeError
+from .quadrature import PlaneRule
 from .representation import FockCoeffs, HermiteCoeffs, SampledSignal, _plane_apply
 from .special import A_eval, A_phi_eval, SQRT_PI, finite_param, hermite_fn_all
 from .frft import FrftAngle, _phases
@@ -36,7 +36,8 @@ __all__ = [
 #: comparisons honest without chasing the slowly decaying jump expansion.
 DEFAULT_WORK_ORDER = 48
 
-_GRAM_TOLERANCE = 1e-6
+#: Largest working truncation of the chain, the package's desk-scale cap.
+MAX_WORK_ORDER = 256
 
 
 @dataclass(frozen=True)
@@ -68,60 +69,43 @@ def hilbert_classical_grid(s: SampledSignal) -> SampledSignal:
     return SampledSignal(s.x0, s.dx, np.fft.ifft(mult * np.fft.fft(s.values)))
 
 
-@lru_cache(maxsize=None)
-def _gram_residual(k: int, extent: float, n_work: int) -> float:
-    """Worst orthonormality defect of h_0..h_{n_work-1} under the split rule."""
-    rule = split_line_rule(k, extent)
-    h = hermite_fn_all(n_work - 1, rule.pos_nodes)
-    gram = (h * rule.pos_weights) @ h.T
-    # negative panel contributes the parity-reflected block
-    parity = np.where(np.arange(n_work) % 2 == 0, 1.0, -1.0)
-    gram = gram + parity[:, None] * parity[None, :] * gram
-    return float(np.abs(gram - np.eye(n_work)).max())
+def _sign_matrix(n_out: int, n_in: int) -> np.ndarray:
+    """Hermite-basis matrix of sgn(x): S[m, n] = integral of sgn(x) h_m(x) h_n(x).
 
-
-def _check_split_resolution(rule: SplitLineRule, n_work: int) -> None:
-    resid = _gram_residual(rule.pos_nodes.size, rule.extent, n_work)
-    if resid > _GRAM_TOLERANCE:
-        raise ConfigurationError(
-            f"split rule ({rule.pos_nodes.size} nodes, extent {rule.extent}) cannot "
-            f"resolve {n_work} coefficients: identity-multiplier round-trip error "
-            f"{resid:.2e} exceeds {_GRAM_TOLERANCE:.0e}"
-        )
+    h_n'' = (4x^2 - 4n - 2) h_n, so the Wronskian of h_m and h_n integrates
+    their product over x > 0 in closed form from the values at 0:
+    S[m, n] = (h_n(0) h_m'(0) - h_m(0) h_n'(0)) / (2 (m - n)) when m + n is
+    odd, and 0 when it is even (the product is then even and sgn odd).
+    """
+    h0 = hermite_fn_all(max(n_out, n_in), np.zeros(1))[:, 0]
+    k = np.arange(h0.size - 1)
+    d0 = np.sqrt(k) * np.concatenate(([0.0], h0[:-2])) - np.sqrt(k + 1) * h0[1:]
+    m, n = np.arange(n_out)[:, None], np.arange(n_in)[None, :]
+    num = h0[None, :n_in] * d0[:n_out, None] - h0[:n_out, None] * d0[None, :n_in]
+    return np.divide(num, 2.0 * (m - n), out=np.zeros(num.shape), where=(m + n) % 2 == 1)
 
 
 def fractional_hilbert(
-    h: HermiteCoeffs,
-    params: HilbertParams,
-    n_work: int = DEFAULT_WORK_ORDER,
-    rule: SplitLineRule | None = None,
+    h: HermiteCoeffs, params: HilbertParams, n_work: int = DEFAULT_WORK_ORDER
 ) -> HermiteCoeffs:
     """Fractional Hilbert transform in Hermite coefficients (multiplier chain).
 
-    Chain: fractional Fourier rotation by alpha, pointwise two-sided step
-    phase, projection back onto h_0..h_{n_work-1}, rotation by -alpha.  The
-    projection integrals are split at the origin onto two Gauss-Legendre
-    panels so the jump is never straddled and x = 0 is never sampled.
+    Chain: fractional Fourier rotation by alpha, the two-sided step phase
+    e^{-i phi} on x > 0 and e^{i phi} on x < 0, that is
+    cos(phi) - i sin(phi) sgn(x), rotation by -alpha.  The step acts through
+    the exact Hermite matrix of sgn (``_sign_matrix``), truncated to
+    h_0..h_{n_work-1}; no quadrature is involved.  Working orders above
+    ``MAX_WORK_ORDER`` raise EnvelopeError before any work.
     """
-    if rule is None:
-        rule = split_line_rule()
     n_work = max(n_work, h.order)
-    _check_split_resolution(rule, n_work)
-
-    a = FrftAngle(params.alpha)
-    u = h.coeffs * _phases(a.alpha, h.order)
-
-    h_in_pos = hermite_fn_all(h.order - 1, rule.pos_nodes)
-    parity_in = np.where(np.arange(h.order) % 2 == 0, 1.0, -1.0)
-    g_pos = u @ h_in_pos
-    g_neg = (u * parity_in) @ h_in_pos  # h_n(-x) = (-1)^n h_n(x)
-
-    h_work = hermite_fn_all(n_work - 1, rule.pos_nodes)
-    parity_w = np.where(np.arange(n_work) % 2 == 0, 1.0, -1.0)
-    v = cmath.exp(-1j * params.phi) * (h_work @ (rule.pos_weights * g_pos))
-    v = v + cmath.exp(1j * params.phi) * parity_w * (h_work @ (rule.pos_weights * g_neg))
-
-    return HermiteCoeffs(v * _phases(-a.alpha, n_work))
+    if n_work > MAX_WORK_ORDER:
+        raise EnvelopeError(
+            f"working order {n_work} exceeds the chain's cap of {MAX_WORK_ORDER}"
+        )
+    u = h.coeffs * _phases(params.alpha, h.order)
+    v = math.cos(params.phi) * np.pad(u, (0, n_work - h.order))
+    v = v - 1j * math.sin(params.phi) * (_sign_matrix(n_work, h.order) @ u)
+    return HermiteCoeffs(v * _phases(-params.alpha, n_work))
 
 
 def hilbert_fock_kernel_apply(F: FockCoeffs, params: HilbertParams, z, rule: PlaneRule):

@@ -12,7 +12,9 @@ import fockbridge
 
 from fockbridge import fileio
 from fockbridge.cli import run_command
-from fockbridge.representation import FockCoeffs, HermiteCoeffs, synthesize
+from fockbridge.frft import frft_coeffs
+from fockbridge.hilbert import HilbertParams, fractional_hilbert
+from fockbridge.representation import FockCoeffs, HermiteCoeffs, inverse_bargmann_coeff, synthesize
 from fockbridge.verify import default_threads
 
 
@@ -83,6 +85,18 @@ class TestHilbertCommand:
         out = fileio.read_coeffs_json(workdir / "hf.json")
         assert isinstance(out, HermiteCoeffs)
 
+    def test_signal_at_order_200(self, workdir):
+        rc = run_command(["hilbert", "--n", "200", "--in", "sig.csv", "--out", "hs.csv"])
+        assert rc == 0
+        assert fileio.read_signal_csv(workdir / "hs.csv").values.size == 801
+
+    def test_order_above_cap_refused(self, workdir, capsys):
+        fileio.write_coeffs_json(HermiteCoeffs(np.ones(257, dtype=complex)), workdir / "big.json")
+        assert run_command(["hilbert", "--in", "big.json", "--out", "x.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fockbridge: error=") and err.count("\n") == 1
+        assert not (workdir / "x.json").exists()
+
 
 class TestBargmannCommand:
     def test_forward_then_inverse(self, workdir):
@@ -96,6 +110,29 @@ class TestBargmannCommand:
 
     def test_inverse_needs_fock(self, workdir):
         assert run_command(["bargmann", "--inverse", "--in", "h.json", "--out", "x.json"]) == 2
+
+
+#: Each command that writes the fixed grid: its input file and the API
+#: result it samples there.
+DUMP_GRID = {
+    "frft": (["frft", "--alpha", "0.7", "--in", "h.json", "--out", "o.json",
+              "--dump-grid", "grid.csv"], lambda h: frft_coeffs(h, 0.7)),
+    "hilbert": (["hilbert", "--alpha", "1.1", "--phi", "0.6", "--in", "h.json", "--out", "o.json",
+                 "--dump-grid", "grid.csv"], lambda h: fractional_hilbert(h, HilbertParams(1.1, 0.6))),
+    "bargmann": (["bargmann", "--in", "h.json", "--out", "o.json", "--dump-grid", "grid.csv"],
+                 lambda h: h),
+    "bargmann_inverse": (["bargmann", "--inverse", "--in", "F.json", "--out", "grid.csv"],
+                         inverse_bargmann_coeff),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_GRID))
+def test_grid_csv_is_the_api_result_on_the_grid(name, workdir):
+    argv, api = DUMP_GRID[name]
+    assert run_command(argv) == 0
+    data = fileio.read_coeffs_json(workdir / argv[argv.index("--in") + 1])
+    fileio.write_signal_csv(synthesize(api(data), -8.0, 0.0125, 1281), workdir / "ref.csv")
+    assert (workdir / "grid.csv").read_bytes() == (workdir / "ref.csv").read_bytes()
 
 
 class TestSopCommand:
@@ -398,3 +435,20 @@ class TestImportHygiene:
         before_erf, after_erf = proc.stdout.splitlines()
         assert before_erf == "-"
         assert after_erf == "True True"
+
+    def test_hilbert_chain_builds_no_rule(self, workdir):
+        # the chain's step multiplier is the closed-form Hermite matrix of
+        # sgn, so the command on coefficients builds no quadrature rule
+        env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
+        code = (
+            "import fockbridge.cli\n"
+            "from fockbridge.quadrature import _split_line_rule, gauss_hermite_rule\n"
+            "assert fockbridge.cli.run_command(['hilbert', '--alpha', '1.1', '--phi', '0.6',\n"
+            "    '--in', 'h.json', '--out', 'hf.json']) == 0\n"
+            "print(_split_line_rule.cache_info().currsize, gauss_hermite_rule.cache_info().currsize)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, cwd=workdir, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stdout.split() == ["0", "0"]

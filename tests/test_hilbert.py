@@ -4,10 +4,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fockbridge import representation
-from fockbridge.errors import ConfigurationError, EnvelopeError
+from fockbridge import hilbert, representation
+from fockbridge.errors import EnvelopeError
 from fockbridge.hilbert import (
+    MAX_WORK_ORDER,
     HilbertParams,
+    _sign_matrix,
     fractional_hilbert,
     hilbert_classical_grid,
     hilbert_fock_S_apply,
@@ -127,13 +129,10 @@ class TestFractionalHilbert:
         c = np.zeros(12, dtype=complex)
         c[1::2] = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / 2
         h = HermiteCoeffs(c)
-        rule = split_line_rule(420, 21.0)
-        out = fractional_hilbert(
-            h, HilbertParams(math.pi / 2, math.pi / 2), n_work=192, rule=rule
-        )
+        out = fractional_hilbert(h, HilbertParams(math.pi / 2, math.pi / 2), n_work=192)
         assert out.norm() == pytest.approx(h.norm(), abs=1e-5)
         for alpha, phi in ((0.4, 1.0), (-2.0, 0.3)):
-            out = fractional_hilbert(h, HilbertParams(alpha, phi), n_work=192, rule=rule)
+            out = fractional_hilbert(h, HilbertParams(alpha, phi), n_work=192)
             assert out.norm() == pytest.approx(h.norm(), abs=1e-4)
 
     def test_phase_decomposition(self):
@@ -145,11 +144,17 @@ class TestFractionalHilbert:
             combo = math.cos(phi) * h.padded(full.order) + math.sin(phi) * quarter.coeffs
             assert float(np.abs(full.coeffs - combo).max()) < 1e-6
 
-    def test_insufficient_resolution_rejected(self):
-        h = HermiteCoeffs(np.ones(8, dtype=complex))
-        tiny = split_line_rule(8, 3.0)
-        with pytest.raises(ConfigurationError):
-            fractional_hilbert(h, HilbertParams(0.5, 0.5), rule=tiny)
+    def test_order_above_cap_refused_before_any_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a Hermite table was built")
+
+        monkeypatch.setattr(hilbert, "hermite_fn_all", no_table)
+        h = HermiteCoeffs(np.ones(MAX_WORK_ORDER + 1, dtype=complex))
+        with pytest.raises(EnvelopeError):
+            fractional_hilbert(h, HilbertParams(0.5, 0.5))
+        with pytest.raises(EnvelopeError):
+            fractional_hilbert(HermiteCoeffs(np.ones(4, dtype=complex)),
+                               HilbertParams(0.5, 0.5), n_work=MAX_WORK_ORDER + 1)
 
     def test_double_application_is_minus_identity(self):
         # with phi = pi/2 the operator squares to -I; the chain realizes it
@@ -160,10 +165,45 @@ class TestFractionalHilbert:
         c[1::2] = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / 2
         h = HermiteCoeffs(c)
         params = HilbertParams(1.1, math.pi / 2)
-        rule = split_line_rule(420, 21.0)
-        once = fractional_hilbert(h, params, n_work=192, rule=rule)
-        twice = fractional_hilbert(once, params, n_work=192, rule=rule)
+        once = fractional_hilbert(h, params, n_work=192)
+        twice = fractional_hilbert(once, params, n_work=192)
         assert float(np.abs(twice.coeffs[:8] + h.coeffs).max()) < 1e-3
+
+
+def _sign_integral_mpmath(m, n):
+    """30-digit 2 * integral over x > 0 of h_m h_n (Gauss-Legendre panels)."""
+    with mp.workdps(30):
+        norm = 2 * mp.sqrt(2 / mp.pi) / mp.sqrt(2 ** (m + n) * mp.factorial(m) * mp.factorial(n))
+        r2 = mp.sqrt(2)
+        # h_n decays past its turning point sqrt(n + 1/2); 8 beyond it the
+        # product is below 1e-30
+        panels = mp.linspace(0, mp.sqrt(max(m, n) + 0.5) + 8, 7)
+        value = mp.quad(
+            lambda x: mp.exp(-2 * x * x) * mp.hermite(m, r2 * x) * mp.hermite(n, r2 * x),
+            panels,
+            method="gauss-legendre",
+        )
+        return float(norm * value)
+
+
+class TestSignMatrix:
+    S = _sign_matrix(MAX_WORK_ORDER, MAX_WORK_ORDER)
+
+    @pytest.mark.parametrize(
+        "m,n", [(0, 1), (3, 8), (10, 25), (47, 100), (128, 131), (254, 255)]
+    )
+    def test_matches_mpmath_quad(self, m, n):
+        assert abs(self.S[m, n] - _sign_integral_mpmath(m, n)) < 1e-14
+
+    def test_parity_symmetry_and_contraction(self):
+        S = self.S
+        even = (np.arange(S.shape[0])[:, None] + np.arange(S.shape[1])) % 2 == 0
+        assert np.all(S[even] == 0.0)
+        assert np.array_equal(S, S.T)
+        # sgn has modulus 1, so every compression of it is a contraction
+        assert np.linalg.norm(S, 2) <= 1.0 + 1e-12
+        # the chain's rectangular blocks are slices of the one matrix
+        assert np.array_equal(_sign_matrix(48, 12), S[:48, :12])
 
 
 class TestKernelApply:
