@@ -150,8 +150,7 @@ def _order(args) -> int:
 
 def _to_hermite(data, n: int) -> tuple[HermiteCoeffs, SampledSignal | None]:
     if isinstance(data, SampledSignal):
-        rule = gauss_hermite_rule(max(2 * n, 200))
-        return analyze(data, n, rule), data
+        return analyze(data, n, None), data
     if isinstance(data, FockCoeffs):
         return inverse_bargmann_coeff(data), None
     return data, None

@@ -33,6 +33,7 @@ from .representation import (
     FockCoeffs,
     HermiteCoeffs,
     SampledSignal,
+    analyze,
     bargmann_coeff,
     bargmann_direct,
     fock_eval,
@@ -280,19 +281,14 @@ def _check_hilbert_phase_decomposition(cfg: VerifyConfig):
 
 def _grid_hilbert_coeffs(n: int, order: int) -> FockCoeffs:
     """Classical Hilbert transform of h_n via the long-grid FFT multiplier,
-    projected back onto Hermite coefficients and mapped to the Fock side.
-
-    The projection is the grid's own rectangle rule on |x| <= 12, where
-    h_0..h_23 are below 6e-43: the integrands are smooth and decay like a
-    Gaussian, so the rule is spectrally accurate."""
+    projected back onto Hermite coefficients with the grid's own rectangle
+    rule and mapped to the Fock side."""
     m, dx = 2**17, 0.04
     x0 = -0.5 * m * dx
     # row n alone, cast to complex: no complex copy of the Hermite matrix
     row = hermite_fn_all(n, x0 + dx * np.arange(m))[n].astype(complex)
     hsig = _hilbert.hilbert_classical_grid(SampledSignal(x0, dx, row))
-    x = hsig.grid
-    keep = np.abs(x) <= 12.0
-    return FockCoeffs(dx * (hermite_fn_all(order - 1, x[keep]) @ hsig.values[keep]))
+    return bargmann_coeff(analyze(hsig, order, None))
 
 
 def _check_hilbert_grid_consistency(cfg: VerifyConfig):

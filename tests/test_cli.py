@@ -14,7 +14,16 @@ from fockbridge import fileio
 from fockbridge.cli import run_command
 from fockbridge.frft import frft_coeffs
 from fockbridge.hilbert import HilbertParams, fractional_hilbert
-from fockbridge.representation import FockCoeffs, HermiteCoeffs, inverse_bargmann_coeff, synthesize
+from fockbridge.quadrature import gauss_hermite_rule, plane_gaussian_rule
+from fockbridge.representation import (
+    PLANE_RULE_SIZES,
+    FockCoeffs,
+    HermiteCoeffs,
+    SampledSignal,
+    inverse_bargmann_coeff,
+    synthesize,
+)
+from fockbridge.singular import WaveletSpec, phi_from_g, s_phi_alpha_apply, wavelet_transform
 from fockbridge.verify import default_threads
 
 
@@ -51,7 +60,6 @@ class TestFrftCommand:
         assert rc == 0
         a = fileio.read_signal_csv(workdir / "sig.csv")
         b = fileio.read_signal_csv(workdir / "sig0.csv")
-        # cubic interpolation at the projection nodes bounds the round trip
         assert float(np.abs(a.values - b.values).max()) < 1e-6
 
     def test_fock_input_rotates(self, workdir):
@@ -222,6 +230,62 @@ class TestWaveletCommand:
         assert json.loads((workdir / "phi.json").read_text())["kind"] == "from-g"
 
 
+def _mexican_hat(t):
+    t = np.asarray(t, dtype=float)
+    return (1.0 - 2.0 * t * t) * np.exp(-t * t)
+
+
+def _bump(seed):
+    """A seeded sum of three modulated Gaussians, exact anywhere.  Centres in
+    [-2, 2] and widths up to 1 keep it below 1e-13 beyond |x| = 10."""
+    rng = np.random.default_rng(seed)
+    amp = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    center, width, freq = rng.uniform(-2, 2, 3), rng.uniform(0.5, 1.0, 3), rng.uniform(-2, 2, 3)
+
+    def f(x):
+        x = np.asarray(x, dtype=float)[..., None]
+        return (np.exp(-0.5 * ((x - center) / width) ** 2 + 1j * freq * x) * amp).sum(axis=-1)
+
+    return f
+
+
+class TestSampledRoutesMatchExactFunctions:
+    """Off its grid a CSV signal is its Hermite expansion: the sampled routes
+    agree with the same routes on the exact functions.  Outside its grid a
+    sampled signal is 0, so the signals here have decayed at the grid's
+    edges; otherwise the gap is the signal's size there."""
+
+    GRID = -10.0 + 0.025 * np.arange(801)
+
+    def _write(self, path, func):
+        fileio.write_signal_csv(SampledSignal(-10.0, 0.025, func(self.GRID)), path)
+
+    @pytest.mark.parametrize("seed, s", [(1, 1.3), (2, -0.7), (3, 2.0), (5, 0.5)])
+    def test_wavelet(self, seed, s, workdir):
+        f = _bump(seed)
+        self._write(workdir / "f.csv", f)
+        self._write(workdir / "hat.csv", _mexican_hat)
+        argv = ["wavelet", "--s", repr(s), "--g", "hat.csv", "--in", "f.csv", "--out", "w.csv"]
+        assert run_command(argv) == 0
+        got = fileio.read_signal_csv(workdir / "w.csv")
+        want = wavelet_transform(f, WaveletSpec(_mexican_hat, s), got.grid, gauss_hermite_rule(240))
+        assert float(np.abs(got.values - want).max()) <= 1e-10
+
+    @pytest.mark.parametrize("g, s", [("hat", 1.3), ("bump", -0.8)])
+    def test_symbol_from_g(self, g, s, workdir):
+        exact = _mexican_hat if g == "hat" else _bump(4)
+        self._write(workdir / "g.csv", exact)
+        argv = ["sop", "apply", "--symbol", "from-g", "--g-file", "g.csv", "--s", repr(s),
+                "--in", "F.json", "--z=0.5,0.2", "--z=-0.3,-1.1", "--out", "o.json"]
+        assert run_command(argv) == 0
+        got = [complex(*v["value"]) for v in json.loads((workdir / "o.json").read_text())["values"]]
+        sym = phi_from_g(WaveletSpec(exact, s), gauss_hermite_rule(200))
+        F = fileio.read_coeffs_json(workdir / "F.json")
+        points = [0.5 + 0.2j, -0.3 - 1.1j]
+        want = s_phi_alpha_apply(sym, 0.0, F, points, plane_gaussian_rule(*PLANE_RULE_SIZES))
+        assert float(np.abs(np.array(got) - want).max()) <= 1e-10
+
+
 class TestVerifyCommand:
     def test_small_suite_deterministic_bytes(self, workdir, capsys):
         assert run_command(["verify", "--suite", "basis", "--seed", "42"]) == 0
@@ -355,6 +419,13 @@ class TestContract:
         err = capsys.readouterr().err
         assert err.startswith("fockbridge: error=numerical") and err.count("\n") == 1
 
+    def test_overflowing_signal_projection_is_a_numerical_failure(self, workdir, capsys):
+        fileio.write_signal_csv(SampledSignal(-10.0, 0.025, np.full(801, 1e308)), workdir / "huge.csv")
+        assert run_command(["frft", "--alpha", "0.5", "--in", "huge.csv", "--out", "x.csv"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fockbridge: error=numerical") and err.count("\n") == 1
+        assert not (workdir / "x.csv").exists()
+
     def test_overflowing_symbol_is_a_numerical_failure(self, workdir):
         # a separate process, so any numpy warning would reach its stderr
         taylor = [[0.0, 0.0]] * 19 + [[1e300, 0.0]]
@@ -371,13 +442,47 @@ class TestContract:
         assert proc.stderr.startswith("fockbridge: error=numerical") and proc.stderr.count("\n") == 1
 
 
+#: One command per route that takes a CSV signal, and whether it builds a
+#: line rule: a signal is projected on its own grid, so only the wavelet
+#: routes (whose integrals run on line rules) build one.
+CSV_ROUTES = {
+    "frft": (["frft", "--alpha", "0.7", "--in", "sig.csv", "--out", "o.csv", "--n", "256"], False),
+    "bargmann": (["bargmann", "--in", "sig.csv", "--out", "o.json"], False),
+    "hilbert": (["hilbert", "--alpha", "1.1", "--phi", "0.6", "--in", "sig.csv", "--out", "o.csv"],
+                False),
+    "wavelet": (["wavelet", "--s", "1.5", "--g", "g.csv", "--in", "sig.csv", "--out", "o.csv",
+                 "--symbol-out", "phi.json"], True),
+    "sop_from_g": (["sop", "apply", "--symbol", "from-g", "--g-file", "g.csv", "--s", "1.5",
+                    "--in", "F.json", "--z", "0.5,0.2", "--out", "o.json"], True),
+}
+
+
 class TestImportHygiene:
+    @pytest.mark.parametrize("route", sorted(CSV_ROUTES))
+    def test_csv_routes_load_no_scipy(self, route, workdir):
+        argv, builds_rule = CSV_ROUTES[route]
+        env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
+        code = (
+            "import sys, fockbridge.cli\n"
+            "from fockbridge.quadrature import gauss_hermite_rule\n"
+            f"assert fockbridge.cli.run_command({argv!r}) == 0\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')) or '-')\n"
+            "print(gauss_hermite_rule.cache_info().currsize)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, cwd=workdir, capture_output=True, text=True, timeout=120, check=True,
+        )
+        scipy_modules, rules = proc.stdout.splitlines()
+        assert scipy_modules == "-"
+        assert (int(rules) > 0) == builds_rule
+
     def test_import_leaves_heavy_scipy_submodules_unloaded(self):
         # scipy.interpolate and scipy.integrate both pull in the heavy
-        # scipy.optimize; they load on first use only.  The grid Hilbert
-        # check projects on its own FFT grid, so it needs no spline either,
-        # and the PV check's oracle is the split Gauss-Legendre rule, so
-        # neither check loads any scipy submodule but scipy.special.
+        # scipy.optimize, and no route imports them.  The grid Hilbert check
+        # projects on its own FFT grid and the PV check's oracle is the split
+        # Gauss-Legendre rule, so neither check loads any scipy submodule but
+        # scipy.special.
         env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
         code = (
             "import sys, fockbridge, fockbridge.cli\n"

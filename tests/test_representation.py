@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockbridge import representation
-from fockbridge.errors import ConfigurationError, EnvelopeError
+from fockbridge.errors import ConfigurationError, EnvelopeError, EvaluationFailureError
 from fockbridge.quadrature import gauss_hermite_rule, plane_gaussian_rule
 from fockbridge.representation import (
     FockCoeffs,
@@ -111,8 +112,92 @@ class TestAnalyze:
         h = HermiteCoeffs(np.array([0.5, -0.3j, 0.0, 1.0], dtype=complex))
         sig = synthesize(h, -10.0, 0.005, 4001)
         back = analyze(sig, 4, RULE)
-        # cubic interpolation at the quadrature nodes dominates the error
         np.testing.assert_allclose(back.coeffs, h.coeffs, atol=1e-5)
+
+
+class TestGridProjection:
+    """A SampledSignal is projected by its own grid's rectangle rule."""
+
+    #: (x0, dx, m) of each grid in ROADMAP item 4's table, and the order of
+    #: the random Hermite combination sampled on it.  The table's
+    #: edge-truncated grids are left out: there the signal has not decayed
+    #: and neither projection converges.
+    TABLE = [
+        (-8.0, 0.0125, 1281, 8),
+        (-8.0, 0.0125, 1281, 24),
+        (-10.0, 0.05, 401, 48),
+        (-12.0, 0.2, 121, 24),
+        (-7.3, 0.07, 200, 24),
+    ]
+
+    @pytest.mark.parametrize("x0, dx, m, order", TABLE)
+    def test_at_least_as_accurate_as_a_cubic_spline(self, x0, dx, m, order):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng([order, m])
+        h = HermiteCoeffs(rng.standard_normal(order) + 1j * rng.standard_normal(order))
+        sig = synthesize(h, x0, dx, m)
+        # the spline reference: fit the samples, evaluate on the line rule
+        # (zero off the grid) and project with that rule
+        fvals = CubicSpline(sig.grid, sig.values, extrapolate=False)(RULE.nodes)
+        fvals = np.where(np.isnan(fvals), 0.0, fvals)
+        spline = hermite_fn_all(63, RULE.nodes) @ (RULE.weights_nogauss * fvals)
+        truth = h.padded(64)
+        err_spline = float(np.abs(spline - truth).max())
+        err_grid = float(np.abs(analyze(sig, 64, RULE).coeffs - truth).max())
+        assert err_grid <= err_spline
+
+    def test_overflow_raises_without_a_warning(self):
+        sig = SampledSignal(-10.0, 0.025, np.full(801, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationFailureError):
+                analyze(sig, 64, RULE)
+
+    def test_memory_bounded(self, traced_peak):
+        m = 2**17
+        sig = SampledSignal(-20.0, 40.0 / m, np.exp(-np.linspace(-20.0, 20.0, m) ** 2))
+        # unblocked, the 256 x 2^17 Hermite matrix alone would be 256 MiB
+        assert traced_peak(lambda: analyze(sig, 256, RULE)) <= 16 * 2**20
+
+
+class TestOffGrid:
+    """Off its grid, a sampled signal is its trimmed Hermite expansion, and 0
+    outside the grid."""
+
+    H = HermiteCoeffs(np.array([0.5, -0.3j, 0.0, 1.0, 0.2 + 0.1j], dtype=complex))
+
+    def test_expansion_inside_zero_outside(self):
+        f = representation._as_callable(synthesize(self.H, -8.0, 0.02, 801))
+        x = np.linspace(-8.0, 8.0, 1001)
+        np.testing.assert_allclose(f(x), hermite_eval(self.H, x), rtol=0, atol=1e-13)
+        assert complex(f(0.7)) == pytest.approx(hermite_eval(self.H, 0.7), abs=1e-13)
+        outside = f(np.array([-8.001, 8.001, -30.0, 30.0]))
+        assert outside.dtype == complex and np.all(outside == 0)
+
+    def test_trim_is_scale_invariant_up_to_overflow(self):
+        # a coarse grid spreads the projection over all 128 coefficients, whose
+        # l1 sum passes the largest double at this scale
+        sig = synthesize(self.H, -8.0, 1.0, 17)
+        big = SampledSignal(sig.x0, sig.dx, sig.values * 2.0**1020)
+        x = np.linspace(-8.0, 8.0, 11)
+        big_values = representation._as_callable(big)(x)
+        np.testing.assert_array_equal(big_values, representation._as_callable(sig)(x) * 2.0**1020)
+
+    def test_longest_negligible_tail_trimmed(self, monkeypatch):
+        sig = synthesize(self.H, -8.0, 0.02, 801)
+        used = []
+        real_eval = representation.hermite_eval
+        monkeypatch.setattr(
+            representation, "hermite_eval", lambda h, x: (used.append(h), real_eval(h, x))[1]
+        )
+        representation._as_callable(sig)(np.array([0.1]))
+        c = representation._grid_project(sig, representation.OFF_GRID_ORDER)
+        k = used[0].order
+        np.testing.assert_array_equal(used[0].coeffs, c[:k])
+        bound = np.finfo(float).eps * math.fsum(np.abs(c))
+        assert k < c.size
+        assert math.fsum(np.abs(c[k:])) < bound <= math.fsum(np.abs(c[k - 1 :]))
 
 
 class TestSynthesize:
@@ -125,6 +210,21 @@ class TestSynthesize:
     def test_zero_vector(self):
         s = synthesize(HermiteCoeffs(np.zeros(4, dtype=complex)), 0.0, 0.1, 8)
         assert np.all(s.values == 0)
+
+    def test_blocks_match_one_complex_product(self):
+        rng = np.random.default_rng(4)
+        h = HermiteCoeffs(rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        m = 2**17  # several grid blocks
+        got = synthesize(h, -12.0, 24.0 / m, m).values
+        hmat = hermite_fn_all(4, -12.0 + (24.0 / m) * np.arange(m))
+        # two real products round differently from one complex product
+        scale = np.abs(h.coeffs) @ np.abs(hmat)
+        assert np.all(np.abs(got - h.coeffs @ hmat) <= 4 * np.finfo(float).eps * scale)
+
+    def test_memory_bounded(self, traced_peak):
+        h = HermiteCoeffs(np.array([1.0, 0.5j, 0.2, -0.1, 0.05]))
+        # no complex copy of the 5 x 2^16 Hermite matrix (9 MiB traced with one)
+        assert traced_peak(lambda: synthesize(h, -10.0, 20.0 / 2**16, 2**16)) <= 6 * 2**20
 
     def test_round_trip_band_limited(self):
         rng = np.random.default_rng(11)
