@@ -50,10 +50,9 @@ PLANE_RULE_SIZES = (64, 256)
 #: resolvable by the plane rule).
 INVERSE_DIRECT_MAX_ORDER = 40
 
-#: Order of the Hermite expansion that stands for a sampled signal off its
-#: grid.  Order 64 leaves 4e-7 of error on wavelet inputs that order 128
-#: resolves down to their size at the grid's edges.
-OFF_GRID_ORDER = 128
+#: Samples through which a sampled signal is interpolated between its grid
+#: points: the degree-9 polynomial through the 10 nearest.
+STENCIL = 10
 
 #: Largest Hermite matrix, in float64 entries (2 MiB), that a grid
 #: projection or synthesis forms at once.
@@ -158,25 +157,39 @@ def _grid_project(f: SampledSignal, order: int) -> np.ndarray:
 def _as_callable(f):
     """Wrap a SampledSignal as a callable, zero outside its grid.
 
-    Inside the grid it is the signal's order-OFF_GRID_ORDER grid projection,
-    less the longest trailing run of coefficients whose l1 sum is below
-    eps * ||c||_1; since |h_n| <= 1, that moves no value by more than the
-    bound.
+    Between its grid points it is the polynomial through the STENCIL nearest
+    samples (fewer on shorter grids), in barycentric form; the stencil moves
+    inward at the grid's ends.  Each value uses only nearby samples, so the
+    signal may sit anywhere on the line and need not be smooth.
     """
     if not isinstance(f, SampledSignal):
         return f
-    c = _grid_project(f, OFF_GRID_ORDER)
-    # scaled by an exact power of two, so the l1 sum of finite |c_n| stays finite
-    tail = np.cumsum(np.abs(c[::-1] * 2.0**-10))
-    drop = int(np.count_nonzero(tail < np.finfo(float).eps * tail[-1]))
-    h = HermiteCoeffs(c[: c.size - drop])
-    lo, hi = f.grid[0], f.grid[-1]
+    values = f.values
+    m = values.size
+    k = min(STENCIL, m)
+    # stencil positions down the rows, points across: the sums run over rows
+    offsets = np.arange(k)[:, None]
+    steps = offsets.astype(float)
+    bary = np.array([[(-1.0) ** j * math.comb(k - 1, j)] for j in range(k)])
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
-        inside = (x >= lo) & (x <= hi)
-        out[inside] = hermite_eval(h, x[inside])
+        u = (x - f.x0) / f.dx
+        inside = (u >= 0) & (u <= m - 1)
+        u = u[inside]
+        below = u.astype(np.intp)
+        first = np.minimum(np.maximum(below - (k // 2 - 1), 0), m - k)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # normalized before they meet the samples: the 1/d blow-up near a
+            # grid point never multiplies a sample
+            w = np.divide(bary, (u - first) - steps)
+            w *= 1.0 / w.sum(axis=0)
+            vals = (w * values[first + offsets]).sum(axis=0)
+        # on a grid point the weights are 0/0: take the sample
+        node = u == below
+        vals[node] = values[below[node]]
+        out[inside] = vals
         return out
 
     return evaluate
@@ -186,15 +199,17 @@ def analyze(f, n_coeffs: int, rule: LineRule | None) -> HermiteCoeffs:
     """Project a function (callable or SampledSignal) onto h_0..h_{n-1}.
 
     A SampledSignal is projected with its own grid's rectangle rule and
-    ``rule`` is unused.  A callable is projected with ``rule``, which must
-    have at least twice as many nodes as requested coefficients: the
-    projection integrands have polynomial degree about 2n against the
-    Gaussian weight.
+    ``rule`` is unused (it may be None).  A callable is projected with
+    ``rule``, which must have at least twice as many nodes as requested
+    coefficients: the projection integrands have polynomial degree about 2n
+    against the Gaussian weight.
     """
     if n_coeffs < 1:
         raise ConfigurationError(f"need at least one coefficient, got {n_coeffs}")
     if isinstance(f, SampledSignal):
         return HermiteCoeffs(_grid_project(f, n_coeffs))
+    if rule is None:
+        raise ConfigurationError("a callable needs a line rule to be projected")
     if rule.size < 2 * n_coeffs:
         raise ConfigurationError(
             f"rule of size {rule.size} is too small for {n_coeffs} coefficients; "

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, EnvelopeError
-from .quadrature import LineRule, PlaneRule, _evaluate, gauss_hermite_rule, rule_sum_per_point
+from .quadrature import LineRule, PlaneRule, _evaluate, gauss_hermite_rule, rule_sum
 from .representation import FockCoeffs, _plane_apply, check_envelope, fock_eval
 from .special import A_eval, SQRT_PI, finite_param, shaped_like, sqrt_factorials
 
@@ -66,6 +66,11 @@ _HILBERT_TAYLOR = 60
 
 #: Elements of the wavelet kernel's u × nodes exponential formed at once.
 _INNER_BLOCK = 2**18
+
+#: Arguments at which wavelet_transform evaluates the wavelet at once (a
+#: sampled wavelet's interpolant holds about 360 bytes per argument, so
+#: 1.4 MiB per block).
+_WAVELET_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
@@ -336,14 +341,19 @@ def wavelet_transform(f, spec: WaveletSpec, x, rule: LineRule):
 
     (1/sqrt(|s| pi)) * integral of f(t) g((t - x)/s) dt; both f and g must
     decay like the Hermite-Gaussian class on the rule's node range.  ``f``
-    is evaluated once on the rule's nodes whatever the number of points.
+    is evaluated once on the rule's nodes whatever the number of points, and
+    ``g`` once per block of points.
     """
     t = rule.nodes
     ft = _evaluate(f, t)
-    return rule_sum_per_point(
-        lambda xk: (rule.weights_nogauss, ft * np.asarray(spec.g((t - xk) / spec.s))),
-        x, t, "wavelet integrand", float,
-    ) / math.sqrt(abs(spec.s) * math.pi)
+    points = np.asarray(x, dtype=float).ravel()
+    rows = max(1, _WAVELET_BLOCK // t.size)
+    sums = []
+    for lo in range(0, points.size, rows):
+        args = (t - points[lo : lo + rows, None]) / spec.s
+        gvals = np.asarray(spec.g(args.ravel())).reshape(args.shape)
+        sums += [rule_sum(rule.weights_nogauss, ft * g, t, "wavelet integrand") for g in gvals]
+    return shaped_like(sums, x) / math.sqrt(abs(spec.s) * math.pi)
 
 
 def _inner_wavelet_factor(spec: WaveletSpec, u: np.ndarray, rule: LineRule) -> np.ndarray:

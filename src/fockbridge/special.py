@@ -85,26 +85,16 @@ def hermite_fn(n: int, x: float) -> float:
 def hermite_fn_all(nmax: int, x: np.ndarray) -> np.ndarray:
     """All Hermite functions h_0..h_nmax at the points ``x``.
 
-    Returns an array of shape (nmax+1, len(x)); row n holds h_n.  Each row
-    is formed in place with the operations, in the order, of
-    ``(2x * h_m - sqrt(m) * h_{m-1}) / sqrt(m+1)``: short rows cost numpy's
-    per-call overhead, not arithmetic.
+    Returns an array of shape (nmax+1, len(x)); row n holds h_n.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty((nmax + 1, x.size), dtype=float)
     out[0] = NORM_CONSTANT * np.exp(-x * x)
     if nmax == 0:
         return out
-    two_x = 2.0 * x
-    np.multiply(two_x, out[0], out=out[1])
-    roots = np.sqrt(np.arange(nmax + 1.0)).tolist()
-    tmp = np.empty(x.size)
+    out[1] = 2.0 * x * out[0]
     for m in range(1, nmax):
-        row = out[m + 1]
-        np.multiply(two_x, out[m], out=row)
-        np.multiply(roots[m], out[m - 1], out=tmp)
-        np.subtract(row, tmp, out=row)
-        np.divide(row, roots[m + 1], out=row)
+        out[m + 1] = (2.0 * x * out[m] - math.sqrt(m) * out[m - 1]) / math.sqrt(m + 1)
     return out
 
 

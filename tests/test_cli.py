@@ -235,12 +235,14 @@ def _mexican_hat(t):
     return (1.0 - 2.0 * t * t) * np.exp(-t * t)
 
 
-def _bump(seed):
+def _bump(seed, shift=0.0):
     """A seeded sum of three modulated Gaussians, exact anywhere.  Centres in
-    [-2, 2] and widths up to 1 keep it below 1e-13 beyond |x| = 10."""
+    [shift - 2, shift + 2] and widths up to 1 keep it below 1e-13 beyond
+    |x - shift| = 10."""
     rng = np.random.default_rng(seed)
     amp = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     center, width, freq = rng.uniform(-2, 2, 3), rng.uniform(0.5, 1.0, 3), rng.uniform(-2, 2, 3)
+    center = center + shift
 
     def f(x):
         x = np.asarray(x, dtype=float)[..., None]
@@ -250,15 +252,15 @@ def _bump(seed):
 
 
 class TestSampledRoutesMatchExactFunctions:
-    """Off its grid a CSV signal is its Hermite expansion: the sampled routes
-    agree with the same routes on the exact functions.  Outside its grid a
+    """Between its grid points a CSV signal is a local interpolant of its
+    samples: the sampled routes agree with the same routes on the exact
+    functions, wherever on the line the signal sits.  Outside its grid a
     sampled signal is 0, so the signals here have decayed at the grid's
     edges; otherwise the gap is the signal's size there."""
 
-    GRID = -10.0 + 0.025 * np.arange(801)
-
-    def _write(self, path, func):
-        fileio.write_signal_csv(SampledSignal(-10.0, 0.025, func(self.GRID)), path)
+    def _write(self, path, func, x0=-10.0, m=801):
+        grid = x0 + 0.025 * np.arange(m)
+        fileio.write_signal_csv(SampledSignal(x0, 0.025, func(grid)), path)
 
     @pytest.mark.parametrize("seed, s", [(1, 1.3), (2, -0.7), (3, 2.0), (5, 0.5)])
     def test_wavelet(self, seed, s, workdir):
@@ -271,10 +273,23 @@ class TestSampledRoutesMatchExactFunctions:
         want = wavelet_transform(f, WaveletSpec(_mexican_hat, s), got.grid, gauss_hermite_rule(240))
         assert float(np.abs(got.values - want).max()) <= 1e-10
 
-    @pytest.mark.parametrize("g, s", [("hat", 1.3), ("bump", -0.8)])
+    def test_wavelet_off_centre(self, workdir):
+        # a signal at x = 12 on -20...20, beyond the reach of any order-128
+        # Hermite expansion
+        f = _bump(6, shift=12.0)
+        self._write(workdir / "f.csv", f, x0=-20.0, m=1601)
+        self._write(workdir / "hat.csv", _mexican_hat, x0=-20.0, m=1601)
+        argv = ["wavelet", "--s", "0.8", "--g", "hat.csv", "--in", "f.csv", "--out", "w.csv"]
+        assert run_command(argv) == 0
+        got = fileio.read_signal_csv(workdir / "w.csv")
+        want = wavelet_transform(f, WaveletSpec(_mexican_hat, 0.8), got.grid, gauss_hermite_rule(240))
+        assert float(np.abs(want).max()) > 0.1
+        assert float(np.abs(got.values - want).max()) <= 1e-10
+
+    @pytest.mark.parametrize("g, s", [("hat", 1.3), ("bump", -0.8), ("bump at 12", 0.15)])
     def test_symbol_from_g(self, g, s, workdir):
-        exact = _mexican_hat if g == "hat" else _bump(4)
-        self._write(workdir / "g.csv", exact)
+        exact = {"hat": _mexican_hat, "bump": _bump(4), "bump at 12": _bump(4, shift=12.0)}[g]
+        self._write(workdir / "g.csv", exact, x0=-20.0, m=1601)
         argv = ["sop", "apply", "--symbol", "from-g", "--g-file", "g.csv", "--s", repr(s),
                 "--in", "F.json", "--z=0.5,0.2", "--z=-0.3,-1.1", "--out", "o.json"]
         assert run_command(argv) == 0
@@ -283,6 +298,7 @@ class TestSampledRoutesMatchExactFunctions:
         F = fileio.read_coeffs_json(workdir / "F.json")
         points = [0.5 + 0.2j, -0.3 - 1.1j]
         want = s_phi_alpha_apply(sym, 0.0, F, points, plane_gaussian_rule(*PLANE_RULE_SIZES))
+        assert float(np.abs(want).max()) > 0.01
         assert float(np.abs(np.array(got) - want).max()) <= 1e-10
 
 

@@ -101,6 +101,13 @@ class TestAnalyze:
         with pytest.raises(ConfigurationError):
             analyze(lambda x: np.exp(-x * x), 101, RULE)
 
+    def test_callable_needs_a_rule(self):
+        # a sampled signal is projected on its grid and may come without one
+        with pytest.raises(ConfigurationError):
+            analyze(lambda x: np.exp(-x * x), 4, None)
+        sig = SampledSignal(-8.0, 0.02, np.exp(-np.linspace(-8.0, 8.0, 801) ** 2) + 0j)
+        np.testing.assert_array_equal(analyze(sig, 4, None).coeffs, analyze(sig, 4, RULE).coeffs)
+
     def test_parseval(self):
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal(21) + 1j * rng.standard_normal(21)
@@ -162,42 +169,51 @@ class TestGridProjection:
 
 
 class TestOffGrid:
-    """Off its grid, a sampled signal is its trimmed Hermite expansion, and 0
-    outside the grid."""
+    """Between its grid points a sampled signal is the polynomial through its
+    STENCIL nearest samples, and 0 outside its grid."""
 
     H = HermiteCoeffs(np.array([0.5, -0.3j, 0.0, 1.0, 0.2 + 0.1j], dtype=complex))
 
-    def test_expansion_inside_zero_outside(self):
+    def test_interpolant_inside_zero_outside(self):
         f = representation._as_callable(synthesize(self.H, -8.0, 0.02, 801))
         x = np.linspace(-8.0, 8.0, 1001)
         np.testing.assert_allclose(f(x), hermite_eval(self.H, x), rtol=0, atol=1e-13)
         assert complex(f(0.7)) == pytest.approx(hermite_eval(self.H, 0.7), abs=1e-13)
-        outside = f(np.array([-8.001, 8.001, -30.0, 30.0]))
+        outside = f(np.array([-8.001, 8.001, -30.0, 30.0, np.nan, np.inf]))
         assert outside.dtype == complex and np.all(outside == 0)
 
-    def test_trim_is_scale_invariant_up_to_overflow(self):
-        # a coarse grid spreads the projection over all 128 coefficients, whose
-        # l1 sum passes the largest double at this scale
-        sig = synthesize(self.H, -8.0, 1.0, 17)
-        big = SampledSignal(sig.x0, sig.dx, sig.values * 2.0**1020)
-        x = np.linspace(-8.0, 8.0, 11)
-        big_values = representation._as_callable(big)(x)
-        np.testing.assert_array_equal(big_values, representation._as_callable(sig)(x) * 2.0**1020)
+    def test_grid_points_take_their_samples(self):
+        sig = SampledSignal(-2.0, 0.25, np.arange(17.0) ** 2 * (1.0 - 0.5j))
+        f = representation._as_callable(sig)
+        np.testing.assert_array_equal(f(sig.grid), sig.values)
+        np.testing.assert_array_equal(f(sig.grid.reshape(1, 17)), sig.values.reshape(1, 17))
 
-    def test_longest_negligible_tail_trimmed(self, monkeypatch):
-        sig = synthesize(self.H, -8.0, 0.02, 801)
-        used = []
-        real_eval = representation.hermite_eval
-        monkeypatch.setattr(
-            representation, "hermite_eval", lambda h, x: (used.append(h), real_eval(h, x))[1]
-        )
-        representation._as_callable(sig)(np.array([0.1]))
-        c = representation._grid_project(sig, representation.OFF_GRID_ORDER)
-        k = used[0].order
-        np.testing.assert_array_equal(used[0].coeffs, c[:k])
-        bound = np.finfo(float).eps * math.fsum(np.abs(c))
-        assert k < c.size
-        assert math.fsum(np.abs(c[k:])) < bound <= math.fsum(np.abs(c[k - 1 :]))
+    @pytest.mark.parametrize("m", [2, 5, representation.STENCIL, 40])
+    def test_polynomials_below_the_stencil_degree_are_exact(self, m):
+        # up to the grid's ends, where the stencil moves inward
+        degree = min(representation.STENCIL, m) - 1
+        coeffs = np.random.default_rng(m).standard_normal(degree + 1)
+        sig = SampledSignal(1.5, 0.125, np.polyval(coeffs, 1.5 + 0.125 * np.arange(m)) + 0j)
+        x = np.linspace(sig.grid[0], sig.grid[-1], 333)
+        got = representation._as_callable(sig)(x)
+        np.testing.assert_allclose(got, np.polyval(coeffs, x), rtol=1e-12)
+
+    @pytest.mark.parametrize("x0, centre", [(-20.0, 12.0), (100.0, 105.0)])
+    def test_signal_anywhere_on_the_line(self, x0, centre):
+        # beyond |x| ~ 11, where no order-128 Hermite expansion reaches
+        exact = lambda x: np.exp(-((x - centre) ** 2) + 2j * x)
+        m = 1601
+        f = representation._as_callable(SampledSignal(x0, 0.025, exact(x0 + 0.025 * np.arange(m))))
+        x = np.random.default_rng(0).uniform(x0, x0 + 0.025 * (m - 1), 5000)
+        assert float(np.abs(f(x) - exact(x)).max()) <= 1e-10
+
+    def test_huge_samples_stay_finite_without_a_warning(self):
+        sig = SampledSignal(-1.0, 0.01, np.cos(np.linspace(-1.0, 1.0, 201)) * 2.0**1020 + 0j)
+        x = np.linspace(-1.0, 1.0, 1001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = representation._as_callable(sig)(x)
+        np.testing.assert_allclose(got / 2.0**1020, np.cos(x), rtol=0, atol=1e-12)
 
 
 class TestSynthesize:
