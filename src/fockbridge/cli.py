@@ -29,13 +29,13 @@ from .representation import (
     FockCoeffs,
     HermiteCoeffs,
     SampledSignal,
-    _as_callable,
     analyze,
     bargmann_coeff,
     inverse_bargmann_coeff,
     synthesize,
 )
 from .singular import (
+    GROWTH_CAP,
     WaveletSpec,
     const_symbol,
     gaussian_symbol,
@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
         q.add_argument("--s", type=float, default=1.0, help="dilation for from-g")
         q.add_argument("--g-file", help="CSV signal sampling the wavelet g (for from-g)")
         q.add_argument("--alpha", type=float, default=0.0, help="rotation angle of the operator")
-        q.add_argument("--growth-cap", type=float, default=0.4,
+        q.add_argument("--growth-cap", type=float, default=GROWTH_CAP,
                        help="largest admissible symbol growth bound (0.5 admits the principal-value symbol)")
         if name == "apply":
             q.add_argument("--in", dest="infile", required=True, help="Fock coefficient JSON")
@@ -243,7 +243,7 @@ def _symbol_from_args(args):
         if not args.g_file:
             raise UsageError("from-g symbol needs --g-file CSV")
         gsig = fileio.read_signal_csv(args.g_file)
-        return phi_from_g(WaveletSpec(_as_callable(gsig), args.s), gauss_hermite_rule(200))
+        return phi_from_g(WaveletSpec(gsig, args.s), gauss_hermite_rule(200))
     raise UsageError(f"unknown symbol kind {args.symbol!r}")
 
 
@@ -285,36 +285,38 @@ def _cmd_sop(args) -> int:
 def _cmd_wavelet(args) -> int:
     gsig = fileio.read_signal_csv(args.gfile)
     fsig = fileio.read_signal_csv(args.infile)
-    spec = WaveletSpec(_as_callable(gsig), args.s)
+    spec = WaveletSpec(gsig, args.s)
     if args.symbol_out:
         fileio.write_symbol_json(phi_from_g(spec, gauss_hermite_rule(200)), args.symbol_out)
-    values = wavelet_transform(_as_callable(fsig), spec, fsig.grid, gauss_hermite_rule(240))
+    values = wavelet_transform(fsig, spec, fsig.grid, gauss_hermite_rule(240))
     fileio.write_signal_csv(SampledSignal(fsig.x0, fsig.dx, values), args.outfile)
     return 0
 
 
-_VERIFY_CONFIG_KEYS = ("suite", "seed", "timings", "compact", "threads", "out")
+#: key: (built-in default, the JSON types a config file may give it)
+_VERIFY_CONFIG = {
+    "suite": ("all", (str,)),
+    "seed": (42, (int,)),
+    "timings": (False, (bool,)),
+    "compact": (False, (bool,)),
+    "threads": (None, (int, type(None))),
+    "out": (None, (str, type(None))),
+}
 
 
 def _verify_settings(args) -> dict:
     """Flag > config file > built-in default, per key."""
-    from_file = {}
-    if args.config:
-        try:
-            from_file = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{args.config}: invalid JSON ({exc})") from exc
-        unknown = set(from_file) - set(_VERIFY_CONFIG_KEYS)
-        if unknown:
-            raise UsageError(f"{args.config}: unknown keys {sorted(unknown)}")
-    defaults = {
-        "suite": "all", "seed": 42, "timings": False,
-        "compact": False, "threads": None, "out": None,
-    }
+    from_file = fileio._read_object(args.config) if args.config else {}
+    unknown = set(from_file) - set(_VERIFY_CONFIG)
+    if unknown:
+        raise UsageError(f"{args.config}: unknown keys {sorted(unknown)}")
     out = {}
-    for key in _VERIFY_CONFIG_KEYS:
+    for key, (default, types) in _VERIFY_CONFIG.items():
+        # exact types: a JSON true is not an integer seed
+        if key in from_file and type(from_file[key]) not in types:
+            raise UsageError(f"{args.config}: {key} must be {types[0].__name__}, got {from_file[key]!r}")
         flag = getattr(args, "outfile" if key == "out" else key)
-        out[key] = flag if flag is not None else from_file.get(key, defaults[key])
+        out[key] = flag if flag is not None else from_file.get(key, default)
     return out
 
 

@@ -9,10 +9,11 @@ Rules are immutable and cached by size; a float size is refused rather
 than served a cached rule.  Gauss-Hermite and Gauss-Laguerre nodes come
 from Golub-Welsch: the eigenvalues of the rule's Jacobi matrix, computed by
 LAPACK's ``dsterf`` (implicit QL/QR) through ``numpy.linalg``, so building
-a rule loads no scipy module.  Every rule sum in the package goes through
-one reducer, :func:`rule_sum`: exactly-rounded summation (math.fsum) in
-fixed node order, so every integral is bit-reproducible however its
-integrand values were produced, and a non-finite term is refused.
+a rule loads no scipy module.  Rule sums go through one reducer,
+:func:`rule_sum`: exactly-rounded summation (math.fsum) in fixed node
+order, so each such integral is bit-reproducible however its integrand
+values were produced, and a non-finite term is refused.  The Hermite
+projection and expansion (``representation``) reduce with BLAS instead.
 """
 
 from __future__ import annotations

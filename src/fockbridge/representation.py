@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, EnvelopeError, EvaluationFailureError
-from .quadrature import LineRule, PlaneRule, _evaluate, rule_sum, rule_sum_per_point
-from .special import NORM_CONSTANT, hermite_fn_all, shaped_like
+from .quadrature import LineRule, PlaneRule, _check_finite, _evaluate, rule_sum_per_point
+from .special import NORM_CONSTANT, finite_param, hermite_fn_all, shaped_like
 
 __all__ = [
     "SampledSignal",
@@ -54,14 +54,20 @@ INVERSE_DIRECT_MAX_ORDER = 40
 #: points: the degree-9 polynomial through the 10 nearest.
 STENCIL = 10
 
-#: Largest Hermite matrix, in float64 entries (2 MiB), that a grid
-#: projection or synthesis forms at once.
+#: Largest Hermite matrix, in float64 entries (2 MiB), that a projection or
+#: an expansion forms at once.
 _GRID_BLOCK = 2**18
 
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Complex samples of a function on the uniform grid x0 + dx*arange(m)."""
+    """Complex samples of a function on the uniform grid x0 + dx*arange(m).
+
+    Called at points, it is 0 off its grid and, between grid points, the
+    polynomial through the STENCIL nearest samples (fewer on short grids) in
+    barycentric form, the stencil moved inward at the grid's ends.  Each value
+    uses only nearby samples, so the signal may sit anywhere on the line.
+    """
 
     x0: float
     dx: float
@@ -73,8 +79,11 @@ class SampledSignal:
         object.__setattr__(self, "values", vals)
         if vals.size < 2:
             raise ConfigurationError(f"signal needs at least 2 samples, got {vals.size}")
+        x0 = finite_param(self.x0, "grid origin x0")
         if not self.dx > 0.0:
             raise ConfigurationError(f"grid spacing must be positive, got {self.dx}")
+        dx = finite_param(self.dx, "grid spacing dx")
+        finite_param(x0 + dx * (vals.size - 1), "last grid point x0 + dx*(m-1)")
         if not np.all(np.isfinite(vals)):
             raise ConfigurationError("signal contains non-finite samples")
 
@@ -85,6 +94,32 @@ class SampledSignal:
     def norm(self) -> float:
         """Discrete L^2 norm sqrt(dx * sum |v|^2)."""
         return math.sqrt(self.dx * float(np.sum(np.abs(self.values) ** 2)))
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        values = self.values
+        m = values.size
+        k = min(STENCIL, m)
+        # stencil positions down the rows, points across: the sums run over rows
+        offsets = np.arange(k)[:, None]
+        bary = np.array([[(-1.0) ** j * math.comb(k - 1, j)] for j in range(k)])
+        out = np.zeros(x.shape, dtype=complex)
+        u = (x - self.x0) / self.dx
+        inside = (u >= 0) & (u <= m - 1)
+        u = u[inside]
+        below = u.astype(np.intp)
+        first = np.minimum(np.maximum(below - (k // 2 - 1), 0), m - k)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # normalized before they meet the samples: the 1/d blow-up near a
+            # grid point never multiplies a sample
+            w = np.divide(bary, (u - first) - offsets)
+            w *= 1.0 / w.sum(axis=0)
+            vals = (w * values[first + offsets]).sum(axis=0)
+        # on a grid point the weights are 0/0: take the sample
+        node = u == below
+        vals[node] = values[below[node]]
+        out[inside] = vals
+        return out
 
 
 class _CoeffVector:
@@ -136,109 +171,68 @@ def _hermite_blocks(order: int, x: np.ndarray):
         yield block, hermite_fn_all(order - 1, x[block])
 
 
-def _grid_project(f: SampledSignal, order: int) -> np.ndarray:
-    """c_n = dx * sum_j h_n(x_j) f(x_j) for n < order: the grid's own
-    rectangle rule, spectrally accurate for smooth signals that have decayed
-    at both ends of the grid.  Real and imaginary parts are two real
-    products, so the Hermite matrix is never cast to complex; an overflowing
-    projection raises EvaluationFailureError."""
+def _hermite_project(x: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
+    """sum_j h_n(x_j) v_j for n < order: real and imaginary parts are two
+    real products per block, so the Hermite matrix is never cast to complex.
+    An overflow gives a non-finite entry, for the caller to refuse."""
     re = np.zeros(order)
     im = np.zeros(order)
     with np.errstate(over="ignore", invalid="ignore"):
-        for block, hmat in _hermite_blocks(order, f.grid):
-            re += hmat @ f.values.real[block]
-            im += hmat @ f.values.imag[block]
-        coeffs = f.dx * (re + 1j * im)
-    if not np.all(np.isfinite(coeffs)):
-        raise EvaluationFailureError("grid projection: the rule sum overflows")
-    return coeffs
-
-
-def _as_callable(f):
-    """Wrap a SampledSignal as a callable, zero outside its grid.
-
-    Between its grid points it is the polynomial through the STENCIL nearest
-    samples (fewer on shorter grids), in barycentric form; the stencil moves
-    inward at the grid's ends.  Each value uses only nearby samples, so the
-    signal may sit anywhere on the line and need not be smooth.
-    """
-    if not isinstance(f, SampledSignal):
-        return f
-    values = f.values
-    m = values.size
-    k = min(STENCIL, m)
-    # stencil positions down the rows, points across: the sums run over rows
-    offsets = np.arange(k)[:, None]
-    steps = offsets.astype(float)
-    bary = np.array([[(-1.0) ** j * math.comb(k - 1, j)] for j in range(k)])
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        u = (x - f.x0) / f.dx
-        inside = (u >= 0) & (u <= m - 1)
-        u = u[inside]
-        below = u.astype(np.intp)
-        first = np.minimum(np.maximum(below - (k // 2 - 1), 0), m - k)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # normalized before they meet the samples: the 1/d blow-up near a
-            # grid point never multiplies a sample
-            w = np.divide(bary, (u - first) - steps)
-            w *= 1.0 / w.sum(axis=0)
-            vals = (w * values[first + offsets]).sum(axis=0)
-        # on a grid point the weights are 0/0: take the sample
-        node = u == below
-        vals[node] = values[below[node]]
-        out[inside] = vals
-        return out
-
-    return evaluate
+        for block, hmat in _hermite_blocks(order, x):
+            re += hmat @ v.real[block]
+            im += hmat @ v.imag[block]
+        return re + 1j * im
 
 
 def analyze(f, n_coeffs: int, rule: LineRule | None) -> HermiteCoeffs:
     """Project a function (callable or SampledSignal) onto h_0..h_{n-1}.
 
-    A SampledSignal is projected with its own grid's rectangle rule and
+    A SampledSignal is projected with its own grid's rectangle rule
+    (spectrally accurate for smooth signals decayed at both grid ends) and
     ``rule`` is unused (it may be None).  A callable is projected with
     ``rule``, which must have at least twice as many nodes as requested
     coefficients: the projection integrands have polynomial degree about 2n
-    against the Gaussian weight.
+    against the Gaussian weight.  A non-finite value or sum raises
+    EvaluationFailureError.
     """
     if n_coeffs < 1:
         raise ConfigurationError(f"need at least one coefficient, got {n_coeffs}")
     if isinstance(f, SampledSignal):
-        return HermiteCoeffs(_grid_project(f, n_coeffs))
-    if rule is None:
-        raise ConfigurationError("a callable needs a line rule to be projected")
-    if rule.size < 2 * n_coeffs:
-        raise ConfigurationError(
-            f"rule of size {rule.size} is too small for {n_coeffs} coefficients; "
-            f"need at least {2 * n_coeffs} nodes"
-        )
-    fvals = np.asarray(f(rule.nodes), dtype=complex)
-    hmat = hermite_fn_all(n_coeffs - 1, rule.nodes)
-    weighted = rule.weights_nogauss * fvals
-    return HermiteCoeffs(
-        [rule_sum(hmat[n], weighted, rule.nodes, "analysis integrand") for n in range(n_coeffs)]
-    )
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = f.dx * _hermite_project(f.grid, f.values, n_coeffs)
+    else:
+        if rule is None:
+            raise ConfigurationError("a callable needs a line rule to be projected")
+        if rule.size < 2 * n_coeffs:
+            raise ConfigurationError(
+                f"rule of size {rule.size} is too small for {n_coeffs} coefficients; "
+                f"need at least {2 * n_coeffs} nodes"
+            )
+        with np.errstate(all="ignore"):  # non-finite values are refused below
+            weighted = rule.weights_nogauss * np.asarray(f(rule.nodes), dtype=complex)
+        _check_finite(weighted, rule.nodes, "analysis integrand")
+        coeffs = _hermite_project(rule.nodes, weighted, n_coeffs)
+    if not np.all(np.isfinite(coeffs)):
+        raise EvaluationFailureError("analysis: the rule sum overflows")
+    return HermiteCoeffs(coeffs)
 
 
 def synthesize(coeffs: HermiteCoeffs, x0: float, dx: float, m: int) -> SampledSignal:
-    """Evaluate sum_n c_n h_n on a uniform grid, in bounded blocks of the
-    Hermite matrix and as two real products (no complex copy of it)."""
-    grid = x0 + dx * np.arange(m)
-    out = np.empty(m, dtype=complex)
-    c = coeffs.coeffs
-    for block, hmat in _hermite_blocks(coeffs.order, grid):
-        out.real[block] = c.real @ hmat
-        out.imag[block] = c.imag @ hmat
-    return SampledSignal(x0, dx, out)
+    """Evaluate sum_n c_n h_n on a uniform grid."""
+    with np.errstate(all="ignore"):  # a non-finite grid is refused below
+        values = hermite_eval(coeffs, x0 + dx * np.arange(m))
+    return SampledSignal(x0, dx, values)
 
 
 def hermite_eval(coeffs: HermiteCoeffs, x):
-    """Pointwise sum_n c_n h_n(x); scalar in, scalar out."""
-    xarr = np.atleast_1d(np.asarray(x, dtype=float))
-    return shaped_like(coeffs.coeffs @ hermite_fn_all(coeffs.order - 1, xarr), x)
+    """Pointwise sum_n c_n h_n(x), scalar in, scalar out: in bounded blocks
+    of the Hermite matrix and as two real products (no complex copy of it)."""
+    xarr = np.asarray(x, dtype=float).ravel()
+    out = np.empty(xarr.size, dtype=complex)
+    for block, hmat in _hermite_blocks(coeffs.order, xarr):
+        out.real[block] = coeffs.coeffs.real @ hmat
+        out.imag[block] = coeffs.coeffs.imag @ hmat
+    return shaped_like(out, x)
 
 
 def bargmann_coeff(h: HermiteCoeffs) -> FockCoeffs:
@@ -313,7 +307,7 @@ def bargmann_direct(f, z, rule: LineRule, z_max: float = DEFAULT_Z_MAX):
     """
     check_envelope(None, z, z_max)
     x = rule.nodes
-    fx = _evaluate(_as_callable(f), x)
+    fx = _evaluate(f, x)
     return NORM_CONSTANT * rule_sum_per_point(
         lambda zk: (rule.weights_nogauss, fx * np.exp(2.0 * x * zk - x * x - 0.5 * zk * zk)),
         z, x, "Bargmann integrand",

@@ -358,6 +358,19 @@ class TestVerifyCommand:
             assert run_command(["verify", "--config", "cfg.json"]) == 2
 
     @pytest.mark.parametrize(
+        "doc",
+        ['{"suite": "basis", "threads": "2"}', '{"suite": "basis", "out": 5}',
+         '{"suite": "basis", "seed": 1.5}', '{"suite": "basis", "seed": true}', "[5]"],
+    )
+    def test_config_file_refuses_ill_typed_values(self, doc, workdir, capsys):
+        (workdir / "cfg.json").write_text(doc)
+        assert run_command(["verify", "--config", "cfg.json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "flag, value",
         [("--order", "64"), ("--line-size", "100"), ("--plane-radial", "32"),
          ("--plane-angular", "128")],

@@ -45,6 +45,20 @@ class TestTypes:
         with pytest.raises(ConfigurationError):
             SampledSignal(0.0, 0.1, np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("x0, dx", [(np.inf, 0.1), (np.nan, 0.1), (0.0, np.inf), (1e308, 1e308)])
+    def test_signal_refuses_a_non_finite_grid(self, x0, dx):
+        # the last pair overflows at the grid's last point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                SampledSignal(x0, dx, np.ones(3))
+
+    def test_synthesize_blames_a_non_finite_grid(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="grid origin"):
+                synthesize(unit_hermite(1), np.nan, 0.1, 8)
+
     def test_signal_norm(self):
         s = SampledSignal(0.0, 0.5, np.array([3.0, 4.0]))
         assert s.norm() == pytest.approx(math.sqrt(0.5 * 25.0))
@@ -107,6 +121,40 @@ class TestAnalyze:
             analyze(lambda x: np.exp(-x * x), 4, None)
         sig = SampledSignal(-8.0, 0.02, np.exp(-np.linspace(-8.0, 8.0, 801) ** 2) + 0j)
         np.testing.assert_array_equal(analyze(sig, 4, None).coeffs, analyze(sig, 4, RULE).coeffs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_callable_failure_names_its_node(self, bad):
+        k = 57
+
+        def f(x):
+            out = np.exp(-x * x) + 0j
+            out[k] = bad
+            return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationFailureError) as err:
+                analyze(f, 8, RULE)
+        assert err.value.node_index == k and err.value.node == RULE.nodes[k]
+
+    def test_callable_sum_overflow_raises_without_a_warning(self):
+        # every weighted value is finite; their sum against h_0 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationFailureError):
+                analyze(lambda x: np.full(x.shape, 1.7e308), 4, RULE)
+
+    def test_callable_sums_within_rounding_of_exactly_rounded_ones(self):
+        # BLAS adds the terms in another order than math.fsum; a recursive
+        # sum of n terms is off by at most about n*u times their magnitudes
+        h = HermiteCoeffs(np.random.default_rng(8).standard_normal(16) * (1.0 - 0.7j))
+        f = lambda x: hermite_eval(h, x)
+        got = analyze(f, 16, RULE).coeffs
+        terms = hermite_fn_all(15, RULE.nodes) * (RULE.weights_nogauss * f(RULE.nodes))
+        bound = RULE.size * np.finfo(float).eps
+        for part in (np.real, np.imag):
+            exact = np.array([math.fsum(row) for row in part(terms)])
+            assert np.all(np.abs(part(got) - exact) <= bound * np.abs(part(terms)).sum(axis=1))
 
     def test_parseval(self):
         rng = np.random.default_rng(3)
@@ -175,7 +223,7 @@ class TestOffGrid:
     H = HermiteCoeffs(np.array([0.5, -0.3j, 0.0, 1.0, 0.2 + 0.1j], dtype=complex))
 
     def test_interpolant_inside_zero_outside(self):
-        f = representation._as_callable(synthesize(self.H, -8.0, 0.02, 801))
+        f = synthesize(self.H, -8.0, 0.02, 801)
         x = np.linspace(-8.0, 8.0, 1001)
         np.testing.assert_allclose(f(x), hermite_eval(self.H, x), rtol=0, atol=1e-13)
         assert complex(f(0.7)) == pytest.approx(hermite_eval(self.H, 0.7), abs=1e-13)
@@ -184,7 +232,7 @@ class TestOffGrid:
 
     def test_grid_points_take_their_samples(self):
         sig = SampledSignal(-2.0, 0.25, np.arange(17.0) ** 2 * (1.0 - 0.5j))
-        f = representation._as_callable(sig)
+        f = sig
         np.testing.assert_array_equal(f(sig.grid), sig.values)
         np.testing.assert_array_equal(f(sig.grid.reshape(1, 17)), sig.values.reshape(1, 17))
 
@@ -195,7 +243,7 @@ class TestOffGrid:
         coeffs = np.random.default_rng(m).standard_normal(degree + 1)
         sig = SampledSignal(1.5, 0.125, np.polyval(coeffs, 1.5 + 0.125 * np.arange(m)) + 0j)
         x = np.linspace(sig.grid[0], sig.grid[-1], 333)
-        got = representation._as_callable(sig)(x)
+        got = sig(x)
         np.testing.assert_allclose(got, np.polyval(coeffs, x), rtol=1e-12)
 
     @pytest.mark.parametrize("x0, centre", [(-20.0, 12.0), (100.0, 105.0)])
@@ -203,7 +251,7 @@ class TestOffGrid:
         # beyond |x| ~ 11, where no order-128 Hermite expansion reaches
         exact = lambda x: np.exp(-((x - centre) ** 2) + 2j * x)
         m = 1601
-        f = representation._as_callable(SampledSignal(x0, 0.025, exact(x0 + 0.025 * np.arange(m))))
+        f = SampledSignal(x0, 0.025, exact(x0 + 0.025 * np.arange(m)))
         x = np.random.default_rng(0).uniform(x0, x0 + 0.025 * (m - 1), 5000)
         assert float(np.abs(f(x) - exact(x)).max()) <= 1e-10
 
@@ -212,8 +260,25 @@ class TestOffGrid:
         x = np.linspace(-1.0, 1.0, 1001)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = representation._as_callable(sig)(x)
+            got = sig(x)
         np.testing.assert_allclose(got / 2.0**1020, np.cos(x), rtol=0, atol=1e-12)
+
+
+class TestHermiteEval:
+    H = HermiteCoeffs(np.random.default_rng(5).standard_normal(64) * (1.0 + 0.5j))
+
+    def test_shapes(self):
+        x = np.linspace(-3.0, 3.0, 6)
+        flat = hermite_eval(self.H, x)
+        assert flat.shape == (6,) and flat.dtype == complex
+        np.testing.assert_array_equal(hermite_eval(self.H, x.reshape(2, 3)), flat.reshape(2, 3))
+        one = hermite_eval(self.H, float(x[2]))
+        assert isinstance(one, complex) and one == pytest.approx(flat[2], rel=1e-14)
+
+    def test_memory_bounded(self, traced_peak):
+        x = np.linspace(-10.0, 10.0, 2**16)
+        # a complex copy of the 64 x 2^16 Hermite matrix traces 97 MiB
+        assert traced_peak(lambda: hermite_eval(self.H, x)) <= 8 * 2**20
 
 
 class TestSynthesize:

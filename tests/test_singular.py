@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -204,6 +205,49 @@ class TestDerivRoute:
     def test_degree_cap(self):
         with pytest.raises(EnvelopeError):
             s_phi_apply_deriv(np.ones(41), unit_fock(0))
+
+
+def _deriv_matrix_mpmath(mono, n, alpha):
+    """<S e_m, e_i> for the rotated polynomial symbol, in 30 digits.
+
+    phi(e^{ia}z - e^{-ia}conj(w)) expands binomially, and the j-th
+    derivative of the reproducing identity turns conj(w)^j e^{z conj(w)}
+    into f^(j)(z); on f = e_m = z^m/sqrt(m!) the (k, j) term lands on
+    e_i with i = k + m - 2j.
+    """
+    out = np.zeros((n, n), dtype=complex)
+    with mp.workdps(30):
+        ea = mp.expj(alpha)
+        for m in range(n):
+            col = [mp.mpc(0)] * n
+            for k, a in enumerate(mono):
+                for j in range(min(k, m) + 1):
+                    i = k + m - 2 * j
+                    if i < n:
+                        col[i] += (
+                            mp.mpc(a) * mp.binomial(k, j) * (-1) ** j * ea ** (k - 2 * j)
+                            * mp.factorial(m) / mp.factorial(m - j)
+                            * mp.sqrt(mp.factorial(i) / mp.factorial(m))
+                        )
+            out[:, m] = [complex(v) for v in col]
+    return out
+
+
+class TestDerivRouteOracle:
+    """The derivative route is verify's oracle for the quadrature route; it is
+    itself held to a high-precision evaluation of the same identity."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    @pytest.mark.parametrize("degree", [0, 1, 3, 8])
+    def test_matrix_matches_mpmath(self, degree, n, alpha):
+        rng = np.random.default_rng([degree, n])
+        mono = (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)) * (
+            0.6 ** np.arange(degree + 1)
+        )
+        got = s_phi_matrix(poly_symbol(mono), n, PLANE, alpha=alpha, method="deriv").entries
+        want = _deriv_matrix_mpmath(mono, n, alpha)
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
 class TestRotatedOperator:
