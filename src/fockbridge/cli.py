@@ -322,6 +322,8 @@ def _verify_settings(args) -> dict:
 
 def _cmd_verify(args) -> int:
     opts = _verify_settings(args)
+    if opts["threads"] is not None and opts["threads"] < 1:
+        raise UsageError(f"threads must be at least 1, got {opts['threads']}")
     cap = default_threads()
     want = opts["threads"] or cap or 1
     threads = min(want, cap) if cap else want

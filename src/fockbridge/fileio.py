@@ -1,7 +1,10 @@
 """On-disk formats: CSV signals, coefficient JSON, symbol JSON.
 
 Signal CSV: header ``x,re,im``, one row per sample, UTF-8, LF line endings,
-strictly uniform grid.  Coefficient JSON:
+strictly uniform grid.  Signal CSVs are streamed: the reader holds one line
+of text at a time and parses it into one flat float buffer (24 bytes per row),
+the writer formats ``_WRITE_CHUNK`` rows at a time, and neither holds the
+file's text or a Python object per row.  Coefficient JSON:
 ``{"basis": "hermite"|"fock", "n": N, "coeffs": [[re, im], ...]}``.
 Symbol JSON: ``{"kind": ..., "params": {...}, "taylor": [[re, im], ...]}``.
 """
@@ -9,6 +12,7 @@ Symbol JSON: ``{"kind": ..., "params": {...}, "taylor": [[re, im], ...]}``.
 from __future__ import annotations
 
 import json
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -27,27 +31,36 @@ __all__ = [
 ]
 
 _GRID_RTOL = 1e-9
+#: rows per formatted chunk when writing a signal CSV
+_WRITE_CHUNK = 4096
 
 
 def write_signal_csv(signal: SampledSignal, path) -> None:
-    lines = ["x,re,im"]
-    for x, v in zip(signal.grid, signal.values):
-        lines.append(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}")
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    grid, values = signal.grid, signal.values
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("x,re,im\n")
+        for lo in range(0, values.size, _WRITE_CHUNK):
+            hi = lo + _WRITE_CHUNK
+            fh.write("".join(
+                f"{x!r},{v.real!r},{v.imag!r}\n"
+                for x, v in zip(grid[lo:hi].tolist(), values[lo:hi].tolist())
+            ))
 
 
 def read_signal_csv(path) -> SampledSignal:
-    text = Path(path).read_text(encoding="utf-8")
-    rows = [line for line in text.splitlines() if line.strip()]
-    if not rows or rows[0].strip().lower() != "x,re,im":
-        raise ConfigurationError(f"{path}: expected header 'x,re,im'")
-    try:
-        data = np.array(
-            [[float(c) for c in row.split(",")] for row in rows[1:]], dtype=float
-        )
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: malformed row ({exc})") from exc
-    if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 2:
+    buf = array("d")
+    with open(path, encoding="utf-8") as fh:
+        rows = (line for line in fh if line.strip())
+        if next(rows, "").strip().lower() != "x,re,im":
+            raise ConfigurationError(f"{path}: expected header 'x,re,im'")
+        for row in rows:
+            try:
+                x, re, im = row.split(",")
+                buf.extend((float(x), float(re), float(im)))
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}: malformed row ({exc})") from exc
+    data = np.frombuffer(buf, dtype=float).reshape(-1, 3)
+    if data.shape[0] < 2:
         raise ConfigurationError(f"{path}: need at least 2 rows of x,re,im")
     x = data[:, 0]
     steps = np.diff(x)

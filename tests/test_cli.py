@@ -393,6 +393,26 @@ class TestUsageErrors:
     def test_bad_n(self, workdir):
         assert run_command(["frft", "--alpha", "1", "--in", "sig.csv", "--out", "x.csv", "--n", "400"]) == 2
 
+    @pytest.mark.parametrize("count, rc", [(-2, 2), (0, 2), (1, 0)])
+    def test_thread_count_flag(self, count, rc, workdir, capsys):
+        assert run_command(["verify", "--suite", "basis", "--threads", str(count)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
+        else:
+            assert err == ""
+
+    @pytest.mark.parametrize("count, rc", [(-2, 2), (0, 2), (1, 0)])
+    def test_thread_count_config_key(self, count, rc, workdir, capsys):
+        (workdir / "cfg.json").write_text(json.dumps({"suite": "basis", "threads": count}))
+        assert run_command(["verify", "--config", "cfg.json"]) == rc
+        out, err = capsys.readouterr()
+        if rc:
+            assert out == ""
+            assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
+        else:
+            assert json.loads(out)["passed"] is True
+
 
 #: Non-finite values where they enter: each must be refused, not written out.
 NONFINITE = {

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,128 @@ class TestSignalCsv:
         path.write_text("x,re,im\n0.0,1,0\n0.1,one,0\n")
         with pytest.raises(ConfigurationError):
             fileio.read_signal_csv(path)
+
+
+def _whole_file_read(path) -> SampledSignal:
+    """The reader before streaming: the whole text, split into lines."""
+    text = Path(path).read_text(encoding="utf-8")
+    rows = [line for line in text.splitlines() if line.strip()]
+    if not rows or rows[0].strip().lower() != "x,re,im":
+        raise ConfigurationError(f"{path}: expected header 'x,re,im'")
+    try:
+        data = np.array([[float(c) for c in row.split(",")] for row in rows[1:]], dtype=float)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: malformed row ({exc})") from exc
+    if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 2:
+        raise ConfigurationError(f"{path}: need at least 2 rows of x,re,im")
+    x = data[:, 0]
+    steps = np.diff(x)
+    dx = float(steps[0])
+    if dx <= 0 or not np.allclose(steps, dx, rtol=1e-9, atol=abs(dx) * 1e-9):
+        raise ConfigurationError(f"{path}: grid is not uniformly increasing")
+    return SampledSignal(float(x[0]), dx, data[:, 1] + 1j * data[:, 2])
+
+
+def _whole_file_write(signal: SampledSignal, path) -> None:
+    """The writer before streaming: every line joined into one string."""
+    lines = ["x,re,im"]
+    for x, v in zip(signal.grid, signal.values):
+        lines.append(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}")
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def _outcome(read, path):
+    """What ``read`` makes of ``path`` under the CLI's ``np.errstate``: the
+    signal's exact bits, or the exception class."""
+    try:
+        with np.errstate(all="ignore"):
+            sig = read(path)
+    except Exception as exc:
+        return type(exc)
+    return (sig.x0, sig.dx, sig.values.tobytes())
+
+
+#: file text -> whether it holds a signal (else it is refused)
+READER_CASES = {
+    "crlf": ("x,re,im\r\n0.0,1.5,-2\r\n0.25,0.5,0\r\n0.5,-0.0,-0.0\r\n", True),
+    "blank_lines": ("\n\nx,re,im\n\n0.0,1,0\n  \n\t\n0.5,2,1\n\n1.0,3,2\n\n\n", True),
+    "header_upper_case": ("X,RE,IM\n0,1,0\n1,2,0\n", True),
+    "header_padded": ("  x,re,im \t\n0,1,0\n1,2,0\n", True),
+    "padded_fields": ("x,re,im\n 0 , 1 ,0\n1,\t2, 3 \n", True),
+    "no_final_newline": ("x,re,im\n0,1,0\n1,2,0", True),
+    "empty": ("", False),
+    "blank_only": ("\n \n", False),
+    "header_only": ("x,re,im\n", False),
+    "one_row": ("x,re,im\n0,1,0\n", False),
+    "two_fields": ("x,re,im\n0,1\n1,2\n2,3\n", False),
+    "four_fields": ("x,re,im\n0,1,0,0\n1,2,0,0\n", False),
+    "mixed_fields": ("x,re,im\n0,1,0\n1,2\n2,3,0\n", False),
+    "non_numeric": ("x,re,im\n0,1,0\n1,two,0\n", False),
+    "empty_field": ("x,re,im\n0,1,0\n1,,0\n", False),
+    "nan_sample": ("x,re,im\n0,1,0\n1,nan,0\n", False),
+    "inf_sample": ("x,re,im\n0,1,0\n1,0,inf\n", False),
+    "nan_grid": ("x,re,im\n0,1,0\nnan,1,0\n", False),
+    "wrong_header": ("x,y,z\n0,1,0\n1,2,0\n", False),
+}
+
+
+class TestStreamedReader:
+    @pytest.mark.parametrize("name", sorted(READER_CASES))
+    def test_matches_whole_file_reader(self, name, tmp_path):
+        text, ok = READER_CASES[name]
+        path = tmp_path / "sig.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = _outcome(fileio.read_signal_csv, path)
+        assert got == _outcome(_whole_file_read, path)
+        assert isinstance(got, tuple) if ok else got is ConfigurationError
+
+    def test_form_feed_is_not_a_line_break(self, tmp_path):
+        # str.splitlines split on \x0c (and \x0b, \x1c-\x1e, \x85, \u2028,
+        # \u2029); the documented format breaks lines on \n only
+        path = tmp_path / "sig.csv"
+        path.write_bytes(b"x,re,im\n0,1,0\x0c1,2,0\n2,3,0\n")
+        assert isinstance(_outcome(_whole_file_read, path), tuple)
+        with pytest.raises(ConfigurationError):
+            fileio.read_signal_csv(path)
+
+    def test_memory_bounded(self, tmp_path, traced_peak):
+        m = 2**15
+        rng = np.random.default_rng(3)
+        sig = SampledSignal(-8.0, 16.0 / m, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        path = tmp_path / "sig.csv"
+        fileio.write_signal_csv(sig, path)
+        # the whole-file reader peaks at 12.3 MiB
+        assert traced_peak(lambda: fileio.read_signal_csv(path)) <= 4 * 2**20
+
+
+#: values whose repr is awkward: signed zero, subnormals, huge and tiny
+#: exponents, integral floats
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -1e-310, 1e308, 1e-5, 1e16, 3.0, -7.0, 0.1, 1 / 3]
+
+
+class TestChunkedWriter:
+    @pytest.mark.parametrize(
+        "m", [2, fileio._WRITE_CHUNK - 1, fileio._WRITE_CHUNK, fileio._WRITE_CHUNK + 1]
+    )
+    def test_bytes_match_whole_file_writer(self, m, tmp_path):
+        re = np.resize(EDGE_VALUES, m)
+        im = np.resize(EDGE_VALUES[::-1], m)
+        values = np.empty(m, dtype=complex)
+        values.real, values.imag = re, im
+        # a grid whose points need all 17 significant digits
+        sig = SampledSignal(-0.1, 0.2 / 3, values)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        fileio.write_signal_csv(sig, new)
+        _whole_file_write(sig, old)
+        assert new.read_bytes() == old.read_bytes()
+        assert new.read_bytes().count(b"\n") == m + 1
+
+    def test_memory_bounded(self, tmp_path, traced_peak):
+        m = 2**15
+        rng = np.random.default_rng(4)
+        sig = SampledSignal(-8.0, 16.0 / m, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        # the whole-file writer peaks at 7.1 MiB
+        assert traced_peak(lambda: fileio.write_signal_csv(sig, tmp_path / "sig.csv")) <= 2 * 2**20
 
 
 class TestCoeffsJson:
