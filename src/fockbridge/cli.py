@@ -148,12 +148,12 @@ def _order(args) -> int:
     return n
 
 
-def _to_hermite(data, n: int) -> tuple[HermiteCoeffs, SampledSignal | None]:
+def _to_hermite(data, n: int) -> HermiteCoeffs:
     if isinstance(data, SampledSignal):
-        return analyze(data, n, None), data
+        return analyze(data, n, None)
     if isinstance(data, FockCoeffs):
-        return inverse_bargmann_coeff(data), None
-    return data, None
+        return inverse_bargmann_coeff(data)
+    return data
 
 
 def _write_grid(h: HermiteCoeffs, path) -> None:
@@ -178,7 +178,7 @@ def _cmd_frft(args) -> int:
     if isinstance(data, FockCoeffs):
         fileio.write_coeffs_json(fock_rotation(data, args.alpha), args.outfile)
         return 0
-    h, _ = _to_hermite(data, _order(args))
+    h = _to_hermite(data, _order(args))
     _emit_like_input(frft_coeffs(h, args.alpha), data, args)
     return 0
 
@@ -190,7 +190,7 @@ def _cmd_hilbert(args) -> int:
             raise UsageError("--classical requires a CSV signal input")
         fileio.write_signal_csv(hilbert_classical_grid(data), args.outfile)
         return 0
-    h, _ = _to_hermite(data, _order(args))
+    h = _to_hermite(data, _order(args))
     result = fractional_hilbert(h, HilbertParams(args.alpha, args.phi))
     _emit_like_input(result, data, args)
     return 0
@@ -207,7 +207,7 @@ def _cmd_bargmann(args) -> int:
         else:
             fileio.write_coeffs_json(result, args.outfile)
         return 0
-    h, _ = _to_hermite(data, _order(args))
+    h = _to_hermite(data, _order(args))
     fileio.write_coeffs_json(bargmann_coeff(h), args.outfile)
     if getattr(args, "dump_grid", None):
         _write_grid(h, args.dump_grid)

@@ -62,6 +62,8 @@ def read_signal_csv(path) -> SampledSignal:
     data = np.frombuffer(buf, dtype=float).reshape(-1, 3)
     if data.shape[0] < 2:
         raise ConfigurationError(f"{path}: need at least 2 rows of x,re,im")
+    if not np.all(np.isfinite(data)):
+        raise ConfigurationError(f"{path}: non-finite grid point or sample")
     x = data[:, 0]
     steps = np.diff(x)
     dx = float(steps[0])

@@ -6,7 +6,9 @@ through the exact Hermite-basis matrix of sgn(x), rotate back.  The
 plane-kernel realization (an integral operator against the Gaussian measure
 with an entire kernel built from A_phi, evaluated by the package's one
 plane-operator engine) is the validated alternative; the two are compared,
-not assumed equal.
+not assumed equal.  On the Fock side the classical transform is S_phi of
+the principal-value symbol (``singular.hilbert_symbol``), applied under the
+raised growth cap 1/2 at which that symbol sits.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import numpy as np
 from .errors import EnvelopeError
 from .quadrature import PlaneRule
 from .representation import FockCoeffs, HermiteCoeffs, SampledSignal, _plane_apply
-from .special import A_eval, A_phi_eval, SQRT_PI, finite_param, hermite_fn_all
+from .singular import hilbert_symbol, s_phi_apply
+from .special import A_phi_eval, SQRT_PI, finite_param, hermite_fn_all
 from .frft import FrftAngle, _phases
 
 __all__ = [
@@ -122,12 +125,10 @@ def hilbert_fock_kernel_apply(F: FockCoeffs, params: HilbertParams, z, rule: Pla
 
 
 def hilbert_fock_S_apply(F: FockCoeffs, z, rule: PlaneRule):
-    """Plane-kernel form of the classical Hilbert transform.
+    """Fock-side classical Hilbert transform, at a point or an array of points.
 
-    (2/sqrt(pi)) * integral of f(w) e^{z conj(w)} A((z - conj(w))/sqrt(2))
-    dlambda(w), with A the antiderivative of e^{u^2} vanishing at 0, at a
-    point or an array of points.
+    S_phi of the principal-value symbol phi(u) = (2/sqrt(pi)) A(u/sqrt(2)),
+    with A the antiderivative of e^{u^2} vanishing at 0; its growth 1/2 is
+    admitted by raising the symbol growth cap to 0.5 for this operator only.
     """
-    return 2.0 * _plane_apply(
-        F, z, rule, lambda zk, wbar: A_eval((zk - wbar) / math.sqrt(2.0))
-    ) / SQRT_PI
+    return s_phi_apply(hilbert_symbol(), F, z, rule, growth_cap=0.5)

@@ -2,12 +2,14 @@
 
 An operator S_phi acts by integrating f(w) e^{z conj(w)} phi(z - conj(w))
 against the Gaussian measure; its rotated variant substitutes
-e^{i alpha} z - e^{-i alpha} conj(w).  Both, and the Fock-side wavelet
-operator, are one call each into the plane-operator engine
-(``representation._plane_apply``), which checks the plane envelope before
-any work.  Symbols phi are carried as a :class:`FockSymbol`: a closed-form
-evaluator plus its truncated coefficient vector, checked against each other
-at construction so the two can never drift apart silently.
+e^{i alpha} z - e^{-i alpha} conj(w).  Both are one call into the
+plane-operator engine (``representation._plane_apply``), which checks the
+plane envelope before any work.  The Fock-side wavelet operator is S_phi of
+the wavelet's symbol (:func:`phi_from_g`), as the classical Hilbert
+transform is S_phi of the principal-value symbol (:func:`hilbert_symbol`).
+Symbols phi are carried as a :class:`FockSymbol`: a closed-form evaluator
+plus its truncated coefficient vector, checked against each other at
+construction so the two can never drift apart silently.
 
 For polynomial data there is a second, quadrature-free route
 (:func:`s_phi_apply_deriv`) built on the differentiated reproducing
@@ -64,7 +66,7 @@ MATRIX_RADIUS = 1.5
 _FROM_G_TAYLOR = 40
 _HILBERT_TAYLOR = 60
 
-#: Elements of the wavelet kernel's u × nodes exponential formed at once.
+#: Elements of a wavelet symbol's u × nodes exponential formed at once.
 _INNER_BLOCK = 2**18
 
 #: Arguments at which wavelet_transform evaluates the wavelet at once (a
@@ -356,62 +358,38 @@ def wavelet_transform(f, spec: WaveletSpec, x, rule: LineRule):
     return shaped_like(sums, x) / math.sqrt(abs(spec.s) * math.pi)
 
 
-def _inner_wavelet_factor(spec: WaveletSpec, u: np.ndarray, rule: LineRule) -> np.ndarray:
-    """integral of g(t) exp(-s^2 t^2 / 2 - s t u) dt for an array of u.
-
-    The u × nodes exponential is formed in row blocks of at most
-    _INNER_BLOCK elements (4 MiB of complex), so memory stays bounded
-    whatever the number of points.
-    """
-    s = spec.s
-    t = rule.nodes
-    gv = np.asarray(spec.g(t), dtype=complex) * rule.weights_nogauss
-    gauss = -0.5 * s * s * t * t
-    uf = np.ravel(u)
-    out = np.empty(uf.shape, dtype=complex)
-    # block sizes differ by at most one row, so no block is a lone row unless
-    # u is one point: numpy sums a single row as a dot product, which rounds
-    # differently from the matrix-vector product of a larger block
-    rows = max(1, _INNER_BLOCK // t.size)
-    blocks = max(1, -(-uf.size // rows))
-    edges = np.arange(blocks + 1) * uf.size // blocks
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        out[lo:hi] = np.exp(gauss - s * np.multiply.outer(uf[lo:hi], t)) @ gv
-    return out.reshape(np.shape(u))
-
-
 def wavelet_fock_apply(F: FockCoeffs, spec: WaveletSpec, z, plane: PlaneRule, line: LineRule):
-    """Fock-side wavelet operator by nested quadrature, at a point or an array of points.
-
-    sqrt(|s|/pi) * integral over w of f(w) e^{z conj(w)} dlambda(w)
-    times the inner line integral of g(t) exp(-s^2 t^2/2 - s t (z - conj(w))).
-    """
-    return math.sqrt(abs(spec.s) / math.pi) * _plane_apply(
-        F, z, plane, lambda zk, wbar: _inner_wavelet_factor(spec, zk - wbar, line)
-    )
+    """Fock-side wavelet operator, at a point or an array of points: S_phi of
+    the wavelet's symbol ``phi_from_g(spec, line)``, so the symbol's growth
+    guard and the wavelet's integrability check apply before any work."""
+    return s_phi_apply(phi_from_g(spec, line), F, z, plane)
 
 
 def phi_from_g(spec: WaveletSpec, rule: LineRule) -> FockSymbol:
-    """Symbol induced by a wavelet: phi(z) = sqrt(|s|/pi) * inner integral.
+    """Symbol induced by a wavelet:
+    phi(z) = sqrt(|s|/pi) * integral of g(t) exp(-s^2 t^2/2 - s t z) dt.
 
     The coefficient vector comes from the moment expansion
     a_j = sqrt(|s|/pi) (-s)^j mu_j / j!, mu_j = integral of g(t) t^j
     exp(-s^2 t^2/2) dt.  Wavelets outside L^1 & L^2 are rejected by a
-    refinement-stability proxy on the quadrature norms.
+    refinement-stability proxy on the quadrature norms.  ``g`` is evaluated
+    on the rule once, here; the evaluator forms its u × nodes exponential in
+    row blocks of at most _INNER_BLOCK elements (4 MiB of complex) and sums
+    each row on its own, so a point's value does not depend on the block.
     """
     s = spec.s
     pref = math.sqrt(abs(s) / math.pi)
 
-    def norms(r: LineRule) -> tuple[float, float]:
+    def norms(r: LineRule) -> tuple[np.ndarray, float, float]:
         gv = np.asarray(spec.g(r.nodes), dtype=complex)
         if not np.all(np.isfinite(gv)):
             raise ConfigurationError("wavelet produced non-finite values at rule nodes")
         l1 = float(np.sum(r.weights_nogauss * np.abs(gv)))
         l2 = float(np.sum(r.weights_nogauss * np.abs(gv) ** 2))
-        return l1, l2
+        return gv, l1, l2
 
-    l1a, l2a = norms(gauss_hermite_rule(max(2, (6 * rule.size) // 10)))
-    l1b, l2b = norms(rule)
+    _, l1a, l2a = norms(gauss_hermite_rule(max(2, (6 * rule.size) // 10)))
+    gv, l1b, l2b = norms(rule)
     # |g| may have kinks even for smooth g, so the L1 quadrature converges
     # only algebraically; |g|^2 is smooth whenever g is, which makes the L2
     # drift the sharp non-integrability detector (1/x-type wavelets drift by
@@ -424,16 +402,22 @@ def phi_from_g(spec: WaveletSpec, rule: LineRule) -> FockSymbol:
             f"refinement (L1 drift {drift_l1:.2e}, L2 drift {drift_l2:.2e})"
         )
 
-    def evaluate(z):
-        zarr = np.atleast_1d(np.asarray(z, dtype=complex))
-        return shaped_like(pref * _inner_wavelet_factor(spec, zarr, rule), z)
-
     t = rule.nodes
-    gv = np.asarray(spec.g(t), dtype=complex) * rule.weights_nogauss * np.exp(
-        -0.5 * s * s * t * t
-    )
+    gw = gv * rule.weights_nogauss
+    gauss = -0.5 * s * s * t * t
+
+    def evaluate(z):
+        u = np.ravel(np.asarray(z, dtype=complex))
+        out = np.empty(u.shape, dtype=complex)
+        rows = max(1, _INNER_BLOCK // t.size)
+        for lo in range(0, u.size, rows):
+            block = np.exp(gauss - s * np.multiply.outer(u[lo : lo + rows], t))
+            block *= gw
+            out[lo : lo + rows] = block.sum(axis=-1)
+        return shaped_like(pref * out, z)
+
     j = np.arange(_FROM_G_TAYLOR)
-    mu = np.power.outer(t, j).T @ gv
+    mu = np.power.outer(t, j).T @ (gw * np.exp(gauss))
     fact = np.array([math.factorial(int(i)) for i in j], dtype=float)
     mono = pref * (-s) ** j * mu / fact
     taylor = FockCoeffs(mono * sqrt_factorials(_FROM_G_TAYLOR))

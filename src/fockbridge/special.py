@@ -61,31 +61,25 @@ def shaped_like(values, z):
 
 
 def hermite_fn(n: int, x: float) -> float:
-    """Normalized Hermite function h_n(x).
+    """Normalized Hermite function h_n(x), one value of :func:`hermite_fn_all`.
 
-    h_n(x) = (2/pi)^{1/4} / sqrt(2^n n!) * exp(-x^2) * H_n(sqrt(2) x),
-    evaluated through the normalized recurrence
-
-        h_{n+1}(x) = 2 x h_n(x) / sqrt(n+1) - sqrt(n/(n+1)) h_{n-1}(x),
-
-    which keeps every intermediate bounded and is stable up to n of a few
-    hundred.  No factorials or gamma functions are formed.
+    h_n(x) = (2/pi)^{1/4} / sqrt(2^n n!) * exp(-x^2) * H_n(sqrt(2) x).
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
-    h = NORM_CONSTANT * math.exp(-x * x)
-    if n == 0:
-        return h
-    hm, h = h, 2.0 * x * h
-    for m in range(1, n):
-        hm, h = h, (2.0 * x * h - math.sqrt(m) * hm) / math.sqrt(m + 1)
-    return h
+    return float(hermite_fn_all(n, np.array([x], dtype=float))[n, 0])
 
 
 def hermite_fn_all(nmax: int, x: np.ndarray) -> np.ndarray:
     """All Hermite functions h_0..h_nmax at the points ``x``.
 
-    Returns an array of shape (nmax+1, len(x)); row n holds h_n.
+    Returns an array of shape (nmax+1, len(x)); row n holds h_n.  The
+    normalized recurrence
+
+        h_{n+1}(x) = 2 x h_n(x) / sqrt(n+1) - sqrt(n/(n+1)) h_{n-1}(x)
+
+    keeps every intermediate bounded and is stable up to n of a few
+    hundred.  No factorials or gamma functions are formed.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty((nmax + 1, x.size), dtype=float)

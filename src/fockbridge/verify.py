@@ -334,7 +334,7 @@ def _check_wavelet_three_path(cfg: VerifyConfig):
             wf = lambda t, fx=fx, spec=spec: _singular.wavelet_transform(fx, spec, t, line)
             p1 = _singular.wavelet_fock_apply(F, spec, zs, plane, line)
             p2 = bargmann_direct(wf, zs, brule)
-            p3 = _singular.s_phi_apply(sym, F, zs, plane)
+            p3 = fock_eval(_singular.s_phi_apply_deriv(sym.monomial(), F), zs)
             worst = max(worst, float(np.abs([p1 - p2, p1 - p3, p2 - p3]).max()))
     return worst, 1e-5
 

@@ -450,6 +450,14 @@ class TestContract:
         assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
         assert not (workdir / "x.json").exists()
 
+    @pytest.mark.parametrize("row", ["nan,1,0", "1,0,inf"])
+    def test_nonfinite_csv_refused(self, row, workdir, capsys):
+        (workdir / "bad.csv").write_text(f"x,re,im\n0,1,0\n{row}\n")
+        assert run_command(["frft", "--alpha", "1", "--in", "bad.csv", "--out", "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
+        assert "non-finite" in err
+
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_malformed_file_refused(self, name, workdir, capsys):
         argv, text = MALFORMED[name]

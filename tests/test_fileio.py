@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,17 @@ class TestSignalCsv:
         path.write_text("0.0,1,0\n0.1,1,0\n")
         with pytest.raises(ConfigurationError):
             fileio.read_signal_csv(path)
+
+    @pytest.mark.parametrize("row", ["nan,1,0", "1,0,inf"])
+    def test_rejects_nonfinite_before_numpy_warns(self, row, tmp_path):
+        # outside the CLI's np.errstate a NaN grid point or an infinite
+        # sample must still be a ConfigurationError, not a RuntimeWarning
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,re,im\n0,1,0\n{row}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                fileio.read_signal_csv(path)
 
     def test_rejects_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -15,7 +15,7 @@ from fockbridge.representation import (
     hermite_eval,
     inverse_bargmann_coeff,
 )
-from fockbridge import representation, singular
+from fockbridge import representation, singular, verify
 from fockbridge.singular import (
     OperatorMatrix,
     WaveletSpec,
@@ -164,11 +164,11 @@ class TestSPhiApply:
             PLANE_OPS[name](np.append(np.linspace(0.0, 1.9, 9), 2.05j))
 
     def test_pv_symbol_matches_dedicated_kernel_behind_raised_cap(self):
-        sym = hilbert_symbol()
-        for z in (0.4 - 0.7j, 1.2 + 0.3j):
-            lhs = s_phi_apply(sym, unit_fock(2), z, PLANE, growth_cap=0.5)
-            rhs = hilbert_fock_S_apply(unit_fock(2), z, PLANE)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+        # the classical Hilbert operator is S_phi of the PV symbol under the
+        # raised cap: the same call, so the same bits
+        z = np.array([0.4 - 0.7j, 1.2 + 0.3j])
+        lhs = s_phi_apply(hilbert_symbol(), unit_fock(2), z, PLANE, growth_cap=0.5)
+        np.testing.assert_array_equal(lhs, hilbert_fock_S_apply(unit_fock(2), z, PLANE))
 
 
 class TestDerivRoute:
@@ -450,13 +450,31 @@ class TestWavelet:
 
 class TestWaveletFock:
     def test_reduces_to_symbol_operator(self):
+        # the wavelet operator is S_phi of its symbol: the same call, so the
+        # same bits
         spec = WaveletSpec(lambda t: np.exp(-t * t), 1.0)
-        sym = phi_from_g(spec, LINE)
         F = FockCoeffs(np.array([0.6, 0.0, 1.0 + 0j]))
-        for z in (0.7 + 0.2j, -0.9 - 0.4j):
-            lhs = wavelet_fock_apply(F, spec, z, PLANE, LINE)
-            rhs = s_phi_apply(sym, F, z, PLANE)
-            assert lhs == pytest.approx(rhs, abs=1e-10)
+        z = np.array([0.7 + 0.2j, -0.9 - 0.4j])
+        np.testing.assert_array_equal(
+            wavelet_fock_apply(F, spec, z, PLANE, LINE),
+            s_phi_apply(phi_from_g(spec, LINE), F, z, PLANE),
+        )
+
+    def test_growth_refused_before_the_engine(self, monkeypatch):
+        # g = e^{-t^2} at s = 4 induces e^{(4/9) z^2} up to a constant:
+        # growth 4/9 lies past the envelope's 0.4
+        def no_engine(*args, **kwargs):
+            raise AssertionError("plane engine ran before the growth guard")
+
+        monkeypatch.setattr(representation, "fock_eval", no_engine)
+        spec = WaveletSpec(lambda t: np.exp(-t * t), 4.0)
+        with pytest.raises(EnvelopeError, match="growth bound"):
+            wavelet_fock_apply(unit_fock(1), spec, 0.5 + 0.2j, _SMALL, LINE)
+
+    def test_nonintegrable_wavelet_refused(self):
+        spec = WaveletSpec(lambda t: 1.0 / (math.sqrt(math.pi) * t), -1.0)
+        with pytest.raises(ConfigurationError, match="integrability"):
+            wavelet_fock_apply(unit_fock(1), spec, 0.5, _SMALL, LINE)
 
     def test_three_path_agreement(self):
         spec = WaveletSpec(lambda t: np.exp(-t * t), -1.0)
@@ -471,13 +489,29 @@ class TestWaveletFock:
         for z in (0.7 + 0.2j, -0.5 + 1.0j):
             p1 = wavelet_fock_apply(F, spec, z, PLANE, LINE)
             p2 = bargmann_direct(wf, z, brule)
-            p3 = s_phi_apply(sym, F, z, PLANE)
+            p3 = complex(fock_eval(s_phi_apply_deriv(sym.monomial(), F), z))
             assert abs(p1 - p2) < 1e-5 and abs(p1 - p3) < 1e-5 and abs(p2 - p3) < 1e-5
+
+    def test_three_path_check_has_one_plane_route(self, monkeypatch):
+        # p1 is the check's only plane route: p3 is the derivative identity
+        # on the symbol's stored series, so 3 dilations x 3 inputs make 9
+        # engine calls, not 18
+        calls = []
+        engine = singular._plane_apply
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(singular, "_plane_apply", counting)
+        monkeypatch.setattr(verify, "plane_gaussian_rule", lambda *sizes: _SMALL)
+        verify.CHECKS["wavelet.three_path"][0](verify.VerifyConfig())
+        assert len(calls) == 9
 
 
 class TestInnerWaveletMemory:
-    """The inner line integral forms its u × nodes exponential in row blocks:
-    one plane point (16384 nodes against 200 line nodes) would otherwise
+    """A wavelet symbol forms its u × nodes exponential in row blocks: one
+    plane point (16384 nodes against 200 line nodes) would otherwise
     allocate two 52 MB complex arrays."""
 
     SPEC = WaveletSpec(lambda t: np.exp(-t * t), 1.0)
@@ -494,7 +528,7 @@ class TestInnerWaveletMemory:
         assert peak <= 16 * 2**20
 
     def test_blocks_equal_one_block(self, monkeypatch):
-        # 2 * rows + 1 points: a split into full blocks would leave one lone row
+        # 2 * rows + 1 points: two full blocks and one lone row
         rows = singular._INNER_BLOCK // LINE.size
         points = (self.POINTS, self.POINTS[: 2 * rows + 1])
         sym = phi_from_g(self.SPEC, LINE)
@@ -513,11 +547,8 @@ class TestInnerWaveletMemory:
 
 class TestPhiFromG:
     def test_points_as_array(self, array_contract):
-        # a lone point's inner integral is a dot product, an array's a
-        # matrix-vector product: they round apart by a few ulp
-        array_contract(
-            phi_from_g(WaveletSpec(lambda t: np.exp(-t * t), 2.0), LINE).evaluate, max_ulp=4
-        )
+        # each point's inner integral is its own row sum, whatever the block
+        array_contract(phi_from_g(WaveletSpec(lambda t: np.exp(-t * t), 2.0), LINE).evaluate)
 
     def test_family_closed_forms(self):
         zs = 2.0 * np.exp(2j * np.pi * np.arange(8) / 8) * np.array(
