@@ -9,6 +9,7 @@ mixed up silently.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -32,6 +33,11 @@ SQRT_PI = math.sqrt(math.pi)
 #: (2/pi)**(1/4), the normalization shared by the Hermite functions and the
 #: Bargmann kernel.  Satisfies NORM_CONSTANT**4 == 2/pi.
 NORM_CONSTANT = (2.0 / math.pi) ** 0.25
+
+#: Terms of Weideman's approximation of the Faddeeva function behind the erf
+#: kernel, and its scale L = sqrt(N/sqrt(2)).
+_WEIDEMAN_N = 40
+_WEIDEMAN_L = math.sqrt(_WEIDEMAN_N / math.sqrt(2.0))
 
 
 def branch_sqrt(w: complex) -> complex:
@@ -118,19 +124,80 @@ def gaussian_integral_closed(a: float, b: float) -> complex:
     return SQRT_PI / branch_sqrt(complex(a, b))
 
 
-def erf_half_integral(z: complex) -> complex:
-    """Integral of exp(-u^2) along the segment from 0 to z: (sqrt(pi)/2) erf(z).
+@functools.lru_cache(maxsize=None)
+def _erf_coefficients() -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's two coefficient sets, highest degree first, read-only.
 
-    The erf-type kernels here use scipy's complex ``erf``/``erfi``, which are
-    built on the Faddeeva function w(z) = exp(-z^2) erfc(-iz) (S. G. Johnson's
-    Faddeeva package; Poppe & Wijers, ACM TOMS 16, 1990) and keep near full
-    relative accuracy in every regime of the complex plane.  Each kernel
-    imports them on first use: loading scipy.special costs about 0.3 s and
-    32 MB per process, and most routes never need it.
+    The first is erf's Maclaurin series in z^2 with 2/sqrt(pi) folded in,
+    (2/sqrt(pi)) (-1)^k / (k! (2k+1)) for k < 20 (the first dropped term is
+    below 1e-20 of erf for |z| < 1).  The second is Weideman's polynomial
+    p(Z) = sum_{n<N} a_{n+1} Z^n: a_n are the Fourier coefficients of
+    exp(-t^2) (L^2 + t^2) at t = L tan(theta/2), from one 4N-point FFT.
+    Built on first use, so importing the package does not pay for it.
     """
-    from scipy.special import erf
+    maclaurin = np.array(
+        [2.0 / SQRT_PI * (-1) ** k / (math.factorial(k) * (2 * k + 1)) for k in range(19, -1, -1)]
+    )
+    m = 2 * _WEIDEMAN_N
+    t = _WEIDEMAN_L * np.tan(np.arange(1 - m, m) * math.pi / (2 * m))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (_WEIDEMAN_L**2 + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    weideman = a[_WEIDEMAN_N:0:-1].copy()
+    for coeffs in (maclaurin, weideman):
+        coeffs.setflags(write=False)
+    return maclaurin, weideman
 
-    return complex(0.5 * SQRT_PI * erf(complex(z)))
+
+def _erf(z) -> np.ndarray:
+    """The complex error function at every point of ``z``, as a complex
+    ndarray of z's shape (0-d for a scalar).
+
+    For Re z >= 0 and |z| >= 1, erf z = 1 - exp(-z^2) w(iz), with the
+    Faddeeva function w from Weideman's rational approximation
+    (J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1994) with N = 40 terms and
+    L = sqrt(N/sqrt(2)):
+
+        w(iz) = (2 p((L - z)/(L + z)) / (L + z) + 1/sqrt(pi)) / (L + z).
+
+    Below |z| = 1 the Maclaurin series replaces it, which avoids the
+    cancellation in 1 - exp(-z^2) w(iz).  erf(-z) = -erf(z) gives the left
+    half-plane (the lower imaginary half-axis counts as left), and on the
+    imaginary axis, where erf is purely imaginary, the real part is set to 0.
+    The kernel is therefore exactly odd and exactly conjugate-symmetric, and
+    real on the real axis.
+
+    Largest relative error against 30-digit mpmath, 3000 points uniform on
+    each disk (scipy's Faddeeva-based erf on the same points):
+
+        |z| <= 12   2.6e-14   (1.9e-14)
+        |z| <= 6    6.2e-15   (1.2e-14)
+        |z| <= 2    1.1e-15   (4.5e-14)
+
+    The disk |z| <= 12 holds every argument of the 64 x 256 plane rule's
+    kernels; N = 32 gives 2.7e-13 there.  Where exp(-z^2) overflows the
+    value is non-finite, without a numpy warning.
+    """
+    maclaurin, weideman = _erf_coefficients()
+    z = np.asarray(z, dtype=complex)
+    flip = (z.real < 0) | ((z.real == 0) & (z.imag < 0))
+    s = np.where(flip, -z, z)
+    out = np.empty_like(s)
+    small = np.abs(s) < 1.0
+    u = s[small]
+    out[small] = u * np.polyval(maclaurin, u * u)
+    u = s[~small]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _WEIDEMAN_L + u
+        w = (2.0 * np.polyval(weideman, (_WEIDEMAN_L - u) / d) / d + 1.0 / SQRT_PI) / d
+        out[~small] = 1.0 - np.exp(-u * u) * w
+    out.real[s.real == 0] = 0.0
+    return np.where(flip, -out, out)
+
+
+def erf_half_integral(z: complex) -> complex:
+    """Integral of exp(-u^2) along the segment from 0 to z: (sqrt(pi)/2) erf(z)."""
+    with np.errstate(invalid="ignore"):
+        return complex(0.5 * SQRT_PI * _erf(complex(z)))
 
 
 def A_phi_eval(phi: float, z):
@@ -140,15 +207,12 @@ def A_phi_eval(phi: float, z):
              = sqrt(pi) (cos(phi) - i sin(phi) erf(z)).
     Accepts a scalar or an ndarray for ``z``; the return matches the input.
     """
-    from scipy.special import erf
-
-    zarr = np.asarray(z, dtype=complex)
-    return shaped_like(SQRT_PI * (math.cos(phi) - 1j * math.sin(phi) * erf(zarr)), z)
+    with np.errstate(invalid="ignore"):
+        return shaped_like(SQRT_PI * (math.cos(phi) - 1j * math.sin(phi) * _erf(z)), z)
 
 
 def A_eval(z):
-    """Antiderivative of exp(u^2) vanishing at 0: A(z) = (sqrt(pi)/2) erfi(z)."""
-    from scipy.special import erfi
-
-    zarr = np.asarray(z, dtype=complex)
-    return shaped_like(0.5 * SQRT_PI * erfi(zarr), z)
+    """Antiderivative of exp(u^2) vanishing at 0: A(z) = (sqrt(pi)/2) erfi(z),
+    with erfi(z) = -i erf(iz)."""
+    with np.errstate(invalid="ignore"):
+        return shaped_like(-0.5j * SQRT_PI * _erf(1j * np.asarray(z, dtype=complex)), z)

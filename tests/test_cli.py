@@ -535,45 +535,39 @@ class TestImportHygiene:
         assert (int(rules) > 0) == builds_rule
 
     def test_import_leaves_heavy_scipy_submodules_unloaded(self):
-        # scipy.interpolate and scipy.integrate both pull in the heavy
-        # scipy.optimize, and no route imports them.  The grid Hilbert check
-        # projects on its own FFT grid and the PV check's oracle is the split
-        # Gauss-Legendre rule, so neither check loads any scipy submodule but
-        # scipy.special.
+        # The grid Hilbert check projects on its own FFT grid, the PV check's
+        # oracle is the split Gauss-Legendre rule and the erf-type kernels
+        # are numpy, so the import and both checks load no scipy module.
         env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
         code = (
             "import sys, fockbridge, fockbridge.cli\n"
-            "print(' '.join(sorted(sys.modules)))\n"
+            "def scipy_modules():\n"
+            "    print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')) or '-')\n"
+            "scipy_modules()\n"
             "from fockbridge.verify import (VerifyConfig, _check_hilbert_grid_consistency,\n"
             "    _check_pv_symbol)\n"
             "_check_hilbert_grid_consistency(VerifyConfig())\n"
-            "print('scipy.interpolate' in sys.modules)\n"
+            "scipy_modules()\n"
             "_check_pv_symbol(VerifyConfig())\n"
-            "print(' '.join(sorted(sys.modules)))\n"
+            "scipy_modules()\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        after_import, after_grid, after_pv = proc.stdout.splitlines()
-        loaded = set(after_import.split())
-        assert "fockbridge.cli" in loaded
-        assert not loaded & {"scipy.optimize", "scipy.interpolate", "scipy.integrate"}
-        assert after_grid == "False"
-        heavy = {"scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.interpolate"}
-        assert not set(after_pv.split()) & heavy
+        assert proc.stdout.splitlines() == ["-", "-", "-"]
 
     def test_rules_symbols_and_sop_matrices_load_no_scipy(self, workdir):
-        # Rules come from numpy.linalg and the erf kernels import scipy.special
-        # on first use, so the import, every rule the package builds, symbol
-        # construction, a derivative-route matrix and a CLI data command run
-        # without any scipy module.
+        # Rules come from numpy.linalg and the erf-type kernels are numpy, so
+        # the import, every rule the package builds, symbol construction, the
+        # erf-type kernels and the PV symbol, a derivative-route matrix and a
+        # CLI data command run without any scipy module.
         env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
         code = (
-            "import math, sys\n"
+            "import sys\n"
             "import fockbridge, fockbridge.cli\n"
-            "from fockbridge import (A_eval, gauss_hermite_rule, gaussian_symbol, phi_n_closed,\n"
-            "    plane_gaussian_rule, s_phi_matrix, split_line_rule)\n"
+            "from fockbridge import (A_eval, A_phi_eval, gauss_hermite_rule, gaussian_symbol,\n"
+            "    hilbert_symbol, phi_n_closed, plane_gaussian_rule, s_phi_matrix, split_line_rule)\n"
             "from fockbridge.representation import PLANE_RULE_SIZES\n"
             "from fockbridge.singular import poly_symbol\n"
             "for k in (64, 120, 160, 200, 240, 480, 512):\n"
@@ -583,20 +577,29 @@ class TestImportHygiene:
             "gaussian_symbol(0.25, 0.3), phi_n_closed(3, 1.0)\n"
             "s_phi_matrix(poly_symbol([1.0, 0.5j, 0.2]), 8, plane, method='deriv')\n"
             "assert fockbridge.cli.run_command(['bargmann', '--in', 'h.json', '--out', 'F2.json']) == 0\n"
+            "A_eval(0.3 + 0.2j), A_phi_eval(0.7, [0.3 + 0.2j, 1.5]), hilbert_symbol().evaluate(1.2)\n"
             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')) or '-')\n"
-            "z = 0.3 + 0.2j\n"
-            "value = A_eval(z)\n"
-            "loaded = 'scipy.special' in sys.modules\n"
-            "import scipy.special\n"
-            "print(loaded, value == 0.5 * math.sqrt(math.pi) * complex(scipy.special.erfi(z)))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env=env, cwd=workdir, capture_output=True, text=True, timeout=120, check=True,
         )
-        before_erf, after_erf = proc.stdout.splitlines()
-        assert before_erf == "-"
-        assert after_erf == "True True"
+        assert proc.stdout.splitlines() == ["-"]
+
+    def test_verify_hilbert_suite_loads_no_scipy(self):
+        # the suite that evaluates both erf-type kernels on the plane rule
+        env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
+        code = (
+            "import contextlib, io, sys, fockbridge.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = fockbridge.cli.run_command(['verify', '--suite', 'hilbert'])\n"
+            "print(code, ' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')) or '-')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert proc.stdout.split() == ["0", "-"]
 
     def test_hilbert_chain_builds_no_rule(self, workdir):
         # the chain's step multiplier is the closed-form Hermite matrix of

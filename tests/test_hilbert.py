@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fockbridge import hilbert, representation
-from fockbridge.errors import EnvelopeError
+from fockbridge.errors import EnvelopeError, EvaluationFailureError
 from fockbridge.hilbert import (
     MAX_WORK_ORDER,
     HilbertParams,
@@ -15,7 +15,12 @@ from fockbridge.hilbert import (
     hilbert_fock_S_apply,
     hilbert_fock_kernel_apply,
 )
-from fockbridge.quadrature import gauss_hermite_rule, plane_gaussian_rule, split_line_rule
+from fockbridge.quadrature import (
+    PlaneRule,
+    gauss_hermite_rule,
+    plane_gaussian_rule,
+    split_line_rule,
+)
 from fockbridge.representation import (
     FockCoeffs,
     HermiteCoeffs,
@@ -253,6 +258,13 @@ class TestKernelApply:
         monkeypatch.setattr(representation, "fock_eval", no_engine)
         with pytest.raises(EnvelopeError):
             KERNEL_OPS[name](np.append(np.linspace(0.0, 1.9, 9), -2.05))
+
+    def test_overflowing_kernel_is_a_numerical_failure(self):
+        # at the node -42.5i the kernel's argument is 30.05i, where erf
+        # overflows: a non-finite kernel value is refused, not summed
+        rule = PlaneRule(nodes=np.array([0.0, -42.5j]), weights=np.array([0.5, 0.5]))
+        with pytest.raises(EvaluationFailureError):
+            hilbert_fock_kernel_apply(unit_fock(0), HilbertParams(0.0, math.pi / 2), 0.0, rule)
 
     def test_envelope_guards(self):
         F = unit_fock(0)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ from fockbridge.special import (
     NORM_CONSTANT,
     A_eval,
     A_phi_eval,
+    _erf,
     branch_sqrt,
     erf_half_integral,
     gaussian_integral_closed,
@@ -205,6 +207,69 @@ class TestGaussianIntegralClosed:
     def test_square_recovers_radicand(self, a, b):
         root = SQRT_PI / gaussian_integral_closed(a, b)
         assert abs(root * root - complex(a, b)) < 1e-12 * abs(complex(a, b))
+
+
+#: Both axes, and points on each side of the kernel's series switch at |z| = 1.
+AXIS_POINTS = [s * x for x in (0.3, 1.0, 2.5, 6.0, 12.0) for s in (1, -1, 1j, -1j)]
+SWITCH_POINTS = [
+    r * cmath.exp(1j * k * math.pi / 8) for k in range(16) for r in (1 - 1e-12, 1.0, 1 + 1e-12)
+]
+
+
+class TestErfKernel:
+    """The numpy erf kernel against 30-digit mpmath and its exact symmetries."""
+
+    @staticmethod
+    def assert_erf_and_erfi(z):
+        mp.mp.dps = 30
+        w = mp.mpc(z.real, z.imag)
+        for got, ref in ((complex(_erf(z)), mp.erf(w)), (2 / SQRT_PI * A_eval(z), mp.erfi(w))):
+            assert abs(got - complex(ref)) <= 1e-13 * abs(complex(ref))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.floats(min_value=0.0, max_value=12.0),
+        th=st.floats(min_value=-math.pi, max_value=math.pi),
+    )
+    def test_against_mpmath_on_disk(self, r, th):
+        z = r * cmath.exp(1j * th)
+        if z == 0:
+            return
+        self.assert_erf_and_erfi(z)
+
+    @pytest.mark.parametrize("z", AXIS_POINTS + SWITCH_POINTS)
+    def test_against_mpmath_at_fixed_points(self, z):
+        self.assert_erf_and_erfi(z)
+
+    def test_exact_symmetries(self):
+        rng = np.random.default_rng(11)
+        z = np.concatenate([
+            rng.uniform(-12, 12, 500) + 1j * rng.uniform(-12, 12, 500),
+            AXIS_POINTS, SWITCH_POINTS,
+        ])
+        e = _erf(z)
+        assert _erf(0.0) == 0.0
+        np.testing.assert_array_equal(_erf(-z), -e)
+        np.testing.assert_array_equal(_erf(np.conj(z)), np.conj(e))
+        x = np.linspace(-12.0, 12.0, 97)
+        assert np.all(_erf(x).imag == 0.0) and np.all(_erf(1j * x).real == 0.0)
+        assert np.all(np.asarray([A_eval(v) for v in x]).imag == 0.0)
+
+    def test_shapes(self, array_contract):
+        array_contract(A_eval)
+        array_contract(lambda z: A_phi_eval(0.7, z))
+        for z in (0.5, 0.5 + 0.2j, np.float64(0.5), np.complex128(0.5 + 0.2j), np.asarray(0.5)):
+            assert type(erf_half_integral(z)) is complex
+            assert type(A_eval(z)) is complex
+        assert _erf(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_overflow_is_non_finite_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [A_eval(30.0), A_phi_eval(math.pi / 2, 30j), erf_half_integral(30j),
+                      A_eval(np.array([0.5, 30.0]))[1]]
+        assert not any(cmath.isfinite(v) for v in values)
+        assert cmath.isfinite(A_eval(30j)) and A_eval(30j) == pytest.approx(0.5j * SQRT_PI)
 
 
 class TestErfHalfIntegral:
