@@ -161,5 +161,4 @@ def read_symbol_json(path) -> FockSymbol:
         taylor,
         growth,
         dict(params),
-        check=False,
     )

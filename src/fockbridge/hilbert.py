@@ -3,17 +3,15 @@
 The reference semantics of the fractional transform is the multiplier chain:
 rotate by the fractional Fourier transform, apply the two-sided step phase
 through the exact Hermite-basis matrix of sgn(x), rotate back.  The
-plane-kernel realization (an integral operator against the Gaussian measure
-with an entire kernel built from A_phi, evaluated by the package's one
-plane-operator engine) is the validated alternative; the two are compared,
+plane-kernel realization is the validated alternative; the two are compared,
 not assumed equal.  On the Fock side the classical transform is S_phi of
-the principal-value symbol (``singular.hilbert_symbol``), applied under the
-raised growth cap 1/2 at which that symbol sits.
+the principal-value symbol pv (``singular.hilbert_symbol``), and the
+fractional one is the rotated S_phi of cos(phi) + sin(phi) pv at angle
+alpha - pi/2; both run under the raised growth cap 1/2 at which pv sits.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,9 +19,9 @@ import numpy as np
 
 from .errors import EnvelopeError
 from .quadrature import PlaneRule
-from .representation import FockCoeffs, HermiteCoeffs, SampledSignal, _plane_apply
-from .singular import hilbert_symbol, s_phi_apply
-from .special import A_phi_eval, SQRT_PI, finite_param, hermite_fn_all
+from .representation import FockCoeffs, HermiteCoeffs, SampledSignal
+from .singular import hilbert_symbol, make_symbol, s_phi_alpha_apply, s_phi_apply
+from .special import finite_param, hermite_fn_all
 from .frft import FrftAngle, _phases
 
 __all__ = [
@@ -112,16 +110,21 @@ def fractional_hilbert(
 
 
 def hilbert_fock_kernel_apply(F: FockCoeffs, params: HilbertParams, z, rule: PlaneRule):
-    """Plane-kernel form of the fractional Hilbert transform.
+    """Plane-kernel form of the fractional Hilbert transform, at a point or
+    an array of points: the rotated S_phi at alpha - pi/2 of the symbol
+    chi(u) = cos(phi) + sin(phi) pv(u), pv the principal-value symbol.
 
-    (1/sqrt(pi)) * integral of f(w) e^{z conj(w)}
-    A_phi((e^{i alpha} z + e^{-i alpha} conj(w)) / sqrt(2)) dlambda(w),
-    evaluated by the plane-operator engine at a point or an array of points.
+    Since erf(y) = i erfi(-i y), chi(e^{i(alpha-pi/2)} z - e^{-i(alpha-pi/2)} conj(w))
+    is the kernel (1/sqrt(pi)) A_phi((e^{i alpha} z + e^{-i alpha} conj(w)) / sqrt(2)).
+    chi grows like pv (0 when sin(phi) vanishes), so the cap is raised to 1/2.
     """
-    ea = cmath.exp(1j * params.alpha)
-    return _plane_apply(
-        F, z, rule, lambda zk, wbar: A_phi_eval(params.phi, (ea * zk + wbar / ea) / math.sqrt(2.0))
-    ) / SQRT_PI
+    pv = hilbert_symbol()
+    c, s = math.cos(params.phi), math.sin(params.phi)
+    taylor = s * pv.taylor.coeffs
+    taylor[0] += c
+    chi = make_symbol("hilbert-phase", lambda u: c + s * pv.evaluate(u), FockCoeffs(taylor),
+                      0.5 if s != 0.0 else 0.0, {"phi": params.phi})
+    return s_phi_alpha_apply(chi, params.alpha - math.pi / 2, F, z, rule, growth_cap=0.5)
 
 
 def hilbert_fock_S_apply(F: FockCoeffs, z, rule: PlaneRule):
@@ -129,6 +132,6 @@ def hilbert_fock_S_apply(F: FockCoeffs, z, rule: PlaneRule):
 
     S_phi of the principal-value symbol phi(u) = (2/sqrt(pi)) A(u/sqrt(2)),
     with A the antiderivative of e^{u^2} vanishing at 0; its growth 1/2 is
-    admitted by raising the symbol growth cap to 0.5 for this operator only.
+    admitted by raising the symbol growth cap to 0.5 for the Hilbert operators only.
     """
     return s_phi_apply(hilbert_symbol(), F, z, rule, growth_cap=0.5)

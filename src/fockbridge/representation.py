@@ -248,9 +248,9 @@ def inverse_bargmann_coeff(F: FockCoeffs) -> HermiteCoeffs:
 def fock_eval(F: FockCoeffs, z):
     """Evaluate sum_n c_n z^n/sqrt(n!) with a stable term recurrence.
 
-    Accepts a scalar or ndarray ``z``.
-    """
-    zarr = np.asarray(z, dtype=complex)
+    Accepts a scalar or ndarray ``z``; the recurrence runs on it as a 1-d
+    array either way, so a scalar gets the bits it has in an array."""
+    zarr = np.asarray(z, dtype=complex).ravel()
     term = np.ones_like(zarr)
     acc = F.coeffs[0] * term
     for k in range(1, F.order):
@@ -277,25 +277,6 @@ def check_envelope(
             f"truncation {F.order} exceeds the envelope cap {order_max}; the plane "
             "rule cannot resolve the integrand"
         )
-
-
-def _plane_apply(F: FockCoeffs, z, rule: PlaneRule, kernel):
-    """The plane-operator engine: integral of f(w) e^{z conj(w)} K(z, conj(w)) dlambda(w).
-
-    Every Fock-side integral operator is this sum with its own entire kernel
-    ``K``, a callable on one point and the conjugated nodes.  ``z`` is a
-    point or an array of points and the result has its shape.  The plane
-    envelope is checked first; f is then evaluated once, and each point gets
-    its own rule sum, with factors multiplied smallest-first so no
-    intermediate overflows at the extreme radial nodes.
-    """
-    check_envelope(F, z)
-    wbar = np.conj(rule.nodes)
-    fw = fock_eval(F, rule.nodes)
-    return rule_sum_per_point(
-        lambda zk: ((rule.weights * np.exp(zk * wbar)) * fw, kernel(zk, wbar)),
-        z, rule.nodes, "plane-operator integrand",
-    )
 
 
 def bargmann_direct(f, z, rule: LineRule, z_max: float = DEFAULT_Z_MAX):

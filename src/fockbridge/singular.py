@@ -2,11 +2,12 @@
 
 An operator S_phi acts by integrating f(w) e^{z conj(w)} phi(z - conj(w))
 against the Gaussian measure; its rotated variant substitutes
-e^{i alpha} z - e^{-i alpha} conj(w).  Both are one call into the
-plane-operator engine (``representation._plane_apply``), which checks the
-plane envelope before any work.  The Fock-side wavelet operator is S_phi of
-the wavelet's symbol (:func:`phi_from_g`), as the classical Hilbert
-transform is S_phi of the principal-value symbol (:func:`hilbert_symbol`).
+e^{i alpha} z - e^{-i alpha} conj(w) and is the package's one plane-operator
+engine (:func:`s_phi_alpha_apply`), which checks the plane envelope before
+any work.  The Fock-side wavelet operator is S_phi of the wavelet's symbol
+(:func:`phi_from_g`); the classical Hilbert transform is S_phi of the
+principal-value symbol (:func:`hilbert_symbol`), the fractional one a
+rotated S_phi of a phase mix of it.
 Symbols phi are carried as a :class:`FockSymbol`: a closed-form evaluator
 plus its truncated coefficient vector, checked against each other at
 construction so the two can never drift apart silently.
@@ -26,8 +27,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, EnvelopeError
-from .quadrature import LineRule, PlaneRule, _evaluate, gauss_hermite_rule, rule_sum
-from .representation import FockCoeffs, _plane_apply, check_envelope, fock_eval
+from .quadrature import LineRule, PlaneRule, _evaluate, gauss_hermite_rule
+from .quadrature import rule_sum, rule_sum_per_point
+from .representation import FockCoeffs, check_envelope, fock_eval
 from .special import A_eval, SQRT_PI, finite_param, shaped_like, sqrt_factorials
 
 __all__ = [
@@ -105,11 +107,12 @@ class FockSymbol:
 def _taylor_check(evaluate, taylor: FockCoeffs) -> float:
     """Worst evaluator-vs-coefficients disagreement on circles |z| <= 2,
     relative where the symbol is large (family members reach ~1e11 there);
-    NaN when the evaluator gives NaN anywhere."""
+    NaN or inf when either side is non-finite anywhere."""
     ring = np.exp(2j * math.pi * np.arange(24) / 24)
     z = np.concatenate([r * ring for r in (0.5, 1.0, 1.5, 2.0)])
-    vals = np.asarray(evaluate(z))
-    resid = np.abs(vals - fock_eval(taylor, z)) / np.maximum(1.0, np.abs(vals))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(evaluate(z))
+        resid = np.abs(vals - fock_eval(taylor, z)) / np.maximum(1.0, np.abs(vals))
     return float(resid.max())
 
 
@@ -119,17 +122,15 @@ def make_symbol(
     taylor: FockCoeffs,
     growth_bound: float,
     params: dict | None = None,
-    check: bool = True,
 ) -> FockSymbol:
     """Build a symbol, refusing silently inconsistent evaluator/coefficients."""
     sym = FockSymbol(kind, evaluate, taylor, growth_bound, params or {})
-    if check:
-        resid = _taylor_check(evaluate, taylor)
-        if not resid <= _SYMBOL_CHECK_TOL:
-            raise ConfigurationError(
-                f"symbol '{kind}': stored coefficients disagree with the evaluator "
-                f"by {resid:.2e} on |z| <= 2 (tolerance {_SYMBOL_CHECK_TOL:.0e})"
-            )
+    resid = _taylor_check(evaluate, taylor)
+    if not resid <= _SYMBOL_CHECK_TOL:
+        raise ConfigurationError(
+            f"symbol '{kind}': stored coefficients disagree with the evaluator "
+            f"by {resid:.2e} on |z| <= 2 (tolerance {_SYMBOL_CHECK_TOL:.0e})"
+        )
     return sym
 
 
@@ -219,11 +220,17 @@ def s_phi_alpha_apply(
     growth_cap: float = GROWTH_CAP,
 ):
     """Apply the rotated operator, kernel phi(e^{i a} z - e^{-i a} conj(w)),
-    at a point or an array of points."""
+    at a point or an array of points.  After the growth and envelope guards
+    f is evaluated once on the nodes; each point gets its own rule sum, its
+    factors multiplied smallest-first so none overflows at the outer nodes."""
     _check_growth(phi, growth_cap)
     ea = cmath.exp(1j * finite_param(alpha, "rotation angle"))
-    return _plane_apply(
-        F, z, rule, lambda zk, wbar: np.asarray(phi.evaluate(ea * zk - wbar / ea))
+    check_envelope(F, z)
+    wbar = np.conj(rule.nodes)
+    fw = fock_eval(F, rule.nodes)
+    return rule_sum_per_point(
+        lambda zk: ((rule.weights * np.exp(zk * wbar)) * fw, phi.evaluate(ea * zk - wbar / ea)),
+        z, rule.nodes, "plane-operator integrand",
     )
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import frft as _frft
 from . import hilbert as _hilbert
 from . import singular as _singular
-from .quadrature import gauss_hermite_rule, plane_gaussian_rule, rule_sum, split_line_rule
+from .quadrature import gauss_hermite_rule, plane_gaussian_rule, rule_sum
 from .representation import (
     PLANE_RULE_SIZES,
     FockCoeffs,
@@ -332,7 +332,8 @@ def _check_wavelet_three_path(cfg: VerifyConfig):
             h = inverse_bargmann_coeff(F)
             fx = lambda t, h=h: hermite_eval(h, t)
             wf = lambda t, fx=fx, spec=spec: _singular.wavelet_transform(fx, spec, t, line)
-            p1 = _singular.wavelet_fock_apply(F, spec, zs, plane, line)
+            # wavelet_fock_apply's own route, on the symbol built above
+            p1 = _singular.s_phi_apply(sym, F, zs, plane)
             p2 = bargmann_direct(wf, zs, brule)
             p3 = fock_eval(_singular.s_phi_apply_deriv(sym.monomial(), F), zs)
             worst = max(worst, float(np.abs([p1 - p2, p1 - p3, p2 - p3]).max()))
@@ -388,11 +389,12 @@ def _check_sop_conjugation(cfg: VerifyConfig):
 
 def _pv_oracle(z: complex) -> complex:
     """(1/pi) p.v. integral of e^{-t^2 + sqrt2 t z} / t dt, independent of erfi:
-    2 e^{-t^2} sinh(sqrt2 t z) / t on the positive panel of the split rule."""
-    rule = split_line_rule()
-    t = rule.pos_nodes
-    vals = 2.0 * np.exp(-t * t) * np.sinh(math.sqrt(2.0) * t * z) / t
-    return rule_sum(rule.pos_weights, vals, t, "PV oracle integrand") / math.pi
+    the odd part folds it into the entire integrand e^{-t^2} sinh(sqrt2 t z) / t,
+    summed on an even Gauss-Hermite rule, which has no node at 0."""
+    rule = gauss_hermite_rule(40)
+    t = rule.nodes
+    vals = np.sinh(math.sqrt(2.0) * t * z) / t
+    return rule_sum(rule.weights, vals, t, "PV oracle integrand") / math.pi
 
 
 def _check_pv_symbol(cfg: VerifyConfig):
@@ -400,11 +402,12 @@ def _check_pv_symbol(cfg: VerifyConfig):
     # the value at 0 must be exactly zero, not merely small
     at_zero = complex(sym.evaluate(0.0))
     parts = [(0.0 if at_zero == 0.0 else math.inf, 1.0)]
-    # derivative identity by central differences
-    step = 1e-5
+    # derivative identity by the Cauchy integral on a circle of radius 0.5;
+    # the trapezoid rule on 32 points is exact to rounding for an entire symbol
+    ring = np.exp(2j * math.pi * np.arange(32) / 32)
     for z in (0.5, -0.8, 0.3 + 0.4j, 1.1 - 0.2j, 1.4):
         z = complex(z)
-        d = (complex(sym.evaluate(z + step)) - complex(sym.evaluate(z - step))) / (2 * step)
+        d = np.sum(sym.evaluate(z + 0.5 * ring) / ring) / (32 * 0.5)
         parts.append((abs(d - math.sqrt(2.0 / math.pi) * np.exp(0.5 * z * z)), 1e-6))
     # principal-value rewrite as an ordinary integral
     for z in (0.4 + 0j, 1.0 + 0.5j, -1.3 + 0.2j):

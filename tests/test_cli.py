@@ -437,6 +437,12 @@ MALFORMED = {
         '{"kind": "gauss", "params": {}, "taylor": [[1, 0]]}',
     ),
     "top_level_list": (["frft", "--alpha", "1", "--in", "bad.json", "--out", "x.json"], "[1, 2]"),
+    # a stored series that overflows on |z| <= 2 fails the symbol's own
+    # evaluator-vs-Taylor check at read, before the plane sum can
+    "overflowing_series": (
+        ["sop", "apply", "--symbol-file", "bad.json", "--in", "F.json", "--z", "0,0"],
+        '{"kind": "poly", "params": {}, "growth_bound": 0.0, "taylor": [[0, 0], [1e308, 0]]}',
+    ),
 }
 
 

@@ -262,3 +262,12 @@ class TestSymbolJson:
         assert complex(back.evaluate(1.0 + 0.5j)) == pytest.approx(
             complex(sym.evaluate(1.0 + 0.5j)), rel=1e-10
         )
+
+    def test_overflowing_series_refused(self, tmp_path):
+        # 1e308 z overflows on |z| <= 2: the symbol's own check refuses it at
+        # read, with no RuntimeWarning first (tier-1 turns those into errors)
+        path = tmp_path / "sym.json"
+        doc = {"kind": "poly", "params": {}, "growth_bound": 0.0, "taylor": [[0, 0], [1e308, 0]]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match="disagree with the evaluator"):
+            fileio.read_symbol_json(path)

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fockbridge import hilbert, representation
+from fockbridge import hilbert, singular
 from fockbridge.errors import EnvelopeError, EvaluationFailureError
 from fockbridge.hilbert import (
     MAX_WORK_ORDER,
@@ -18,6 +18,7 @@ from fockbridge.hilbert import (
 from fockbridge.quadrature import (
     PlaneRule,
     gauss_hermite_rule,
+    integrate_plane,
     plane_gaussian_rule,
     split_line_rule,
 )
@@ -30,7 +31,7 @@ from fockbridge.representation import (
     inverse_bargmann_coeff,
     synthesize,
 )
-from fockbridge.special import hermite_fn
+from fockbridge.special import SQRT_PI, A_phi_eval, hermite_fn
 from fockbridge.verify import _grid_hilbert_coeffs, _pv_oracle
 
 PLANE = plane_gaussian_rule(64, 256)
@@ -242,20 +243,36 @@ class TestKernelApply:
         combo = math.cos(phi) * fock_eval(F, z) + math.sin(phi) * quarter
         assert full == pytest.approx(combo, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "alpha, phi", [(0.0, math.pi / 2), (0.7, 1.1), (math.pi, -0.3), (2.3, 0.0)]
+    )
+    def test_matches_A_phi_formula(self, alpha, phi):
+        # the rotated S_phi route against the plane sum of
+        # f(w) e^{z conj(w)} A_phi((e^{i a} z + e^{-i a} conj(w)) / sqrt 2) / sqrt(pi)
+        params = HilbertParams(alpha, phi)
+        ea = np.exp(1j * params.alpha)
+        for z in (0.3 - 0.9j, 1.1 + 0.2j, -1.5 + 0.4j):
+            kernel = lambda w, z=z: (
+                fock_eval(_F, w) * np.exp(z * np.conj(w))
+                * A_phi_eval(params.phi, (ea * z + np.conj(w) / ea) / math.sqrt(2.0))
+            )
+            ref = integrate_plane(PLANE, kernel) / SQRT_PI
+            got = hilbert_fock_kernel_apply(_F, params, z, PLANE)
+            assert abs(got - ref) <= 1e-14 * abs(ref)
+
     @pytest.mark.parametrize("name", sorted(KERNEL_OPS))
     def test_points_as_array(self, name, array_contract):
-        # the kernel form's final 1/sqrt(pi) divides a complex array, which
-        # numpy does by multiplying with the reciprocal: 1 ulp off Python's
-        # complex division; the S_phi form has no final factor
-        array_contract(KERNEL_OPS[name], max_ulp=int(name == "hilbert_fock_kernel_apply"))
+        array_contract(KERNEL_OPS[name])
 
     @pytest.mark.parametrize("name", sorted(KERNEL_OPS))
     def test_array_refused_before_the_engine(self, name, monkeypatch):
-        # fock_eval is the engine's first step after its envelope check
-        def no_engine(*args, **kwargs):
-            raise AssertionError("plane engine ran before the envelope check")
+        # the engine's first work after its envelope check is f on the nodes
+        def no_node_eval(F, z):
+            if z is _SMALL.nodes:
+                raise AssertionError("plane engine ran before the envelope check")
+            return fock_eval(F, z)
 
-        monkeypatch.setattr(representation, "fock_eval", no_engine)
+        monkeypatch.setattr(singular, "fock_eval", no_node_eval)
         with pytest.raises(EnvelopeError):
             KERNEL_OPS[name](np.append(np.linspace(0.0, 1.9, 9), -2.05))
 
@@ -285,7 +302,7 @@ class TestSApply:
             for z in (0.3 - 0.9j, 1.1 + 0.2j):
                 s = hilbert_fock_S_apply(F, z, PLANE)
                 k = hilbert_fock_kernel_apply(F, params, z, PLANE)
-                assert s == pytest.approx(k, abs=1e-6)
+                assert s == pytest.approx(k, abs=1e-14)
 
     def test_constant_term_vanishes_at_origin(self):
         # the kernel is odd, so S e_0 has no constant Taylor term

@@ -15,7 +15,7 @@ from fockbridge.representation import (
     hermite_eval,
     inverse_bargmann_coeff,
 )
-from fockbridge import representation, singular, verify
+from fockbridge import singular, verify
 from fockbridge.singular import (
     OperatorMatrix,
     WaveletSpec,
@@ -50,6 +50,18 @@ PLANE_OPS = {
         _F, WaveletSpec(lambda t: np.exp(-t * t), 1.0), z, _SMALL, gauss_hermite_rule(40)
     ),
 }
+
+
+def refuse_node_eval(monkeypatch, guard):
+    """Make the plane engine's first work after its guards, f on the nodes
+    of ``_SMALL``, fail the test; a symbol's own checks still evaluate."""
+
+    def no_node_eval(F, z):
+        if z is _SMALL.nodes:
+            raise AssertionError(f"plane engine ran before {guard}")
+        return fock_eval(F, z)
+
+    monkeypatch.setattr(singular, "fock_eval", no_node_eval)
 
 
 def unit_fock(n):
@@ -128,7 +140,6 @@ class TestSPhiApply:
             lambda u: np.where(np.abs(u) > 3.0, np.nan, 1.0 + 0j),
             FockCoeffs(np.array([1.0 + 0j])),
             0.0,
-            check=False,
         )
         with pytest.raises(EvaluationFailureError):
             s_phi_apply(sym, unit_fock(1), 0.5, PLANE)
@@ -155,11 +166,7 @@ class TestSPhiApply:
 
     @pytest.mark.parametrize("name", sorted(PLANE_OPS))
     def test_array_refused_before_the_engine(self, name, monkeypatch):
-        # fock_eval is the engine's first step after its envelope check
-        def no_engine(*args, **kwargs):
-            raise AssertionError("plane engine ran before the envelope check")
-
-        monkeypatch.setattr(representation, "fock_eval", no_engine)
+        refuse_node_eval(monkeypatch, "the envelope check")
         with pytest.raises(EnvelopeError):
             PLANE_OPS[name](np.append(np.linspace(0.0, 1.9, 9), 2.05j))
 
@@ -463,10 +470,7 @@ class TestWaveletFock:
     def test_growth_refused_before_the_engine(self, monkeypatch):
         # g = e^{-t^2} at s = 4 induces e^{(4/9) z^2} up to a constant:
         # growth 4/9 lies past the envelope's 0.4
-        def no_engine(*args, **kwargs):
-            raise AssertionError("plane engine ran before the growth guard")
-
-        monkeypatch.setattr(representation, "fock_eval", no_engine)
+        refuse_node_eval(monkeypatch, "the growth guard")
         spec = WaveletSpec(lambda t: np.exp(-t * t), 4.0)
         with pytest.raises(EnvelopeError, match="growth bound"):
             wavelet_fock_apply(unit_fock(1), spec, 0.5 + 0.2j, _SMALL, LINE)
@@ -495,18 +499,23 @@ class TestWaveletFock:
     def test_three_path_check_has_one_plane_route(self, monkeypatch):
         # p1 is the check's only plane route: p3 is the derivative identity
         # on the symbol's stored series, so 3 dilations x 3 inputs make 9
-        # engine calls, not 18
-        calls = []
-        engine = singular._plane_apply
+        # engine calls, not 18; and one symbol per dilation serves both
+        calls = {"s_phi_alpha_apply": 0, "phi_from_g": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return engine(*args, **kwargs)
+        def counting(name):
+            original = getattr(singular, name)
 
-        monkeypatch.setattr(singular, "_plane_apply", counting)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(singular, name, counted)
+
+        counting("s_phi_alpha_apply")
+        counting("phi_from_g")
         monkeypatch.setattr(verify, "plane_gaussian_rule", lambda *sizes: _SMALL)
         verify.CHECKS["wavelet.three_path"][0](verify.VerifyConfig())
-        assert len(calls) == 9
+        assert calls == {"s_phi_alpha_apply": 9, "phi_from_g": 3}
 
 
 class TestInnerWaveletMemory:
