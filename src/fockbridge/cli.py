@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fileio
 from .errors import ConfigurationError, EvaluationFailureError, FockbridgeError
-from .frft import fock_rotation, frft_coeffs
+from .frft import frft_coeffs
 from .hilbert import HilbertParams, fractional_hilbert, hilbert_classical_grid
 from .quadrature import gauss_hermite_rule, plane_gaussian_rule
 from .representation import (
@@ -169,21 +169,22 @@ def _emit_like_input(result: HermiteCoeffs, data, args) -> None:
         fileio.write_coeffs_json(bargmann_coeff(result), args.outfile)
     else:
         fileio.write_coeffs_json(result, args.outfile)
-    if getattr(args, "dump_grid", None):
+    if args.dump_grid:
         _write_grid(result, args.dump_grid)
 
 
 def _cmd_frft(args) -> int:
+    # Fock coefficients are the Hermite ones (B h_n = e_n), so a Fock input
+    # rotates by the same phases and comes back as Fock JSON
     data = _read_input(args)
-    if isinstance(data, FockCoeffs):
-        fileio.write_coeffs_json(fock_rotation(data, args.alpha), args.outfile)
-        return 0
     h = _to_hermite(data, _order(args))
     _emit_like_input(frft_coeffs(h, args.alpha), data, args)
     return 0
 
 
 def _cmd_hilbert(args) -> int:
+    if args.classical and args.dump_grid:
+        raise UsageError("--dump-grid needs a Hermite expansion; --classical has none")
     data = _read_input(args)
     if args.classical:
         if not isinstance(data, SampledSignal):
@@ -206,11 +207,11 @@ def _cmd_bargmann(args) -> int:
             _write_grid(result, args.outfile)
         else:
             fileio.write_coeffs_json(result, args.outfile)
-        return 0
-    h = _to_hermite(data, _order(args))
-    fileio.write_coeffs_json(bargmann_coeff(h), args.outfile)
-    if getattr(args, "dump_grid", None):
-        _write_grid(h, args.dump_grid)
+    else:
+        result = _to_hermite(data, _order(args))
+        fileio.write_coeffs_json(bargmann_coeff(result), args.outfile)
+    if args.dump_grid:
+        _write_grid(result, args.dump_grid)
     return 0
 
 

@@ -124,7 +124,8 @@ def _stage_values(fvals: np.ndarray, a: FrftAngle, x: np.ndarray, rule: LineRule
     cp = branched_prefactor(a)
     t = rule.nodes
     weighted = rule.weights_nogauss * fvals * np.exp(1j * cot * t * t)
-    kernel = np.exp(-2j * csc * np.outer(x, t))
+    kernel = np.multiply(np.outer(x, t), -2j * csc)
+    np.exp(kernel, out=kernel)
     return cp * np.exp(1j * cot * x * x) * (kernel @ weighted)
 
 

@@ -64,10 +64,15 @@ def hilbert_classical_grid(s: SampledSignal) -> SampledSignal:
     works.
     """
     m = s.values.size
-    mult = -1j * np.sign(np.fft.fftfreq(m))
+    spec = np.fft.fft(s.values)
+    # -i sgn's three values (signed zeros kept) scale the bins in place
+    zero, pos, neg = -1j * np.array([0.0, 1.0, -1.0])
+    spec[0] *= zero
+    spec[1 : (m + 1) // 2] *= pos
+    spec[m // 2 + 1 :] *= neg
     if m % 2 == 0:
-        mult[m // 2] = 0.0
-    return SampledSignal(s.x0, s.dx, np.fft.ifft(mult * np.fft.fft(s.values)))
+        spec[m // 2] *= 0j
+    return SampledSignal(s.x0, s.dx, np.fft.ifft(spec, out=spec))
 
 
 def _sign_matrix(n_out: int, n_in: int) -> np.ndarray:

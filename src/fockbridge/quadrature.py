@@ -8,11 +8,13 @@ angular rule, integrating against the probability measure
 Rules are immutable and cached by size; a float size is refused rather
 than served a cached rule.  Gauss-Hermite and Gauss-Laguerre nodes come
 from Golub-Welsch: the eigenvalues of the rule's Jacobi matrix, computed by
-LAPACK's ``dsterf`` (implicit QL/QR) through ``numpy.linalg``, so building
-a rule loads no scipy module.  Rule sums go through one reducer,
-:func:`rule_sum`: exactly-rounded summation (math.fsum) in fixed node
-order, so each such integral is bit-reproducible however its integrand
-values were produced, and a non-finite term is refused.  The Hermite
+``numpy.linalg.eigvalsh`` (no scipy module loads) on the dense matrix:
+O(k^2) memory (2 MiB at k = 512) and an O(k^3) LAPACK ``dsytrd`` reduction
+before ``dsterf``, on threaded OpenBLAS, where an oversubscribed machine can
+stretch a 512-node build from 0.05 s to seconds.  Rule sums go through
+one reducer, :func:`rule_sum`: exactly-rounded summation (math.fsum) in
+fixed node order, so each such integral is bit-reproducible however its
+integrand values were produced, and a non-finite term is refused.  The Hermite
 projection and expansion (``representation``) reduce with BLAS instead.
 """
 
@@ -66,7 +68,9 @@ def _jacobi_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     same kernel on the same data as scipy's tridiagonal eigensolver, whose
     values it reproduces bit for bit.
     """
-    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    jac, k = np.diag(diag), diag.size
+    jac.flat[1 :: k + 1] = jac.flat[k :: k + 1] = off
+    return np.linalg.eigvalsh(jac)
 
 
 @dataclass(frozen=True)

@@ -68,8 +68,8 @@ MATRIX_RADIUS = 1.5
 _FROM_G_TAYLOR = 40
 _HILBERT_TAYLOR = 60
 
-#: Elements of a wavelet symbol's u × nodes exponential formed at once.
-_INNER_BLOCK = 2**18
+#: Elements of a wavelet symbol's u × nodes exponential formed at once (1 MiB).
+_INNER_BLOCK = 2**16
 
 #: Arguments at which wavelet_transform evaluates the wavelet at once (a
 #: sampled wavelet's interpolant holds about 360 bytes per argument, so
@@ -381,8 +381,9 @@ def phi_from_g(spec: WaveletSpec, rule: LineRule) -> FockSymbol:
     exp(-s^2 t^2/2) dt.  Wavelets outside L^1 & L^2 are rejected by a
     refinement-stability proxy on the quadrature norms.  ``g`` is evaluated
     on the rule once, here; the evaluator forms its u × nodes exponential in
-    row blocks of at most _INNER_BLOCK elements (4 MiB of complex) and sums
-    each row on its own, so a point's value does not depend on the block.
+    row blocks of at most _INNER_BLOCK elements (1 MiB of complex), each
+    transformed in place, and sums each row on its own, so a point's value
+    does not depend on the block.
     """
     s = spec.s
     pref = math.sqrt(abs(s) / math.pi)
@@ -418,7 +419,10 @@ def phi_from_g(spec: WaveletSpec, rule: LineRule) -> FockSymbol:
         out = np.empty(u.shape, dtype=complex)
         rows = max(1, _INNER_BLOCK // t.size)
         for lo in range(0, u.size, rows):
-            block = np.exp(gauss - s * np.multiply.outer(u[lo : lo + rows], t))
+            block = np.multiply.outer(u[lo : lo + rows], t)
+            block *= s
+            np.subtract(gauss, block, out=block)
+            np.exp(block, out=block)
             block *= gw
             out[lo : lo + rows] = block.sum(axis=-1)
         return shaped_like(pref * out, z)

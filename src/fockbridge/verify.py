@@ -32,7 +32,6 @@ from .representation import (
     PLANE_RULE_SIZES,
     FockCoeffs,
     HermiteCoeffs,
-    SampledSignal,
     analyze,
     bargmann_coeff,
     bargmann_direct,
@@ -285,9 +284,9 @@ def _grid_hilbert_coeffs(n: int, order: int) -> FockCoeffs:
     rule and mapped to the Fock side."""
     m, dx = 2**17, 0.04
     x0 = -0.5 * m * dx
-    # row n alone, cast to complex: no complex copy of the Hermite matrix
-    row = hermite_fn_all(n, x0 + dx * np.arange(m))[n].astype(complex)
-    hsig = _hilbert.hilbert_classical_grid(SampledSignal(x0, dx, row))
+    # the sampled h_n is dropped once transformed, before the projection
+    e_n = HermiteCoeffs(np.eye(1, n + 1, n)[0])
+    hsig = _hilbert.hilbert_classical_grid(synthesize(e_n, x0, dx, m))
     return bargmann_coeff(analyze(hsig, order, None))
 
 

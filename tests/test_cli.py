@@ -12,7 +12,7 @@ import fockbridge
 
 from fockbridge import fileio
 from fockbridge.cli import run_command
-from fockbridge.frft import frft_coeffs
+from fockbridge.frft import fock_rotation, frft_coeffs
 from fockbridge.hilbert import HilbertParams, fractional_hilbert
 from fockbridge.quadrature import gauss_hermite_rule, plane_gaussian_rule
 from fockbridge.representation import (
@@ -67,6 +67,9 @@ class TestFrftCommand:
         assert rc == 0
         out = fileio.read_coeffs_json(workdir / "Fr.json")
         assert isinstance(out, FockCoeffs)
+        src = fileio.read_coeffs_json(workdir / "F.json")
+        fileio.write_coeffs_json(fock_rotation(src, 0.7), workdir / "ref.json")
+        assert (workdir / "Fr.json").read_bytes() == (workdir / "ref.json").read_bytes()
 
     def test_missing_required_flag_is_usage_error(self, workdir, capsys):
         rc = run_command(["frft", "--in", "h.json", "--out", "x.json"])
@@ -84,6 +87,16 @@ class TestHilbertCommand:
 
     def test_classical_rejects_json(self, workdir):
         assert run_command(["hilbert", "--classical", "--in", "h.json", "--out", "x.json"]) == 2
+
+    def test_classical_refuses_dump_grid(self, workdir, capsys):
+        # no Hermite expansion to sample: refused before the input is read
+        argv = ["hilbert", "--classical", "--in", "missing.csv", "--out", "hs.csv",
+                "--dump-grid", "grid.csv"]
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fockbridge: error=usage") and "--dump-grid" in err
+        assert err.count("\n") == 1
+        assert not (workdir / "hs.csv").exists() and not (workdir / "grid.csv").exists()
 
     def test_fractional_coefficients(self, workdir):
         rc = run_command(
@@ -131,6 +144,10 @@ DUMP_GRID = {
                  lambda h: h),
     "bargmann_inverse": (["bargmann", "--inverse", "--in", "F.json", "--out", "grid.csv"],
                          inverse_bargmann_coeff),
+    "bargmann_inverse_dump": (["bargmann", "--inverse", "--in", "F.json", "--out", "o.json",
+                               "--dump-grid", "grid.csv"], inverse_bargmann_coeff),
+    "frft_fock": (["frft", "--alpha", "0.7", "--in", "F.json", "--out", "o.json",
+                   "--dump-grid", "grid.csv"], lambda F: frft_coeffs(inverse_bargmann_coeff(F), 0.7)),
 }
 
 

@@ -4,7 +4,9 @@ For any argv drawn from the flag grammar of the data and operator commands,
 with non-finite and out-of-range numbers, malformed ``re,im`` strings and
 malformed or missing files: ``run_command`` returns instead of raising, the
 exit code is in {0, 1, 2, 3}, a failure leaves exactly one stderr line
-starting ``fockbridge: error=``, and a success writes only finite numbers.
+starting ``fockbridge: error=``, and a success writes only finite numbers
+and, when asked, the ``--dump-grid`` file (which ``hilbert --classical``
+refuses with exit 2).
 """
 
 import contextlib
@@ -176,10 +178,14 @@ def test_contract(files, argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_command(argv)
     assert code in (0, 1, 2, 3)
+    if "--classical" in argv and "--dump-grid" in argv:
+        assert code == 2  # no Hermite expansion to sample on the grid
     if code:
         assert err.getvalue().startswith("fockbridge: error=")
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
         return
     assert err.getvalue() == ""
+    if "--dump-grid" in argv:
+        assert (files / "grid.csv").exists()  # the grid is written, not dropped
     texts = [out.getvalue()] + [(files / n).read_text() for n in OUTPUTS if (files / n).exists()]
     assert all(math.isfinite(v) for text in texts if text for v in numbers(text))

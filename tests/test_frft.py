@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fockbridge.errors import RepresentationUnavailableError
 from fockbridge.frft import (
     FrftAngle,
+    _stage_values,
     branched_prefactor,
     fock_rotation,
     frft_coeffs,
@@ -221,6 +222,24 @@ class TestFrftIntegral:
         out_arr = frft_integral(hermite_function(2), 1.1, np.array([0.5]), RULE)
         out_scal = frft_integral(hermite_function(2), 1.1, 0.5, RULE)
         assert out_scal == out_arr[0]
+
+    @pytest.mark.parametrize("alpha", [0.7, 2.1, 0.3])
+    def test_stage_kernel_bits(self, alpha):
+        # the kernel exponentiated in place equals np.exp(-2j * csc * outer)
+        a, xs = FrftAngle(alpha), np.linspace(-3, 3, 13)
+        fvals = np.asarray(hermite_function(3)(RULE.nodes), dtype=complex)
+        t, cot, csc = RULE.nodes, a.cot, 1.0 / a.sin
+        weighted = RULE.weights_nogauss * fvals * np.exp(1j * cot * t * t)
+        kernel = np.exp(-2j * csc * np.outer(xs, t))
+        want = branched_prefactor(a) * np.exp(1j * cot * xs * xs) * (kernel @ weighted)
+        assert _stage_values(fvals, a, xs, RULE).tobytes() == want.tobytes()
+
+    def test_two_pass_memory_bounded(self, traced_peak):
+        # cot(0.3) > MAX_DIRECT_COT: the inner pass forms a 240 x 480 kernel,
+        # once, exponentiated in place (2.6 MiB; 3.5 MiB with a second copy)
+        xs = np.linspace(-3, 3, 13)
+        peak = traced_peak(lambda: frft_integral(hermite_function(3), 0.3, xs, RULE))
+        assert peak <= 3 * 2**20
 
     def test_integral_matches_coefficient_path_random(self):
         rng = np.random.default_rng(21)

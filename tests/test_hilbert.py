@@ -25,6 +25,7 @@ from fockbridge.quadrature import (
 from fockbridge.representation import (
     FockCoeffs,
     HermiteCoeffs,
+    SampledSignal,
     analyze,
     bargmann_coeff,
     fock_eval,
@@ -58,8 +59,6 @@ def long_grid_signal(coeffs, m=2**16, dx=0.05):
 
 class TestClassicalGrid:
     def test_zero_signal(self):
-        from fockbridge.representation import SampledSignal
-
         s = SampledSignal(-1.0, 0.5, np.zeros(8, dtype=complex))
         out = hilbert_classical_grid(s)
         assert np.all(out.values == 0)
@@ -78,6 +77,31 @@ class TestClassicalGrid:
         # grid points pair as x_j = -x_{m-j} (index 0 has no mirror)
         v = out.values.real[1:]
         assert float(np.abs(v + v[::-1]).max()) < 1e-9
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 801, 4097, 2**16])
+    @pytest.mark.parametrize("kind", ["complex", "real", "small-integer"])
+    def test_bits_match_the_multiplier_product(self, m, kind):
+        # the in-place multiplier keeps every bit of ifft(mult * fft(v)),
+        # signed zeros included, against the m-long multiplier it replaced;
+        # samples in {-1, 0, 1} give spectra with exact zeros of both signs
+        rng = np.random.default_rng(m)
+        mult = -1j * np.sign(np.fft.fftfreq(m))
+        if m % 2 == 0:
+            mult[m // 2] = 0.0
+        for _ in range(16 if kind == "small-integer" else 1):
+            if kind == "small-integer":
+                v = rng.integers(-1, 2, m) + 1j * rng.integers(-1, 2, m)
+            else:
+                v = rng.standard_normal(m) + (1j * rng.standard_normal(m) if kind == "complex" else 0j)
+            want = np.fft.ifft(mult * np.fft.fft(v))
+            got = hilbert_classical_grid(SampledSignal(-1.0, 0.5, v)).values
+            assert got.tobytes() == want.tobytes()
+
+    def test_memory_bounded(self, traced_peak):
+        # the spectrum once, transformed in place: 2 MiB of complex at 2^17
+        # samples, not a multiplier, a product and an inverse beside it
+        sig = long_grid_signal([0, 1.0], m=2**17, dx=0.04)
+        assert traced_peak(lambda: hilbert_classical_grid(sig)) <= 2.5 * 2**20
 
     def test_quarter_turn_chain_matches_grid(self):
         # h_1 through the multiplier chain vs the FFT grid path
@@ -336,6 +360,7 @@ class TestVerifyOracles:
         assert abs(_pv_oracle(z) - ref) <= 1e-12
 
     def test_grid_coeffs_memory_bounded(self, traced_peak):
-        # one complex row of 2^17 samples, not the (n+1) x 2^17 Hermite
-        # matrix cast to complex (18 MiB traced when it was)
-        assert traced_peak(lambda: _grid_hilbert_coeffs(4, 24)) <= 10 * 2**20
+        # one complex row of 2^17 samples, synthesized in bounded blocks and
+        # dropped once transformed, not the (n+1) x 2^17 Hermite matrix cast
+        # to complex (18 MiB traced when it was); 7.8 MiB
+        assert traced_peak(lambda: _grid_hilbert_coeffs(4, 24)) <= 8.5 * 2**20

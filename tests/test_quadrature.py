@@ -291,6 +291,25 @@ class TestRuleBitIdentity:
         assert np.array_equal(weights, ref_weights)
 
 
+@pytest.mark.parametrize("k", [2, 3, 64, 512])
+@pytest.mark.parametrize("family", ["hermite", "laguerre"])
+def test_jacobi_matrix_is_the_diag_sum(k, family):
+    # the matrix filled through its flat diagonals is the sum of three
+    # np.diag matrices, so eigvalsh returns the same bits
+    if family == "hermite":
+        diag, off = np.zeros(k), np.sqrt(np.arange(1, k) / 2.0)
+    else:
+        diag, off = 2.0 * np.arange(k) + 1.0, np.arange(1.0, k)
+    want = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    assert quadrature._jacobi_eigenvalues(diag, off).tobytes() == want.tobytes()
+
+
+def test_jacobi_memory_bounded(traced_peak):
+    # one dense k x k matrix (2 MiB at k = 512), not three summed
+    diag, off = np.zeros(512), np.sqrt(np.arange(1, 512) / 2.0)
+    assert traced_peak(lambda: quadrature._jacobi_eigenvalues(diag, off)) <= 2.5 * 2**20
+
+
 def _oracle_indices(k: int) -> list[int]:
     """Every k//16-th node, the extremes and the middle."""
     return sorted(set(range(0, k, k // 16)) | {0, k // 2, k - 1})

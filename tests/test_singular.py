@@ -519,9 +519,9 @@ class TestWaveletFock:
 
 
 class TestInnerWaveletMemory:
-    """A wavelet symbol forms its u × nodes exponential in row blocks: one
-    plane point (16384 nodes against 200 line nodes) would otherwise
-    allocate two 52 MB complex arrays."""
+    """A wavelet symbol forms its u × nodes exponential in row blocks of
+    1 MiB, each transformed in place: one plane point (16384 nodes against
+    200 line nodes) would otherwise allocate two 52 MB complex arrays."""
 
     SPEC = WaveletSpec(lambda t: np.exp(-t * t), 1.0)
     POINTS = 1.9 * np.exp(2j * np.pi * np.arange(16384) / 16384) * np.linspace(0, 1, 16384)
@@ -529,12 +529,12 @@ class TestInnerWaveletMemory:
     def test_fock_apply_point_bounded(self, traced_peak):
         F = unit_fock(2)
         peak = traced_peak(lambda: wavelet_fock_apply(F, self.SPEC, 0.4 - 0.3j, PLANE, LINE))
-        assert peak <= 16 * 2**20
+        assert peak <= 4 * 2**20
 
     def test_symbol_evaluate_bounded(self, traced_peak):
         sym = phi_from_g(self.SPEC, LINE)
         peak = traced_peak(lambda: sym.evaluate(self.POINTS))
-        assert peak <= 16 * 2**20
+        assert peak <= 4 * 2**20
 
     def test_blocks_equal_one_block(self, monkeypatch):
         # 2 * rows + 1 points: two full blocks and one lone row
