@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--in", dest="infile", required=True, help="input CSV signal or coefficient JSON")
         if needs_out:
             sp.add_argument("--out", dest="outfile", required=True, help="output path")
-        sp.add_argument("--n", type=int, default=64, help="truncation order for signal inputs (<= 256)")
+        sp.add_argument("--n", type=int, help="truncation order for signal inputs (default 64, <= 256)")
         sp.add_argument("--format", choices=("json", "csv"), help="force input format (default: by extension)")
         sp.add_argument("--dump-grid", dest="dump_grid", help="also write the result sampled on a grid as CSV")
 
@@ -78,8 +78,8 @@ def _build_parser() -> _Parser:
     add_data_args(sp)
 
     sp = sub.add_parser("hilbert", help="classical or fractional Hilbert transform")
-    sp.add_argument("--alpha", type=float, default=math.pi / 2)
-    sp.add_argument("--phi", type=float, default=math.pi / 2)
+    sp.add_argument("--alpha", type=float, help="rotation angle (default pi/2)")
+    sp.add_argument("--phi", type=float, help="phase angle (default pi/2)")
     sp.add_argument("--classical", action="store_true", help="FFT multiplier path on a CSV signal")
     add_data_args(sp)
 
@@ -142,7 +142,7 @@ def _read_input(args):
 
 
 def _order(args) -> int:
-    n = getattr(args, "n", 64)
+    n = 64 if args.n is None else args.n
     if not 1 <= n <= MAX_CLI_ORDER:
         raise UsageError(f"--n must be in 1..{MAX_CLI_ORDER}, got {n}")
     return n
@@ -185,6 +185,11 @@ def _cmd_frft(args) -> int:
 def _cmd_hilbert(args) -> int:
     if args.classical and args.dump_grid:
         raise UsageError("--dump-grid needs a Hermite expansion; --classical has none")
+    fractional = [f"--{name}" for name in ("alpha", "phi", "n") if getattr(args, name) is not None]
+    if args.classical and fractional:
+        raise UsageError(
+            f"{', '.join(fractional)} set the fractional transform; --classical takes none"
+        )
     data = _read_input(args)
     if args.classical:
         if not isinstance(data, SampledSignal):
@@ -192,7 +197,9 @@ def _cmd_hilbert(args) -> int:
         fileio.write_signal_csv(hilbert_classical_grid(data), args.outfile)
         return 0
     h = _to_hermite(data, _order(args))
-    result = fractional_hilbert(h, HilbertParams(args.alpha, args.phi))
+    alpha = math.pi / 2 if args.alpha is None else args.alpha
+    phi = math.pi / 2 if args.phi is None else args.phi
+    result = fractional_hilbert(h, HilbertParams(alpha, phi))
     _emit_like_input(result, data, args)
     return 0
 

@@ -98,6 +98,23 @@ class TestHilbertCommand:
         assert err.count("\n") == 1
         assert not (workdir / "hs.csv").exists() and not (workdir / "grid.csv").exists()
 
+    @pytest.mark.parametrize("flag", [["--alpha", "0.3"], ["--phi", "0.1"], ["--n", "5"]])
+    def test_classical_refuses_fractional_flags(self, workdir, capsys, flag):
+        # the grid path has no angle and no truncation order to honour; a
+        # flag that equals the fractional default is refused all the same
+        argv = ["hilbert", "--classical", "--in", "sig.csv", "--out", "hs.csv"] + flag
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fockbridge: error=usage") and flag[0] in err
+        assert err.count("\n") == 1
+        assert not (workdir / "hs.csv").exists()
+
+    def test_fractional_defaults_are_quarter_turns(self, workdir):
+        assert run_command(["hilbert", "--in", "h.json", "--out", "d.json"]) == 0
+        explicit = ["--alpha", repr(math.pi / 2), "--phi", repr(math.pi / 2), "--n", "64"]
+        assert run_command(["hilbert", *explicit, "--in", "h.json", "--out", "e.json"]) == 0
+        assert (workdir / "d.json").read_bytes() == (workdir / "e.json").read_bytes()
+
     def test_fractional_coefficients(self, workdir):
         rc = run_command(
             ["hilbert", "--alpha", "1.1", "--phi", "0.6", "--in", "h.json", "--out", "hf.json"]

@@ -6,7 +6,7 @@ malformed or missing files: ``run_command`` returns instead of raising, the
 exit code is in {0, 1, 2, 3}, a failure leaves exactly one stderr line
 starting ``fockbridge: error=``, and a success writes only finite numbers
 and, when asked, the ``--dump-grid`` file (which ``hilbert --classical``
-refuses with exit 2).
+refuses with exit 2, as it refuses ``--alpha``, ``--phi`` and ``--n``).
 """
 
 import contextlib
@@ -17,7 +17,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fockbridge import fileio
 from fockbridge.cli import run_command
@@ -171,6 +171,8 @@ def numbers(text: str):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argv=argvs())
+@example(argv=["hilbert", "--classical", "--in", "sig.csv", "--out", "out.csv", "--alpha=0.3"])
+@example(argv=["hilbert", "--phi=0.0", "--classical", "--n=8", "--in", "sig.csv", "--out", "out.csv"])
 def test_contract(files, argv):
     for name in OUTPUTS:
         (files / name).unlink(missing_ok=True)
@@ -180,6 +182,8 @@ def test_contract(files, argv):
     assert code in (0, 1, 2, 3)
     if "--classical" in argv and "--dump-grid" in argv:
         assert code == 2  # no Hermite expansion to sample on the grid
+    if "--classical" in argv and any(a.startswith(("--alpha=", "--phi=", "--n=")) for a in argv):
+        assert code == 2  # the grid path has no angle and no truncation order
     if code:
         assert err.getvalue().startswith("fockbridge: error=")
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

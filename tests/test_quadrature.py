@@ -8,6 +8,7 @@ from scipy.linalg import eigh_tridiagonal
 from fockbridge import quadrature
 from fockbridge.errors import EvaluationFailureError
 from fockbridge.quadrature import (
+    MAX_LINE_SIZE,
     LineRule,
     _christoffel_lifted_weights,
     _gauss_laguerre,
@@ -74,6 +75,20 @@ class TestGaussHermiteRule:
         for bad in (0, -3, 513):
             with pytest.raises(ValueError):
                 gauss_hermite_rule(bad)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 64, 511, 512])
+    def test_builds_without_lapack(self, k, monkeypatch):
+        # a threaded LAPACK reduction on an oversubscribed machine once
+        # stretched a 512-node build from 0.05 s to 2.65 s
+        def no_lapack(*_):
+            raise AssertionError("a Gauss-Hermite rule called LAPACK")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+        assert gauss_hermite_rule.__wrapped__(k).size == k
+
+    def test_build_memory_linear(self, traced_peak):
+        # a few k-long arrays, not a dense k x k Jacobi matrix (2 MiB at k = 512)
+        assert traced_peak(lambda: gauss_hermite_rule.__wrapped__(512)) <= 0.25 * 2**20
 
     def test_cached_identity(self):
         assert gauss_hermite_rule(64) is gauss_hermite_rule(64)
@@ -245,20 +260,7 @@ class TestSplitLineRule:
             split_line_rule(240.5)
 
 
-# Every size the package builds, every small size, and a stride above them.
-HERMITE_SIZES = sorted(set(range(1, 65)) | {120, 160, 200, 240, 480, 512} | set(range(65, 513, 29)))
 LAGUERRE_SIZES = sorted(set(range(1, 65)) | {256} | set(range(65, 257, 23)))
-
-
-def _hermite_reference(k: int):
-    """The rule as built on scipy's tridiagonal eigensolver."""
-    if k == 1:
-        nodes = np.zeros(1)
-    else:
-        nodes = eigh_tridiagonal(np.zeros(k), np.sqrt(np.arange(1, k) / 2.0), eigvals_only=True)
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights_nogauss = _christoffel_lifted_weights(nodes, k)
-    return nodes, weights_nogauss * np.exp(-nodes * nodes), weights_nogauss
 
 
 def _laguerre_reference(k: int):
@@ -271,17 +273,29 @@ def _laguerre_reference(k: int):
     return nodes, _laguerre_christoffel_weights(nodes, k)
 
 
-class TestRuleBitIdentity:
-    """The numpy Jacobi eigensolver reaches LAPACK dsterf on the same data as
-    scipy's tridiagonal one, so every rule is the same to the last bit."""
+def _golub_welsch_nodes(k: int) -> np.ndarray:
+    """The roots of H_k as eigenvalues of the Jacobi matrix (numpy's LAPACK)."""
+    off = np.sqrt(np.arange(1, k) / 2.0)
+    return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
 
-    @pytest.mark.parametrize("k", HERMITE_SIZES)
+
+class TestRuleBitIdentity:
+    """Every Gauss-Hermite rule agrees with Golub-Welsch to round-off, with
+    the Christoffel weights of its own nodes to the last bit; the numpy
+    Jacobi eigensolver behind the Gauss-Laguerre rule reaches LAPACK dsterf
+    on the same data as scipy's tridiagonal one, so that rule is the same
+    to the last bit."""
+
+    @pytest.mark.parametrize("k", range(1, MAX_LINE_SIZE + 1))
     def test_hermite(self, k):
         r = gauss_hermite_rule(k)
-        nodes, weights, weights_nogauss = _hermite_reference(k)
-        assert np.array_equal(r.nodes, nodes)
-        assert np.array_equal(r.weights, weights)
-        assert np.array_equal(r.weights_nogauss, weights_nogauss)
+        # 5e-13 is below every node gap (the smallest, at k = 512, is 0.098),
+        # so a Newton step landing on a neighbouring root fails here
+        assert np.abs(r.nodes - _golub_welsch_nodes(k)).max() < 5e-13
+        assert np.all(np.diff(r.nodes) > 0)
+        assert np.array_equal(r.nodes, -r.nodes[::-1])
+        assert np.array_equal(r.weights_nogauss, _christoffel_lifted_weights(r.nodes, k))
+        assert np.array_equal(r.weights, r.weights_nogauss * np.exp(-r.nodes * r.nodes))
 
     @pytest.mark.parametrize("k", LAGUERRE_SIZES)
     def test_laguerre(self, k):
@@ -337,9 +351,10 @@ def _laguerre_recurrence(k: int, t):
 class TestRuleMpmathOracle:
     """Nodes polished by Newton steps at 40 digits on the normalized
     recurrences, and Christoffel weights there: an oracle that shares no
-    code with the eigensolver route."""
+    code with the package.  The Hermite sizes include the principal-value
+    oracle's 40, the fractional-Fourier inner rule's 480 and an odd size."""
 
-    @pytest.mark.parametrize("k", [64, 200, 512])
+    @pytest.mark.parametrize("k", [40, 64, 200, 480, 511, 512])
     def test_hermite(self, k):
         r = gauss_hermite_rule(k)
         with mp.workdps(40):
@@ -349,8 +364,8 @@ class TestRuleMpmathOracle:
                     p, p_prev, _ = _hermite_recurrence(k, x)
                     x -= p / (mp.sqrt(2 * k) * p_prev)
                 _, _, total = _hermite_recurrence(k, x)
-                assert abs(r.nodes[i] - x) < 2e-13
-                assert abs(r.weights_nogauss[i] / (mp.exp(x * x) / total) - 1) < 2e-13
+                assert abs(r.nodes[i] - x) < 2 * np.spacing(max(abs(float(x)), 1.0))
+                assert abs(r.weights_nogauss[i] / (mp.exp(x * x) / total) - 1) < 1e-13
 
     def test_laguerre(self):
         k = 64
@@ -389,7 +404,7 @@ class TestRuleSizes:
         def no_work(*_):
             raise AssertionError("a rule was built for a bad size")
 
-        monkeypatch.setattr(quadrature, "_jacobi_eigenvalues", no_work)
+        monkeypatch.setattr(quadrature, "_hermite_nodes", no_work)
         monkeypatch.setattr(quadrature, "_gauss_laguerre", no_work)
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_work)
         with pytest.raises(ValueError, match="integer"):
