@@ -79,17 +79,25 @@ def branched_prefactor(alpha) -> complex:
     return branch_sqrt(1.0 - 1.0j * a.cot) / SQRT_PI
 
 
+#: The doubles nearest the quarter turns in [-pi, pi], by their power of -i.
+_QUARTER_TURNS = {0.0: 0, math.pi / 2.0: 1, math.pi: 2, -math.pi: 2, -math.pi / 2.0: 3}
+
+
 def _phases(alpha: float, n: int) -> np.ndarray:
     """exp(-i alpha k) for k = 0..n-1, with alpha*k formed without rounding.
 
-    Rounding alpha*k costs half an ulp of the product (about 2e-15 at
-    alpha = pi/2, k = 16), enough to break the 1e-14 quarter-turn
-    identities.  So alpha is split into a 24-bit head, whose products with
-    k < 2^29 are exact, and a tail that carries the rest:
-    exp(-i head k) * exp(-i tail k).
+    At a quarter turn (alpha 0, +-fl(pi/2) or +-fl(pi)) the phases are the
+    exact powers (-i)^(q k), so frft_coeffs at pi/2 is the Fourier transform
+    and at pi the parity, to the bit.  Otherwise rounding alpha*k would cost
+    half an ulp of the product (about 2e-15 at k = 16), so alpha is split
+    into a 24-bit head, whose products with k < 2^29 are exact, and a tail
+    that carries the rest: exp(-i head k) * exp(-i tail k).
     """
-    head = float(np.float32(alpha))
     k = np.arange(n)
+    turns = _QUARTER_TURNS.get(alpha)
+    if turns is not None:
+        return np.array([1, -1j, -1, 1j])[turns * k % 4]
+    head = float(np.float32(alpha))
     return np.exp(-1j * head * k) * np.exp(-1j * (alpha - head) * k)
 
 

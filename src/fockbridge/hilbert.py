@@ -21,7 +21,7 @@ from .errors import EnvelopeError
 from .quadrature import PlaneRule
 from .representation import FockCoeffs, HermiteCoeffs, SampledSignal
 from .singular import hilbert_symbol, make_symbol, s_phi_alpha_apply, s_phi_apply
-from .special import finite_param, hermite_fn_all
+from .special import _check_size, finite_param, hermite_fn_all
 from .frft import FrftAngle, _phases
 
 __all__ = [
@@ -103,6 +103,7 @@ def fractional_hilbert(
     h_0..h_{n_work-1}; no quadrature is involved.  Working orders above
     ``MAX_WORK_ORDER`` raise EnvelopeError before any work.
     """
+    _check_size(n_work, "working order")
     n_work = max(n_work, h.order)
     if n_work > MAX_WORK_ORDER:
         raise EnvelopeError(

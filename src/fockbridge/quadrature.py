@@ -6,15 +6,15 @@ angular rule, integrating against the probability measure
 (1/pi) exp(-|z|^2) dA(z).
 
 Rules are immutable and cached by size; a float size is refused rather
-than served a cached rule.  Gauss-Hermite nodes need no linear algebra:
-asymptotic guesses polished by Newton on the normalized three-term
-recurrence (Townsend, Trogdon & Olver, IMA J. Numer. Anal. 36, 2016), in
-O(k) memory, within 0.65 ulp of 40-digit roots at every size the package
-builds.  Two rules still call LAPACK through numpy: the Gauss-Laguerre
-nodes (k <= 256) are the eigenvalues of the dense Jacobi matrix
-(``numpy.linalg.eigvalsh``, an O(k^3) ``dsytrd`` reduction before
-``dsterf`` on threaded OpenBLAS, slow on an oversubscribed machine), and
-the split Legendre rule is numpy's ``leggauss``.  No scipy module loads.
+than served a cached rule.  Both Gauss rules are built one way, with no
+linear algebra (Townsend, Trogdon & Olver, IMA J. Numer. Anal. 36, 2016):
+asymptotic node guesses from one angle equation, theta - sin(theta)
+cos(theta) = r (:func:`_wkb_angles`; WKB guesses for Hermite, Tricomi's
+for Laguerre), polished by Newton steps on the family's one bounded
+three-term recurrence, whose running sum of squares then gives the
+Christoffel weights.  O(k) memory; Gauss-Hermite nodes sit within 0.65 ulp
+of 40-digit roots at every size the package builds.  The split Legendre
+rule is numpy's ``leggauss``.  No scipy module loads.
 Rule sums go through one reducer, :func:`rule_sum`: exactly-rounded
 summation (math.fsum) in fixed node order, so each such integral is
 bit-reproducible however its integrand values were produced, and a
@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EvaluationFailureError
-from .special import shaped_like
+from .special import _check_size, shaped_like
 
 __all__ = [
     "LineRule",
@@ -52,29 +52,6 @@ MAX_ANGULAR_SIZE = 1024
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _check_size(k, what: str, hi: int | None = None) -> None:
-    """A rule size is an integer in 1..hi (or any positive integer without
-    ``hi``); anything else, a float such as 64.0 included, raises ValueError
-    before any work."""
-    if not isinstance(k, (int, np.integer)) or k < 1 or (hi is not None and k > hi):
-        bound = "a positive integer" if hi is None else f"an integer in 1..{hi}"
-        raise ValueError(f"{what} must be {bound}, got {k!r}")
-
-
-def _jacobi_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric tridiagonal matrix (diag, off).
-
-    ``eigvalsh`` runs LAPACK ``dsyevd`` without vectors: its Householder
-    reduction leaves a matrix that is already tridiagonal unchanged (every
-    reflector has tau = 0), and it then calls ``dsterf`` on (diag, off), the
-    same kernel on the same data as scipy's tridiagonal eigensolver, whose
-    values it reproduces bit for bit.
-    """
-    jac, k = np.diag(diag), diag.size
-    jac.flat[1 :: k + 1] = jac.flat[k :: k + 1] = off
-    return np.linalg.eigvalsh(jac)
 
 
 @dataclass(frozen=True)
@@ -126,116 +103,92 @@ class SplitLineRule:
     extent: float
 
 
-def _christoffel_lifted_weights(nodes: np.ndarray, k: int) -> np.ndarray:
-    """exp(x^2)-lifted Gauss-Hermite weights via the Christoffel function.
+def _hermite_recurrence(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q_k, q_{k-1}, sum_{j<k} q_j^2) at x for the bounded Hermite functions
+    q_j(x) = H_j(x) exp(-x^2/2) / sqrt(2^j j! sqrt(pi)).
 
-    The lifted weight at a node x is 1 / sum_{j<k} q_j(x)^2 where
-    q_j(x) = H_j(x) exp(-x^2/2) / sqrt(2^j j! sqrt(pi)) are the bounded
-    weighted Hermite polynomials, so no intermediate can under- or overflow
-    even at the extreme nodes of a 512-point rule.
+    |q_j| < 1, so no intermediate can under- or overflow even at the extreme
+    nodes of a 512-point rule; 1 / sum is the exp(x^2)-lifted Christoffel
+    weight.
     """
-    x = nodes
-    q_prev = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    total = q_prev * q_prev
-    if k > 1:
-        q = math.sqrt(2.0) * x * q_prev
-        total += q * q
-        for j in range(1, k - 1):
-            q_prev, q = q, (
-                math.sqrt(2.0 / (j + 1)) * x * q
-                - math.sqrt(j / (j + 1.0)) * q_prev
-            )
-            total += q * q
-    return 1.0 / total
-
-
-def _hermite_pair(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(q_k, q_{k-1}) at x for the bounded Hermite functions of
-    :func:`_christoffel_lifted_weights`, by the same recurrence."""
     q_prev, q = np.zeros_like(x), math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    total = np.zeros_like(x)
     for j in range(k):
+        total += q * q
         q_prev, q = q, math.sqrt(2.0 / (j + 1)) * x * q - math.sqrt(j / (j + 1.0)) * q_prev
-    return q, q_prev
+    return q, q_prev, total
+
+
+def _laguerre_recurrence(k: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q_k, q_{k-1}, sum_{m<k} q_m^2) at t for the bounded Laguerre
+    functions q_m(t) = L_m(t) exp(-t/2), |q_m| <= 1; exp(-t) / sum is the
+    Christoffel weight."""
+    q_prev, q = np.zeros_like(t), np.exp(-0.5 * t)
+    total = np.zeros_like(t)
+    for m in range(k):
+        total += q * q
+        q_prev, q = q, ((2 * m + 1 - t) * q - m * q_prev) / (m + 1)
+    return q, q_prev, total
+
+
+def _wkb_angles(r: np.ndarray) -> np.ndarray:
+    """theta in (0, pi/2) with theta - sin(theta) cos(theta) = r, by four
+    Newton steps from the small-angle guess (3 r / 2)^(1/3); converged to
+    1e-14 relative for every r the rule builders ask for."""
+    theta = np.cbrt(1.5 * r)
+    for _ in range(4):
+        theta -= (theta - np.sin(theta) * np.cos(theta) - r) / (2.0 * np.sin(theta) ** 2)
+    return theta
 
 
 def _hermite_nodes(k: int) -> np.ndarray:
     """The k roots of H_k, ascending, with x[i] == -x[k-1-i] exactly.
 
     The k // 2 positive roots start from their WKB guesses
-    sqrt(2k+1) cos(theta_i), where theta_i - sin(theta_i) cos(theta_i) =
-    r_i = pi (4i - 1) / (2 (2k + 1)) is solved by four Newton steps from
-    the small-angle guess (3 r_i / 2)^(1/3) (converged to 1e-10 relative
-    for every k <= 512), and take two Newton steps on q_k, whose derivative is
-    sqrt(2k) q_{k-1} - x q_k.  Odd k puts an exact 0 in the middle.  No
-    linear algebra: O(k) memory and O(k^2) flops.
+    sqrt(2k+1) cos(theta_i), theta_i from :func:`_wkb_angles` at
+    r_i = pi (4i - 1) / (2 (2k + 1)), and take two Newton steps on q_k,
+    whose derivative is sqrt(2k) q_{k-1} - x q_k.  Odd k puts an exact 0
+    in the middle.
     """
     r = math.pi * (4.0 * np.arange(1, k // 2 + 1) - 1.0) / (4.0 * k + 2.0)
-    theta = np.cbrt(1.5 * r)
-    for _ in range(4):
-        theta -= (theta - np.sin(theta) * np.cos(theta) - r) / (2.0 * np.sin(theta) ** 2)
-    x = math.sqrt(2.0 * k + 1.0) * np.cos(theta)
+    x = math.sqrt(2.0 * k + 1.0) * np.cos(_wkb_angles(r))
     for _ in range(2):
-        q, q_prev = _hermite_pair(k, x)
+        q, q_prev, _ = _hermite_recurrence(k, x)
         x -= q / (math.sqrt(2.0 * k) * q_prev - x * q)
     return np.concatenate((-x, np.zeros(k % 2), x[::-1]))
 
 
 @lru_cache(maxsize=None, typed=True)
 def gauss_hermite_rule(k: int) -> LineRule:
-    """k-point Gauss-Hermite rule: nodes from :func:`_hermite_nodes`
-    (asymptotic guesses polished by Newton on the recurrence, no LAPACK),
-    weights from the Christoffel function.
+    """k-point Gauss-Hermite rule: nodes from :func:`_hermite_nodes`,
+    weights the Christoffel weights of :func:`_hermite_recurrence` there.
 
     Nodes are the roots of H_k, exactly symmetric (x[i] == -x[k-1-i], so
     odd integrands cancel to the last bit).  1 <= k <= 512.
     """
     _check_size(k, "line rule size", MAX_LINE_SIZE)
     nodes = _hermite_nodes(k)
-    weights_nogauss = _christoffel_lifted_weights(nodes, k)
+    weights_nogauss = 1.0 / _hermite_recurrence(k, nodes)[2]
     weights = weights_nogauss * np.exp(-nodes * nodes)
     return LineRule(_freeze(nodes), _freeze(weights), _freeze(weights_nogauss))
 
 
-def _laguerre_pair(k: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L_k, L_{k-1}) by the three-term recurrence; safe for k <= 256."""
-    lm, l = np.ones_like(t), 1.0 - t
-    for m in range(1, k):
-        lm, l = l, ((2 * m + 1 - t) * l - m * lm) / (m + 1)
-    return l, lm
-
-
-def _laguerre_christoffel_weights(nodes: np.ndarray, k: int) -> np.ndarray:
-    """Weights 1/sum_{m<k} L_m(t)^2 * e^{-t} via the bounded functions
-    q_m = L_m e^{-t/2} (|q_m| <= 1), immune to the relative inaccuracy of
-    exponentially small eigenvector components."""
-    t = nodes
-    q_prev = np.exp(-0.5 * t)
-    total = q_prev * q_prev
-    if k > 1:
-        q = (1.0 - t) * q_prev
-        total += q * q
-        for m in range(1, k - 1):
-            q_prev, q = q, ((2 * m + 1 - t) * q - m * q_prev) / (m + 1)
-            total += q * q
-    return np.exp(-t) / total
-
-
 @lru_cache(maxsize=None)
 def _gauss_laguerre(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for weight e^{-t} on (0, inf); weights sum to 1.
+    """Nodes/weights for weight e^{-t} on (0, inf), ascending; weights sum to 1.
 
-    Jacobi-matrix eigenvalues carry ~1e-12 relative error at the largest
-    nodes and the eigenvector route loses all relative accuracy on the
-    exponentially small weights, so nodes get two Newton polish steps on
-    the polynomial recurrence and weights come from the Christoffel form.
+    The nodes start from Tricomi's guesses nu cos^2(theta_i), nu = 4k + 2,
+    theta_i from :func:`_wkb_angles` at r_i = pi (4k - 4i + 3) / (2 nu),
+    and take four Newton steps on L_k, t L_k' = k (L_k - L_{k-1}), through
+    the q_m of :func:`_laguerre_recurrence` (the factor exp(-t/2) cancels).
+    The weights are the Christoffel weights there; k = 1 gives [1], [1].
     """
-    if k == 1:
-        return _freeze(np.ones(1)), _freeze(np.ones(1))
-    nodes = _jacobi_eigenvalues(2.0 * np.arange(k) + 1.0, np.arange(1.0, k))
-    for _ in range(2):
-        lk, lkm = _laguerre_pair(k, nodes)
-        nodes = nodes - lk * nodes / (k * (lk - lkm))
-    return _freeze(nodes), _freeze(_laguerre_christoffel_weights(nodes, k))
+    nu = 4.0 * k + 2.0
+    t = nu * np.cos(_wkb_angles(math.pi * (4.0 * np.arange(k, 0, -1) - 1.0) / (2.0 * nu))) ** 2
+    for _ in range(4):
+        q, q_prev, _ = _laguerre_recurrence(k, t)
+        t -= q * t / (k * (q - q_prev))
+    return _freeze(t), _freeze(np.exp(-t) / _laguerre_recurrence(k, t)[2])
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EnvelopeError, EvaluationFailureError
 from .quadrature import LineRule, PlaneRule, _check_finite, _evaluate, rule_sum_per_point
-from .special import NORM_CONSTANT, finite_param, hermite_fn_all, shaped_like
+from .special import NORM_CONSTANT, _check_size, finite_param, hermite_fn_all, shaped_like
 
 __all__ = [
     "SampledSignal",
@@ -195,8 +195,7 @@ def analyze(f, n_coeffs: int, rule: LineRule | None) -> HermiteCoeffs:
     against the Gaussian weight.  A non-finite value or sum raises
     EvaluationFailureError.
     """
-    if n_coeffs < 1:
-        raise ConfigurationError(f"need at least one coefficient, got {n_coeffs}")
+    _check_size(n_coeffs, "coefficient count")
     if isinstance(f, SampledSignal):
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = f.dx * _hermite_project(f.grid, f.values, n_coeffs)

@@ -30,7 +30,7 @@ from .errors import ConfigurationError, EnvelopeError
 from .quadrature import LineRule, PlaneRule, _evaluate, gauss_hermite_rule
 from .quadrature import rule_sum, rule_sum_per_point
 from .representation import FockCoeffs, check_envelope, fock_eval
-from .special import A_eval, SQRT_PI, finite_param, shaped_like, sqrt_factorials
+from .special import A_eval, SQRT_PI, _check_size, finite_param, shaped_like, sqrt_factorials
 
 __all__ = [
     "FockSymbol",
@@ -293,8 +293,7 @@ def s_phi_matrix(
     checks the symbol's growth against ``growth_cap``, as the plane
     operators do, and its whole envelope before computing the first column.
     """
-    if n < 1:
-        raise ConfigurationError(f"matrix size must be positive, got {n}")
+    _check_size(n, "matrix size")
     finite_param(alpha, "rotation angle")
     _check_growth(phi, growth_cap)
     # entry [i, m] of the derivative route draws on the symbol's Taylor
@@ -471,8 +470,7 @@ def phi_n_closed(n: int, s: float) -> FockSymbol:
     polynomial factor has leading coefficient
     sqrt(2|s|/(s^2+2)) * (-s)^n / (s^2+2)^n, nonzero for every n.
     """
-    if not 0 <= n <= _PHI_N_MAX:
-        raise ConfigurationError(f"family index must be in 0..{_PHI_N_MAX}, got {n}")
+    _check_size(n, "family index", _PHI_N_MAX, lo=0)
     if s == 0.0:
         raise ConfigurationError("dilation must be nonzero")
     d = s * s + 2.0

@@ -59,6 +59,15 @@ def finite_param(value, what: str) -> float:
     return value
 
 
+def _check_size(k, what: str, hi: int | None = None, lo: int = 1) -> None:
+    """A size or order is an integer in lo..hi (no upper bound without
+    ``hi``); anything else, a float such as 64.0 included, raises
+    ConfigurationError before any work."""
+    if not isinstance(k, (int, np.integer)) or k < lo or (hi is not None and k > hi):
+        bound = f"an integer >= {lo}" if hi is None else f"an integer in {lo}..{hi}"
+        raise ConfigurationError(f"{what} must be {bound}, got {k!r}")
+
+
 def shaped_like(values, z):
     """``values`` with the shape of the points ``z``: a Python complex for a
     scalar or 0-d ``z``, else a complex ndarray of ``z``'s shape."""

@@ -82,6 +82,21 @@ class TestFrftCoeffs:
         out = frft_coeffs(h, math.pi / 2)
         np.testing.assert_allclose(out.coeffs, h.coeffs, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "alpha, turns",
+        [(0.0, 0), (math.pi / 2, 1), (math.pi, 2), (-math.pi, 2), (-math.pi / 2, 3),
+         (3 * math.pi / 2, 3)],
+    )
+    def test_quarter_turns_bit_exact(self, alpha, turns):
+        # the nearest doubles to the quarter turns act as exact powers of -i,
+        # so the Fourier transform, the parity and their inverses are exact
+        rng = np.random.default_rng(6)
+        h = HermiteCoeffs(rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        want = h.coeffs * np.array([1, -1j, -1, 1j])[turns * np.arange(9) % 4]
+        np.testing.assert_array_equal(frft_coeffs(h, alpha).coeffs, want)
+        np.testing.assert_array_equal(fock_rotation(FockCoeffs(h.coeffs), alpha).coeffs, want)
+        np.testing.assert_array_equal(frft_coeffs(frft_coeffs(h, alpha), -alpha).coeffs, h.coeffs)
+
     @settings(max_examples=40, deadline=None)
     @given(alpha=st.floats(min_value=-10, max_value=10))
     def test_unitary(self, alpha):

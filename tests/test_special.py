@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fockbridge as fb
+from fockbridge.errors import ConfigurationError
 from fockbridge.special import (
     NORM_CONSTANT,
     A_eval,
     A_phi_eval,
+    _check_size,
     _erf,
     branch_sqrt,
     erf_half_integral,
@@ -364,3 +367,38 @@ class TestAEval:
             assert fd == pytest.approx(
                 math.sqrt(2 / math.pi) * math.exp(z * z / 2), rel=1e-6
             )
+
+
+def _untouchable(_):
+    raise AssertionError("the integrand was evaluated")
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize(
+        "k, hi, lo, ok",
+        [(1, None, 1, True), (np.int64(7), 7, 1, True), (0, 5, 0, True), (0, None, 1, False),
+         (8, 7, 1, False), (-1, 5, 0, False), (4.0, None, 1, False), ("4", None, 1, False)],
+    )
+    def test_bounds_and_type(self, k, hi, lo, ok):
+        if ok:
+            _check_size(k, "size", hi, lo=lo)
+        else:
+            with pytest.raises(ConfigurationError, match="size must be"):
+                _check_size(k, "size", hi, lo=lo)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fb.s_phi_matrix(fb.gaussian_symbol(0.2, 0.0), 4.0, fb.plane_gaussian_rule(8, 16)),
+            lambda: fb.analyze(_untouchable, 4.0, fb.gauss_hermite_rule(16)),
+            lambda: fb.phi_n_closed(2.0, 1.0),
+            lambda: fb.fractional_hilbert(
+                fb.HermiteCoeffs(np.ones(4, dtype=complex)), fb.HilbertParams(0.5, 0.5), n_work=50.5
+            ),
+        ],
+        ids=["matrix-size", "coefficient-count", "family-index", "working-order"],
+    )
+    def test_float_order_is_a_configuration_error(self, call):
+        # each of these raised a bare TypeError from deep inside numpy
+        with pytest.raises(ConfigurationError, match="integer"):
+            call()
