@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RepresentationUnavailableError
-from .quadrature import MAX_LINE_SIZE, LineRule, gauss_hermite_rule
+from .quadrature import MAX_LINE_SIZE, LineRule, _evaluate, gauss_hermite_rule
 from .representation import FockCoeffs, HermiteCoeffs
-from .special import SQRT_PI, branch_sqrt, finite_param, shaped_like
+from .special import SQRT_PI, _check_size, branch_sqrt, finite_param, shaped_like
 
 __all__ = [
     "FrftAngle",
@@ -115,8 +115,7 @@ def fock_rotation(F: FockCoeffs, alpha) -> FockCoeffs:
 
 def spectral_projection(k: int, h: HermiteCoeffs) -> HermiteCoeffs:
     """Orthogonal projection onto the span of h_n with n = k (mod 4)."""
-    if k not in (0, 1, 2, 3):
-        raise ValueError(f"projection index must be in 0..3, got {k}")
+    _check_size(k, "projection index", 3, lo=0)
     c = h.coeffs.copy()
     mask = np.arange(c.size) % 4 != k
     c[mask] = 0.0
@@ -156,7 +155,7 @@ def frft_integral(f, alpha, x, rule: LineRule):
         )
     xarr = np.atleast_1d(np.asarray(x, dtype=float))
     if abs(a.cot) <= MAX_DIRECT_COT:
-        fvals = np.asarray(f(rule.nodes), dtype=complex)
+        fvals = _evaluate(f, rule.nodes, "FrFT integrand")
         out = _stage_values(fvals, a, xarr, rule)
     else:
         # A quadrature pass is only trustworthy at evaluation points inside
@@ -167,7 +166,7 @@ def frft_integral(f, alpha, x, rule: LineRule):
         inner_rule = gauss_hermite_rule(min(MAX_LINE_SIZE, max(rule.size, 2 * rule.size)))
         inner = FrftAngle(math.pi / 2.0)
         outer = FrftAngle(a.alpha - math.pi / 2.0)
-        fvals = np.asarray(f(inner_rule.nodes), dtype=complex)
+        fvals = _evaluate(f, inner_rule.nodes, "FrFT integrand")
         mid = _stage_values(fvals, inner, rule.nodes, inner_rule)
         mid[np.abs(rule.nodes) > math.sqrt(0.9 * inner_rule.size)] = 0.0
         out = _stage_values(mid, outer, xarr, rule)

@@ -11,10 +11,10 @@ linear algebra (Townsend, Trogdon & Olver, IMA J. Numer. Anal. 36, 2016):
 asymptotic node guesses from one angle equation, theta - sin(theta)
 cos(theta) = r (:func:`_wkb_angles`; WKB guesses for Hermite, Tricomi's
 for Laguerre), polished by Newton steps on the family's one bounded
-three-term recurrence, whose running sum of squares then gives the
-Christoffel weights.  O(k) memory; Gauss-Hermite nodes sit within 0.65 ulp
-of 40-digit roots at every size the package builds.  The split Legendre
-rule is numpy's ``leggauss``.  No scipy module loads.
+three-term recurrence, whose sum of squares, formed in the weight pass
+only, gives the Christoffel weights.  O(k) memory; Gauss-Hermite nodes sit
+within 0.65 ulp of 40-digit roots at every size the package builds.  The
+split Legendre rule is numpy's ``leggauss``.  No scipy module loads.
 Rule sums go through one reducer, :func:`rule_sum`: exactly-rounded
 summation (math.fsum) in fixed node order, so each such integral is
 bit-reproducible however its integrand values were produced, and a
@@ -25,12 +25,15 @@ non-finite term is refused.  The Hermite projection and expansion
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
-from .errors import EvaluationFailureError
+from .errors import ConfigurationError, EvaluationFailureError
 from .special import _check_size, shaped_like
 
 __all__ = [
@@ -103,32 +106,36 @@ class SplitLineRule:
     extent: float
 
 
-def _hermite_recurrence(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q_k, q_{k-1}, sum_{j<k} q_j^2) at x for the bounded Hermite functions
-    q_j(x) = H_j(x) exp(-x^2/2) / sqrt(2^j j! sqrt(pi)).
+def _hermite_recurrence(k: int, x: np.ndarray) -> Iterator[np.ndarray]:
+    """q_0, q_1, ..., q_k at x, one at a time, for the bounded Hermite
+    functions q_j(x) = H_j(x) exp(-x^2/2) / sqrt(2^j j! sqrt(pi)).
 
     |q_j| < 1, so no intermediate can under- or overflow even at the extreme
-    nodes of a 512-point rule; 1 / sum is the exp(x^2)-lifted Christoffel
-    weight.
+    nodes of a 512-point rule; 1 / sum_{j<k} q_j^2 is the exp(x^2)-lifted
+    Christoffel weight.
     """
     q_prev, q = np.zeros_like(x), math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    total = np.zeros_like(x)
     for j in range(k):
-        total += q * q
+        yield q
         q_prev, q = q, math.sqrt(2.0 / (j + 1)) * x * q - math.sqrt(j / (j + 1.0)) * q_prev
-    return q, q_prev, total
+    yield q
 
 
-def _laguerre_recurrence(k: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q_k, q_{k-1}, sum_{m<k} q_m^2) at t for the bounded Laguerre
-    functions q_m(t) = L_m(t) exp(-t/2), |q_m| <= 1; exp(-t) / sum is the
-    Christoffel weight."""
+def _laguerre_recurrence(k: int, t: np.ndarray) -> Iterator[np.ndarray]:
+    """q_0, q_1, ..., q_k at t, one at a time, for the bounded Laguerre
+    functions q_m(t) = L_m(t) exp(-t/2), |q_m| <= 1; exp(-t) / sum_{m<k}
+    q_m^2 is the Christoffel weight."""
     q_prev, q = np.zeros_like(t), np.exp(-0.5 * t)
-    total = np.zeros_like(t)
     for m in range(k):
-        total += q * q
+        yield q
         q_prev, q = q, ((2 * m + 1 - t) * q - m * q_prev) / (m + 1)
-    return q, q_prev, total
+    yield q
+
+
+def _sum_squares(terms: Iterator[np.ndarray], k: int) -> np.ndarray:
+    """sum_{j<k} q_j^2 over a recurrence's first k functions, the Christoffel
+    sum; formed only in the weight pass."""
+    return sum(q * q for q in islice(terms, k))
 
 
 def _wkb_angles(r: np.ndarray) -> np.ndarray:
@@ -153,7 +160,7 @@ def _hermite_nodes(k: int) -> np.ndarray:
     r = math.pi * (4.0 * np.arange(1, k // 2 + 1) - 1.0) / (4.0 * k + 2.0)
     x = math.sqrt(2.0 * k + 1.0) * np.cos(_wkb_angles(r))
     for _ in range(2):
-        q, q_prev, _ = _hermite_recurrence(k, x)
+        q_prev, q = deque(_hermite_recurrence(k, x), maxlen=2)
         x -= q / (math.sqrt(2.0 * k) * q_prev - x * q)
     return np.concatenate((-x, np.zeros(k % 2), x[::-1]))
 
@@ -168,7 +175,7 @@ def gauss_hermite_rule(k: int) -> LineRule:
     """
     _check_size(k, "line rule size", MAX_LINE_SIZE)
     nodes = _hermite_nodes(k)
-    weights_nogauss = 1.0 / _hermite_recurrence(k, nodes)[2]
+    weights_nogauss = 1.0 / _sum_squares(_hermite_recurrence(k, nodes), k)
     weights = weights_nogauss * np.exp(-nodes * nodes)
     return LineRule(_freeze(nodes), _freeze(weights), _freeze(weights_nogauss))
 
@@ -186,9 +193,9 @@ def _gauss_laguerre(k: int) -> tuple[np.ndarray, np.ndarray]:
     nu = 4.0 * k + 2.0
     t = nu * np.cos(_wkb_angles(math.pi * (4.0 * np.arange(k, 0, -1) - 1.0) / (2.0 * nu))) ** 2
     for _ in range(4):
-        q, q_prev, _ = _laguerre_recurrence(k, t)
+        q_prev, q = deque(_laguerre_recurrence(k, t), maxlen=2)
         t -= q * t / (k * (q - q_prev))
-    return _freeze(t), _freeze(np.exp(-t) / _laguerre_recurrence(k, t)[2])
+    return _freeze(t), _freeze(np.exp(-t) / _sum_squares(_laguerre_recurrence(k, t), k))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -214,7 +221,7 @@ def split_line_rule(k: int = 240, extent: float = 12.0) -> SplitLineRule:
     one cached rule per (int k, float extent), however the call spells it."""
     _check_size(k, "panel size")
     if not extent > 0.0:
-        raise ValueError(f"extent must be positive, got {extent}")
+        raise ConfigurationError(f"extent must be positive, got {extent}")
     return _split_line_rule(int(k), float(extent))
 
 
@@ -224,17 +231,18 @@ def _split_line_rule(k: int, extent: float) -> SplitLineRule:
     return SplitLineRule(_freeze(0.5 * extent * (u + 1.0)), _freeze(0.5 * extent * w), extent)
 
 
-def _evaluate(f, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` at all nodes, accepting vectorized or scalar callables."""
+def _evaluate(f, nodes: np.ndarray, what: str) -> np.ndarray:
+    """Evaluate ``f`` at all nodes, accepting vectorized or scalar callables;
+    a non-finite value raises EvaluationFailureError naming the node before
+    any product could turn it into NaN with a numpy warning."""
     try:
         vals = np.asarray(f(nodes), dtype=complex)
-        if vals.shape == nodes.shape:
-            return vals
-        if vals.ndim == 0:
-            return np.broadcast_to(vals, nodes.shape).copy()
+        if vals.shape != nodes.shape:
+            vals = np.broadcast_to(vals, nodes.shape).copy()
     except (TypeError, ValueError):
-        pass
-    return np.array([complex(f(t)) for t in nodes])
+        vals = np.array([complex(f(t)) for t in nodes])
+    _check_finite(vals, nodes, what)
+    return vals
 
 
 def _check_finite(vals: np.ndarray, nodes: np.ndarray, what: str) -> None:
@@ -279,9 +287,10 @@ def integrate_line(rule: LineRule, f, gaussian_part_removed: bool = False) -> co
     to converge) and the division happens numerically via the lifted weights.
     """
     w = rule.weights if gaussian_part_removed else rule.weights_nogauss
-    return rule_sum(w, _evaluate(f, rule.nodes), rule.nodes, "line integrand")
+    return rule_sum(w, _evaluate(f, rule.nodes, "line integrand"), rule.nodes, "line integrand")
 
 
 def integrate_plane(rule: PlaneRule, f) -> complex:
     """Integrate f over the plane against the Gaussian probability measure."""
-    return rule_sum(rule.weights, _evaluate(f, rule.nodes), rule.nodes, "plane integrand")
+    vals = _evaluate(f, rule.nodes, "plane integrand")
+    return rule_sum(rule.weights, vals, rule.nodes, "plane integrand")

@@ -287,7 +287,7 @@ def bargmann_direct(f, z, rule: LineRule, z_max: float = DEFAULT_Z_MAX):
     """
     check_envelope(None, z, z_max)
     x = rule.nodes
-    fx = _evaluate(f, x)
+    fx = _evaluate(f, x, "Bargmann integrand")
     return NORM_CONSTANT * rule_sum_per_point(
         lambda zk: (rule.weights_nogauss, fx * np.exp(2.0 * x * zk - x * x - 0.5 * zk * zk)),
         z, x, "Bargmann integrand",

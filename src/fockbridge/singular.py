@@ -234,6 +234,23 @@ def s_phi_alpha_apply(
     )
 
 
+def _deriv_matrix(a: np.ndarray, rows: int, cols: int, alpha: float) -> np.ndarray:
+    """Entries [i, m], i < rows, m < cols, of the rotated S_phi for the symbol
+    sum_k a_k u^k by the identity of :func:`s_phi_apply_deriv`, one band per
+    term: z^{k-j} e_m^(j) = sqrt(m! i!) / (m-j)! e_i with i = m + k - 2j, and
+    the (k, j) term weighs it by a_k C(k,j) (-1)^j e^{i alpha (k-2j)}."""
+    sf = sqrt_factorials(max(rows, cols))
+    ea = cmath.exp(1j * alpha)
+    out = np.zeros((rows, cols), dtype=complex)
+    for k in np.flatnonzero(a).tolist():
+        for j in range(min(k, cols - 1) + 1):
+            d = k - 2 * j
+            m = np.arange(max(j, -d), min(cols, rows - d))
+            ratio = (sf[m] / sf[m - j]) * (sf[m + d] / sf[m - j])
+            out[m + d, m] += (a[k] * math.comb(k, j) * (-1) ** j * ea**d) * ratio
+    return out
+
+
 def s_phi_apply_deriv(phi_monomial: np.ndarray, F: FockCoeffs, alpha: float = 0.0) -> FockCoeffs:
     """Quadrature-free S_phi for polynomial symbol and argument.
 
@@ -244,8 +261,9 @@ def s_phi_apply_deriv(phi_monomial: np.ndarray, F: FockCoeffs, alpha: float = 0.
         S_phi f(z) = sum_k a_k sum_j C(k,j) z^{k-j} (-1)^j f^(j)(z),
 
     and the rotated variant replaces z by e^{i a} z and conj(w) by
-    e^{-i a} conj(w), contributing phases e^{i a (k-2j)}.  Exact (up to
-    rounding) for polynomial inputs; caps at degree 40.
+    e^{-i a} conj(w), contributing phases e^{i a (k-2j)}.  Computed as the
+    band matrix of :func:`_deriv_matrix` times F; exact up to rounding for
+    polynomial inputs; caps at degree 40.
     """
     a = np.asarray(phi_monomial, dtype=complex)
     if a.size > DERIV_ORDER_CAP or F.order > DERIV_ORDER_CAP:
@@ -253,27 +271,7 @@ def s_phi_apply_deriv(phi_monomial: np.ndarray, F: FockCoeffs, alpha: float = 0.
             f"polynomial route caps at degree {DERIV_ORDER_CAP}; "
             f"got symbol {a.size}, argument {F.order}"
         )
-    # argument in plain monomial coefficients
-    b = F.coeffs / sqrt_factorials(F.order)
-    deg_f = F.order - 1
-    deg_out = (a.size - 1) + deg_f
-    out = np.zeros(deg_out + 1, dtype=complex)
-    ea = cmath.exp(1j * float(alpha))
-    for k in range(a.size):
-        if a[k] == 0:
-            continue
-        for j in range(k + 1):
-            if j > deg_f:
-                break
-            # f^(j) monomial coefficients: d[m] = b[m+j] * (m+j)! / m!
-            d = np.array(
-                [b[m + j] * math.perm(m + j, j) for m in range(deg_f - j + 1)],
-                dtype=complex,
-            )
-            phase = ea ** (k - 2 * j)
-            coef = a[k] * math.comb(k, j) * (-1) ** j * phase
-            out[k - j : k - j + d.size] += coef * d
-    return FockCoeffs(out * sqrt_factorials(deg_out + 1))
+    return FockCoeffs(_deriv_matrix(a, a.size + F.order - 1, F.order, float(alpha)) @ F.coeffs)
 
 
 def s_phi_matrix(
@@ -286,52 +284,42 @@ def s_phi_matrix(
 ) -> OperatorMatrix:
     """Truncated matrix entries[n, m] = <S e_m, e_n>.
 
-    method "deriv" uses the polynomial route on the stored coefficients;
-    "quadrature" samples S e_m on the circle |z| = MATRIX_RADIUS and reads the
-    Taylor coefficients off a discrete Fourier transform; "auto" prefers
-    "deriv" whenever the stored coefficients fit its cap.  Either route
+    method "deriv" is :func:`_deriv_matrix` on the symbol's first 2n - 1
+    Taylor coefficients, the only ones the block reads; "quadrature"
+    samples S e_m on the circle |z| = MATRIX_RADIUS and reads the Taylor
+    coefficients off a discrete Fourier transform; "auto" takes "deriv" for
+    polynomial symbols, where it is exact, and "quadrature" for the series
+    symbols, whose alternating sums lose digits as n grows.  Either route
     checks the symbol's growth against ``growth_cap``, as the plane
     operators do, and its whole envelope before computing the first column.
     """
     _check_size(n, "matrix size")
-    finite_param(alpha, "rotation angle")
+    alpha = finite_param(alpha, "rotation angle")
     _check_growth(phi, growth_cap)
-    # entry [i, m] of the derivative route draws on the symbol's Taylor
-    # coefficients through degree i + m, so it needs 2n - 1 of them; only
-    # polynomial symbols store their series complete
-    deriv_ok = n <= DERIV_ORDER_CAP and (
-        phi.kind in ("poly", "const") or phi.taylor.order >= 2 * n - 1
-    )
+    # entry [i, m] reads the symbol's Taylor coefficients through degree
+    # i + m; only polynomial symbols store their series complete
+    poly = phi.kind in ("poly", "const")
     if method == "auto":
-        # the derivative route is exact for short polynomial symbols but its
-        # alternating sums cancel catastrophically for long series symbols,
-        # so those go through quadrature
-        method = "deriv" if phi.taylor.order <= 12 and deriv_ok else "quadrature"
-
-    def unit(m):
-        return FockCoeffs(np.eye(1, m + 1, m, dtype=complex)[0])
-
-    entries = np.zeros((n, n), dtype=complex)
+        method = "deriv" if poly and n <= DERIV_ORDER_CAP else "quadrature"
     if method == "deriv":
-        if not deriv_ok:
+        if not (n <= DERIV_ORDER_CAP and (poly or phi.taylor.order >= 2 * n - 1)):
             raise EnvelopeError(
                 f"derivative route at n={n} needs the Taylor series of symbol "
                 f"'{phi.kind}' through degree {2 * n - 2} and n <= {DERIV_ORDER_CAP}; "
                 f"it stores {phi.taylor.order} coefficients (use method='quadrature')"
             )
-        mono = phi.monomial()
-        for m in range(n):
-            entries[:, m] = s_phi_apply_deriv(mono, unit(m), alpha=alpha).padded(n)
-    elif method == "quadrature":
-        check_envelope(unit(n - 1), MATRIX_RADIUS)
-        n_circle = max(2 * n, 32)
-        circle = MATRIX_RADIUS * np.exp(2j * math.pi * np.arange(n_circle) / n_circle)
-        scale = MATRIX_RADIUS ** np.arange(n) / sqrt_factorials(n)
-        for m in range(n):
-            vals = s_phi_alpha_apply(phi, alpha, unit(m), circle, rule, growth_cap)
-            entries[:, m] = np.fft.fft(vals)[:n] / n_circle / scale
-    else:
+        return OperatorMatrix(_deriv_matrix(phi.monomial()[: 2 * n - 1], n, n, alpha))
+    if method != "quadrature":
         raise ConfigurationError(f"unknown matrix method {method!r}")
+    check_envelope(FockCoeffs(np.zeros(n, dtype=complex)), MATRIX_RADIUS)
+    n_circle = max(2 * n, 32)
+    circle = MATRIX_RADIUS * np.exp(2j * math.pi * np.arange(n_circle) / n_circle)
+    scale = MATRIX_RADIUS ** np.arange(n) / sqrt_factorials(n)
+    entries = np.zeros((n, n), dtype=complex)
+    for m in range(n):
+        unit = FockCoeffs(np.eye(1, m + 1, m, dtype=complex)[0])
+        vals = s_phi_alpha_apply(phi, alpha, unit, circle, rule, growth_cap)
+        entries[:, m] = np.fft.fft(vals)[:n] / n_circle / scale
     return OperatorMatrix(entries)
 
 
@@ -350,16 +338,17 @@ def wavelet_transform(f, spec: WaveletSpec, x, rule: LineRule):
     (1/sqrt(|s| pi)) * integral of f(t) g((t - x)/s) dt; both f and g must
     decay like the Hermite-Gaussian class on the rule's node range.  ``f``
     is evaluated once on the rule's nodes whatever the number of points, and
-    ``g`` once per block of points.
+    ``g`` once per block of points; a non-finite value of either raises
+    EvaluationFailureError before any product.
     """
     t = rule.nodes
-    ft = _evaluate(f, t)
+    ft = _evaluate(f, t, "wavelet integrand")
     points = np.asarray(x, dtype=float).ravel()
     rows = max(1, _WAVELET_BLOCK // t.size)
     sums = []
     for lo in range(0, points.size, rows):
-        args = (t - points[lo : lo + rows, None]) / spec.s
-        gvals = np.asarray(spec.g(args.ravel())).reshape(args.shape)
+        args = ((t - points[lo : lo + rows, None]) / spec.s).ravel()
+        gvals = _evaluate(spec.g, args, "wavelet").reshape(-1, t.size)
         sums += [rule_sum(rule.weights_nogauss, ft * g, t, "wavelet integrand") for g in gvals]
     return shaped_like(sums, x) / math.sqrt(abs(spec.s) * math.pi)
 

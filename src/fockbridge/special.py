@@ -80,8 +80,7 @@ def hermite_fn(n: int, x: float) -> float:
 
     h_n(x) = (2/pi)^{1/4} / sqrt(2^n n!) * exp(-x^2) * H_n(sqrt(2) x).
     """
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
+    _check_size(n, "Hermite order", lo=0)
     return float(hermite_fn_all(n, np.array([x], dtype=float))[n, 0])
 
 
@@ -129,7 +128,7 @@ def gaussian_integral_closed(a: float, b: float) -> complex:
     complex shift z.  Requires a > 0.
     """
     if not a > 0.0:
-        raise ValueError(f"requires a > 0, got a={a}")
+        raise ConfigurationError(f"requires a > 0, got a={a}")
     return SQRT_PI / branch_sqrt(complex(a, b))
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from . import frft as _frft
 from . import hilbert as _hilbert
 from . import singular as _singular
+from .errors import ConfigurationError
 from .quadrature import gauss_hermite_rule, plane_gaussian_rule, rule_sum
 from .representation import (
     PLANE_RULE_SIZES,
@@ -371,14 +372,16 @@ def _check_symbol_family(cfg: VerifyConfig):
 
 
 def _check_sop_conjugation(cfg: VerifyConfig):
+    # the unrotated matrix comes from the derivative identity, the rotated
+    # one from plane quadrature: two independent routes for both symbols
     plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
     n = 16
     parts = []
-    for sym, alpha, base_method in (
-        (_singular.gaussian_symbol(0.25, 0.3), 0.8, "quadrature"),
-        (_singular.poly_symbol([0.2, 0.5 - 0.1j, 0.0, 0.3j]), -1.1, "deriv"),
+    for sym, alpha in (
+        (_singular.gaussian_symbol(0.25, 0.3), 0.8),
+        (_singular.poly_symbol([0.2, 0.5 - 0.1j, 0.0, 0.3j]), -1.1),
     ):
-        m0 = _singular.s_phi_matrix(sym, n, plane, method=base_method)
+        m0 = _singular.s_phi_matrix(sym, n, plane, method="deriv")
         ma = _singular.s_phi_matrix(sym, n, plane, alpha=alpha, method="quadrature")
         d = np.exp(-1j * alpha * np.arange(n))
         lhs = (np.conj(d)[:, None] * m0.entries) * d[None, :]
@@ -459,7 +462,7 @@ def suite_names(suite: str) -> list[str]:
     if suite == "all":
         return sorted(CHECKS)
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+        raise ConfigurationError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     return sorted(name for name, (_, suites) in CHECKS.items() if suite in suites)
 
 

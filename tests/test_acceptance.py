@@ -24,7 +24,7 @@ CRITERIA = {
     10: ("hilbert.grid_consistency", "S-kernel vs grid FFT at 1e-5; grid involution at 1e-6"),
     11: ("wavelet.three_path", "three wavelet computation paths agree at 1e-5"),
     12: ("symbols.family_closed_forms", "induced symbols match closed family at 1e-8 / 1e-10"),
-    13: ("sop.rotation_conjugation", "diagonal-rotation matrix conjugation at 1e-6"),
+    13: ("sop.rotation_conjugation", "derivative-identity matrix, rotated, vs quadrature at 1e-6"),
     14: ("symbols.pv_hilbert", "PV symbol: zero at origin, derivative law, rewrite at 1e-6"),
     15: ("sop.deriv_oracle", "quadrature vs derivative-identity oracle at 1e-6"),
 }

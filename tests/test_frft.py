@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockbridge.errors import RepresentationUnavailableError
+from fockbridge.errors import ConfigurationError, RepresentationUnavailableError
 from fockbridge.frft import (
     FrftAngle,
     _stage_values,
@@ -165,8 +165,10 @@ class TestSpectralProjection:
         assert float(np.abs(direct.coeffs - via).max()) < 1e-14 * h.norm()
 
     def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            spectral_projection(4, HermiteCoeffs(np.ones(3, dtype=complex)))
+        # a float index such as 1.0 was accepted once; it is refused like any size
+        for k in (4, -1, 1.0):
+            with pytest.raises(ConfigurationError, match="projection index"):
+                spectral_projection(k, HermiteCoeffs(np.ones(3, dtype=complex)))
 
     @pytest.mark.parametrize("seed", [937, 1681])
     def test_verify_check_at_seed(self, seed):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import fockbridge as fb
 from fockbridge import quadrature
 from fockbridge.errors import ConfigurationError, EvaluationFailureError
 from fockbridge.quadrature import (
@@ -14,6 +15,7 @@ from fockbridge.quadrature import (
     _gauss_laguerre,
     _hermite_recurrence,
     _laguerre_recurrence,
+    _sum_squares,
     gauss_hermite_rule,
     integrate_line,
     integrate_plane,
@@ -162,6 +164,38 @@ class TestIntegrateLine:
         assert integrate_line(r, f) == integrate_line(r, f)
 
 
+def _inf_outside_10(t):
+    return np.where(np.abs(t) > 10.0, np.inf, np.exp(-t * t))
+
+
+_GAUSS_WAVELET = fb.WaveletSpec(lambda t: np.exp(-t * t), 1.0)
+
+
+class TestNonFiniteIntegrand:
+    """Every transform checks its integrand function's node values where it
+    evaluates them, before any product: a typed error naming the node, and
+    no numpy warning (inf * 0 once gave NaN with one)."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r: fb.frft_integral(_inf_outside_10, 0.7, 0.5, r),
+            lambda r: fb.frft_integral(_inf_outside_10, 0.3, 0.5, r),
+            lambda r: fb.bargmann_direct(_inf_outside_10, 0.5, r),
+            lambda r: fb.wavelet_transform(_inf_outside_10, _GAUSS_WAVELET, 0.5, r),
+            lambda r: fb.wavelet_transform(
+                lambda t: np.exp(-t * t), fb.WaveletSpec(_inf_outside_10, 1.0), 0.5, r
+            ),
+        ],
+        ids=["frft-direct", "frft-two-pass", "bargmann", "wavelet-f", "wavelet-g"],
+    )
+    def test_refused_with_node(self, call):
+        with pytest.raises(EvaluationFailureError) as exc:
+            call(gauss_hermite_rule(240))
+        assert not math.isfinite(_inf_outside_10(exc.value.node).real)
+
+
 class TestPlaneRule:
     def test_weight_sum_is_one(self):
         p = plane_gaussian_rule(64, 256)
@@ -249,7 +283,7 @@ class TestSplitLineRule:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             split_line_rule(0, 5.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="extent"):
             split_line_rule(10, -1.0)
 
     def test_one_cache_entry_per_rule(self):
@@ -298,7 +332,8 @@ class TestRuleBitIdentity:
         assert np.abs(r.nodes - _golub_welsch_nodes(k)).max() < 5e-13
         assert np.all(np.diff(r.nodes) > 0)
         assert np.array_equal(r.nodes, -r.nodes[::-1])
-        assert np.array_equal(r.weights_nogauss, 1.0 / _hermite_recurrence(k, r.nodes)[2])
+        total = _sum_squares(_hermite_recurrence(k, r.nodes), k)
+        assert np.array_equal(r.weights_nogauss, 1.0 / total)
         assert np.array_equal(r.weights, r.weights_nogauss * np.exp(-r.nodes * r.nodes))
 
     @pytest.mark.parametrize("k", range(1, MAX_RADIAL_SIZE + 1))
@@ -311,7 +346,8 @@ class TestRuleBitIdentity:
         # a neighbouring root fails here
         assert np.abs(nodes / ref - 1.0).max() < 1e-11
         assert np.all(np.diff(nodes) > 0)
-        assert np.array_equal(weights, np.exp(-nodes) / _laguerre_recurrence(k, nodes)[2])
+        total = _sum_squares(_laguerre_recurrence(k, nodes), k)
+        assert np.array_equal(weights, np.exp(-nodes) / total)
 
 
 def _oracle_indices(k: int) -> list[int]:

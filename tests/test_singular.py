@@ -245,8 +245,8 @@ class TestDerivRouteOracle:
     itself held to a high-precision evaluation of the same identity."""
 
     @pytest.mark.parametrize("alpha", [0.0, 0.7])
-    @pytest.mark.parametrize("n", [8, 16, 24])
-    @pytest.mark.parametrize("degree", [0, 1, 3, 8])
+    @pytest.mark.parametrize("n", [8, 16, 24, 40])
+    @pytest.mark.parametrize("degree", [0, 1, 3, 8, 15, 24, 39])
     def test_matrix_matches_mpmath(self, degree, n, alpha):
         rng = np.random.default_rng([degree, n])
         mono = (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)) * (
@@ -329,16 +329,40 @@ class TestMatrix:
         assert float(np.abs(md.entries - mq.entries).max()) < 1e-10
 
     def test_auto_falls_back_to_quadrature_on_short_series(self):
+        # a short series the derivative route could read in full still goes
+        # through quadrature, and a polynomial with the same coefficients
+        # does not: only polynomial kinds are exact on that route
         taylor = FockCoeffs(np.array([0.3, 0.2, 0.1, 0.05, 0.02], dtype=complex))
         sym = make_symbol("series", lambda z: fock_eval(taylor, z), taylor, 0.0)
         np.testing.assert_array_equal(
             s_phi_matrix(sym, 3, PLANE).entries,
-            s_phi_matrix(sym, 3, PLANE, method="deriv").entries,
+            s_phi_matrix(sym, 3, PLANE, method="quadrature").entries,
         )
+        poly = poly_symbol(taylor.coeffs)
         np.testing.assert_array_equal(
-            s_phi_matrix(sym, 4, PLANE).entries,
-            s_phi_matrix(sym, 4, PLANE, method="quadrature").entries,
+            s_phi_matrix(poly, 4, PLANE).entries,
+            s_phi_matrix(poly, 4, PLANE, method="deriv").entries,
         )
+
+    def test_auto_takes_deriv_past_the_plane_envelope(self):
+        # n = 30 lies past the quadrature route's truncation cap (24), which
+        # refused this symbol once; the derivative route is exact there
+        rng = np.random.default_rng(20)
+        mono = (rng.standard_normal(21) + 1j * rng.standard_normal(21)) * 0.6 ** np.arange(21)
+        sym = poly_symbol(mono)
+        np.testing.assert_array_equal(
+            s_phi_matrix(sym, 30, PLANE).entries,
+            s_phi_matrix(sym, 30, PLANE, method="deriv").entries,
+        )
+
+    @pytest.mark.parametrize(
+        "sym, cap", [(phi_n_closed(2, 1.0), 0.4), (hilbert_symbol(), 0.5)], ids=["phi_2", "hilbert"]
+    )
+    def test_forced_deriv_on_long_series(self, sym, cap):
+        # both store more than 40 coefficients; the 8 x 8 block reads 15
+        md = s_phi_matrix(sym, 8, PLANE, method="deriv", growth_cap=cap).entries
+        mq = s_phi_matrix(sym, 8, PLANE, method="quadrature", growth_cap=cap).entries
+        assert np.abs(md - mq).max() <= 1e-12 * np.abs(mq).max()
 
     def test_quadrature_refuses_before_first_apply(self, monkeypatch):
         def no_apply(*args, **kwargs):
@@ -356,7 +380,7 @@ class TestMatrix:
             raise AssertionError("a column was computed before the growth check")
 
         monkeypatch.setattr(singular, "s_phi_alpha_apply", no_apply)
-        monkeypatch.setattr(singular, "s_phi_apply_deriv", no_apply)
+        monkeypatch.setattr(singular, "_deriv_matrix", no_apply)
         with pytest.raises(EnvelopeError, match="<= 0.1"):
             s_phi_matrix(gaussian_symbol(0.25, 0.0), 4, PLANE, method=method, growth_cap=0.1)
 

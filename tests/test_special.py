@@ -62,7 +62,7 @@ class TestBranchSqrt:
         # (-pi/4, pi/4) is asked for only by gaussian_integral_closed, which
         # refuses a radicand w = a + ib with Re(w) <= 0 (or NaN) before the root.
         for w in (-1 + 1j, 1j, complex(-0.0, 1.0), -4 + 0j, complex(math.nan, 1.0)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigurationError):
                 gaussian_integral_closed(w.real, w.imag)
 
     def test_half_open_interval(self):
@@ -197,9 +197,9 @@ class TestGaussianIntegralClosed:
             assert -math.pi / 4 < cmath.phase(root) < math.pi / 4
 
     def test_rejects_nonpositive_a(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             gaussian_integral_closed(0.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             gaussian_integral_closed(-1.0, 1.0)
 
     @settings(max_examples=30, deadline=None)
@@ -401,4 +401,18 @@ class TestSizeGuard:
     def test_float_order_is_a_configuration_error(self, call):
         # each of these raised a bare TypeError from deep inside numpy
         with pytest.raises(ConfigurationError, match="integer"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fb.hermite_fn(-1, 0.5),
+            lambda: fb.hermite_fn(2.0, 0.5),
+            lambda: fb.verify.suite_names("x"),
+        ],
+        ids=["hermite-order", "hermite-float-order", "suite"],
+    )
+    def test_refusal_is_typed(self, call):
+        # each of these raised a bare ValueError or TypeError once
+        with pytest.raises(ConfigurationError):
             call()
