@@ -1,17 +1,24 @@
 #!/usr/bin/env python3
-"""Accuracy of the derivative-identity matrix route, the figures behind
-``s_phi_matrix``'s "auto" rule.
+"""Accuracy of the derivative-identity matrix route and of the plane rule on
+polynomial symbols, the figures behind ``s_phi_matrix``'s "auto" rule and
+``singular.PLANE_POLY_DEGREE_MAX``.
 
     PYTHONPATH=src python3 scripts/deriv_accuracy.py
 
-Prints two tables.  The first holds the band formula (method "deriv") for
+Prints three tables.  The first holds the band formula (method "deriv") for
 random polynomial symbols against the same identity summed in 30-digit
 mpmath, and the quadrature route against the same reference where its
-envelope admits the size (n <= 24); errors are the largest entry error
-over the largest entry, at alpha = 0 and 0.7.  The second holds the
-derivative route for truncated-series symbols, whose alternating sums
-cancel as n grows, against the quadrature route, relative in the same way.
-Needs mpmath (a test-time dependency); takes about two minutes on one core.
+envelope admits the size (n <= 24) and the degree ("refused" past
+PLANE_POLY_DEGREE_MAX); errors are the largest entry error over the largest
+entry, at alpha = 0 and 0.7.  The second holds the derivative route for
+truncated-series symbols, whose alternating sums cancel as n grows, against
+the quadrature route, relative in the same way.  The third pins the
+polynomial edge: the plane engine against the band formula at the
+envelope's corner (|z| = 1.999, F of order 3 and 24, alpha in {0, 0.9}),
+by degree and coefficient scale, as the largest error over
+sum|taylor_k| * |F|.  The engine refuses polynomials past the edge, so this
+table runs it on the same function stored as a series symbol.
+Needs mpmath (a test-time dependency); takes a few minutes on one core.
 """
 
 import sys
@@ -19,13 +26,18 @@ import sys
 import mpmath as mp
 import numpy as np
 
+from fockbridge.errors import EnvelopeError
 from fockbridge.quadrature import plane_gaussian_rule
-from fockbridge.representation import PLANE_ORDER_MAX, PLANE_RULE_SIZES
+from fockbridge.representation import PLANE_ORDER_MAX, PLANE_RULE_SIZES, FockCoeffs, fock_eval
 from fockbridge.singular import (
+    PLANE_POLY_DEGREE_MAX,
     gaussian_symbol,
     hilbert_symbol,
+    make_symbol,
     phi_n_closed,
     poly_symbol,
+    s_phi_alpha_apply,
+    s_phi_apply_deriv,
     s_phi_matrix,
 )
 
@@ -33,6 +45,8 @@ DEGREES = (3, 11, 15, 24, 39)
 SIZES = (8, 24, 40)
 ALPHAS = (0.0, 0.7)
 SERIES_SIZES = (8, 16, 20)
+CORNER_DEGREES = (8, 10, 12, 13, 14, 15, 16, 20, 24, 30)
+CORNER_SCALES = (0.3, 0.6, 1.0)
 
 
 def mpmath_matrix(mono, n: int, alpha: float) -> np.ndarray:
@@ -60,6 +74,27 @@ def rel_error(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.abs(got - want).max() / max(1.0, np.abs(want).max()))
 
 
+def corner_ratio(degree: int, scale: float, plane) -> float:
+    """Worst plane-engine error over sum|taylor_k| * |F| at the corner."""
+    z = 1.999 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
+    worst = 0.0
+    for order in (3, 24):
+        rng = np.random.default_rng([degree, order])
+        mono = (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)) * (
+            scale ** np.arange(degree + 1)
+        )
+        poly = poly_symbol(mono)
+        series = make_symbol("series", poly.evaluate, poly.taylor, 0.0)
+        fc = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+        F = FockCoeffs(fc / np.linalg.norm(fc))
+        for alpha in (0.0, 0.9):
+            got = s_phi_alpha_apply(series, alpha, F, z, plane)
+            want = fock_eval(s_phi_apply_deriv(mono, F, alpha), z)
+            size = np.abs(poly.taylor.coeffs).sum() * F.norm()
+            worst = max(worst, float(np.abs(got - want).max()) / size)
+    return worst
+
+
 def main() -> int:
     plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
     print("polynomial symbols against 30-digit mpmath")
@@ -71,33 +106,46 @@ def main() -> int:
         )
         sym = poly_symbol(mono)
         for n in SIZES:
-            deriv = quad = 0.0
+            deriv, quad = 0.0, "-" if n > PLANE_ORDER_MAX else 0.0
             for alpha in ALPHAS:
                 want = mpmath_matrix(sym.monomial(), n, alpha)
                 got = s_phi_matrix(sym, n, plane, alpha=alpha, method="deriv").entries
                 deriv = max(deriv, rel_error(got, want))
-                if n <= PLANE_ORDER_MAX:
-                    got = s_phi_matrix(sym, n, plane, alpha=alpha, method="quadrature").entries
-                    quad = max(quad, rel_error(got, want))
-            quad_text = f"{quad:11.1e}" if n <= PLANE_ORDER_MAX else f"{'-':>11}"
+                if isinstance(quad, float):
+                    try:
+                        got = s_phi_matrix(sym, n, plane, alpha=alpha, method="quadrature").entries
+                        quad = max(quad, rel_error(got, want))
+                    except EnvelopeError:
+                        quad = "refused"
+            quad_text = f"{quad:>11}" if isinstance(quad, str) else f"{quad:11.1e}"
             print(f"{degree:6d} {n:3d} {deriv:9.1e} {quad_text}")
 
     print()
     print("series symbols: derivative route against quadrature")
     print(f"{'symbol':>18} " + " ".join(f"{'n=' + str(n):>9}" for n in SERIES_SIZES))
     series = (
-        ("gauss a=0.25 b=0.3", gaussian_symbol(0.25, 0.3), 0.4),
-        ("gauss a=0.4 b=0.5", gaussian_symbol(0.4, 0.5), 0.4),
-        ("phi_2 s=1", phi_n_closed(2, 1.0), 0.4),
-        ("hilbert", hilbert_symbol(), 0.5),
+        ("gauss a=0.25 b=0.3", gaussian_symbol(0.25, 0.3)),
+        ("gauss a=0.4 b=0.5", gaussian_symbol(0.4, 0.5)),
+        ("phi_2 s=1", phi_n_closed(2, 1.0)),
+        ("hilbert", hilbert_symbol()),
     )
-    for name, sym, cap in series:
+    for name, sym in series:
         errs = []
         for n in SERIES_SIZES:
-            d = s_phi_matrix(sym, n, plane, method="deriv", growth_cap=cap).entries
-            q = s_phi_matrix(sym, n, plane, method="quadrature", growth_cap=cap).entries
+            d = s_phi_matrix(sym, n, plane, method="deriv").entries
+            q = s_phi_matrix(sym, n, plane, method="quadrature").entries
             errs.append(rel_error(d, q))
         print(f"{name:>18} " + " ".join(f"{e:9.1e}" for e in errs))
+
+    print()
+    print(f"polynomial edge at |z| = 1.999: plane engine against the band formula, "
+          f"over sum|taylor_k|*|F| (admitted: degree <= {PLANE_POLY_DEGREE_MAX})")
+    print(f"{'degree':>6} " + " ".join(f"{'scale ' + str(s):>10}" for s in CORNER_SCALES)
+          + f" {'admitted':>9}")
+    for degree in CORNER_DEGREES:
+        ratios = [corner_ratio(degree, scale, plane) for scale in CORNER_SCALES]
+        admitted = "yes" if degree <= PLANE_POLY_DEGREE_MAX else "refused"
+        print(f"{degree:6d} " + " ".join(f"{r:10.1e}" for r in ratios) + f" {admitted:>9}")
     return 0
 
 

@@ -35,7 +35,6 @@ from .representation import (
     synthesize,
 )
 from .singular import (
-    GROWTH_CAP,
     WaveletSpec,
     const_symbol,
     gaussian_symbol,
@@ -100,8 +99,6 @@ def _build_parser() -> _Parser:
         q.add_argument("--s", type=float, default=1.0, help="dilation for from-g")
         q.add_argument("--g-file", help="CSV signal sampling the wavelet g (for from-g)")
         q.add_argument("--alpha", type=float, default=0.0, help="rotation angle of the operator")
-        q.add_argument("--growth-cap", type=float, default=GROWTH_CAP,
-                       help="largest admissible symbol growth bound (0.5 admits the principal-value symbol)")
         if name == "apply":
             q.add_argument("--in", dest="infile", required=True, help="Fock coefficient JSON")
             q.add_argument("--z", action="append", required=True, help="evaluation point re,im (repeatable)")
@@ -265,7 +262,7 @@ def _cmd_sop(args) -> int:
         if not isinstance(data, FockCoeffs):
             raise UsageError("sop apply expects Fock coefficient JSON")
         zs = [_parse_complex(ztext) for ztext in args.z]
-        vals = s_phi_alpha_apply(sym, args.alpha, data, zs, plane, growth_cap=args.growth_cap)
+        vals = s_phi_alpha_apply(sym, args.alpha, data, zs, plane)
         values = [
             {"z": [z.real, z.imag], "value": [val.real, val.imag]}
             for z, val in zip(zs, vals.tolist())
@@ -278,7 +275,7 @@ def _cmd_sop(args) -> int:
             sys.stdout.write(doc)
         return 0
     # matrix
-    mat = s_phi_matrix(sym, _order(args), plane, alpha=args.alpha, growth_cap=args.growth_cap)
+    mat = s_phi_matrix(sym, _order(args), plane, alpha=args.alpha)
     doc = {
         "kind": sym.kind,
         "alpha": args.alpha,

@@ -7,7 +7,7 @@ plane-kernel realization is the validated alternative; the two are compared,
 not assumed equal.  On the Fock side the classical transform is S_phi of
 the principal-value symbol pv (``singular.hilbert_symbol``), and the
 fractional one is the rotated S_phi of cos(phi) + sin(phi) pv at angle
-alpha - pi/2; both run under the raised growth cap 1/2 at which pv sits.
+alpha - pi/2; the operators admit this family alone at pv's growth 1/2.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def hilbert_fock_kernel_apply(F: FockCoeffs, params: HilbertParams, z, rule: Pla
 
     Since erf(y) = i erfi(-i y), chi(e^{i(alpha-pi/2)} z - e^{-i(alpha-pi/2)} conj(w))
     is the kernel (1/sqrt(pi)) A_phi((e^{i alpha} z + e^{-i alpha} conj(w)) / sqrt(2)).
-    chi grows like pv (0 when sin(phi) vanishes), so the cap is raised to 1/2.
+    chi grows like pv (0 when sin(phi) vanishes), admitted at 1/2 by kind.
     """
     pv = hilbert_symbol()
     c, s = math.cos(params.phi), math.sin(params.phi)
@@ -130,7 +130,7 @@ def hilbert_fock_kernel_apply(F: FockCoeffs, params: HilbertParams, z, rule: Pla
     taylor[0] += c
     chi = make_symbol("hilbert-phase", lambda u: c + s * pv.evaluate(u), FockCoeffs(taylor),
                       0.5 if s != 0.0 else 0.0, {"phi": params.phi})
-    return s_phi_alpha_apply(chi, params.alpha - math.pi / 2, F, z, rule, growth_cap=0.5)
+    return s_phi_alpha_apply(chi, params.alpha - math.pi / 2, F, z, rule)
 
 
 def hilbert_fock_S_apply(F: FockCoeffs, z, rule: PlaneRule):
@@ -138,6 +138,6 @@ def hilbert_fock_S_apply(F: FockCoeffs, z, rule: PlaneRule):
 
     S_phi of the principal-value symbol phi(u) = (2/sqrt(pi)) A(u/sqrt(2)),
     with A the antiderivative of e^{u^2} vanishing at 0; its growth 1/2 is
-    admitted by raising the symbol growth cap to 0.5 for the Hilbert operators only.
+    admitted for the principal-value family alone.
     """
-    return s_phi_apply(hilbert_symbol(), F, z, rule, growth_cap=0.5)
+    return s_phi_apply(hilbert_symbol(), F, z, rule)

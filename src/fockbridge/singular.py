@@ -52,8 +52,15 @@ __all__ = [
     "hilbert_symbol",
 ]
 
-#: Validated symbol growth for the quadrature operators.
+#: Validated symbol growth for the operators; the principal-value family
+#: alone is admitted at its boundedness boundary 1/2.
 GROWTH_CAP = 0.4
+_PV_KINDS = ("hilbert", "hilbert-phase")
+_POLY_KINDS = ("poly", "const")
+
+#: Largest polynomial degree the PLANE_RULE_SIZES rule resolves: within 2e-11 of
+#: sum|taylor_k|·‖F‖ at |z| = 2 (3.7e-10 at 15; scripts/deriv_accuracy.py).
+PLANE_POLY_DEGREE_MAX = 12
 
 #: Hard cap for the polynomial (derivative-identity) route.
 DERIV_ORDER_CAP = 40
@@ -84,8 +91,8 @@ class FockSymbol:
     ``taylor`` holds coefficients against the normalized monomials
     z^n/sqrt(n!); ``monomial()`` converts to plain Taylor coefficients.
     ``growth_bound`` is a constant a with |phi(z)| <= C exp(a |z|^2); the
-    operator envelope admits a <= 0.4, with 0.5 reserved for the documented
-    principal-value boundary case.
+    operators admit a <= GROWTH_CAP, and 0.5 for the principal-value
+    family (kinds "hilbert" and "hilbert-phase") alone.
     """
 
     kind: str
@@ -194,38 +201,37 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def _check_growth(phi: FockSymbol, growth_cap: float) -> None:
-    if not phi.growth_bound <= growth_cap:
+def _check_admitted(phi: FockSymbol, plane: bool) -> None:
+    """The symbol's admission, before any work: growth <= GROWTH_CAP, or 1/2 for
+    the principal-value family; on the plane route a resolvable polynomial."""
+    cap = 0.5 if phi.kind in _PV_KINDS else GROWTH_CAP
+    if not phi.growth_bound <= cap:
         raise EnvelopeError(
             f"symbol '{phi.kind}' has growth bound {phi.growth_bound}, outside the "
-            f"validated envelope (<= {growth_cap}); operators with faster-growing "
+            f"validated envelope (<= {cap}); operators with faster-growing "
             "symbols may be unbounded and their quadrature is not trusted here"
+        )
+    if plane and phi.kind in _POLY_KINDS and phi.taylor.order > PLANE_POLY_DEGREE_MAX + 1:
+        raise EnvelopeError(
+            f"polynomial symbol of degree {phi.taylor.order - 1} is past the plane "
+            f"rule's envelope (degree <= {PLANE_POLY_DEGREE_MAX})"
         )
 
 
-def s_phi_apply(
-    phi: FockSymbol, F: FockCoeffs, z, rule: PlaneRule, growth_cap: float = GROWTH_CAP
-):
+def s_phi_apply(phi: FockSymbol, F: FockCoeffs, z, rule: PlaneRule):
     """Apply S_phi by plane quadrature of its defining kernel, at a point or
     an array of points: the rotated operator at alpha = 0."""
-    return s_phi_alpha_apply(phi, 0.0, F, z, rule, growth_cap)
+    return s_phi_alpha_apply(phi, 0.0, F, z, rule)
 
 
-def s_phi_alpha_apply(
-    phi: FockSymbol,
-    alpha: float,
-    F: FockCoeffs,
-    z,
-    rule: PlaneRule,
-    growth_cap: float = GROWTH_CAP,
-):
+def s_phi_alpha_apply(phi: FockSymbol, alpha: float, F: FockCoeffs, z, rule: PlaneRule):
     """Apply the rotated operator, kernel phi(e^{i a} z - e^{-i a} conj(w)),
-    at a point or an array of points.  After the growth and envelope guards
-    f is evaluated once on the nodes; each point gets its own rule sum, its
-    factors multiplied smallest-first so none overflows at the outer nodes."""
-    _check_growth(phi, growth_cap)
+    at a point or an array of points.  After the admission and envelope
+    guards f is evaluated once on the nodes; each point gets its own rule
+    sum, its factors multiplied smallest-first so none overflows there."""
+    _check_admitted(phi, plane=True)
     ea = cmath.exp(1j * finite_param(alpha, "rotation angle"))
-    check_envelope(F, z)
+    check_envelope(F.order, z)
     wbar = np.conj(rule.nodes)
     fw = fock_eval(F, rule.nodes)
     return rule_sum_per_point(
@@ -275,12 +281,7 @@ def s_phi_apply_deriv(phi_monomial: np.ndarray, F: FockCoeffs, alpha: float = 0.
 
 
 def s_phi_matrix(
-    phi: FockSymbol,
-    n: int,
-    rule: PlaneRule,
-    alpha: float = 0.0,
-    method: str = "auto",
-    growth_cap: float = GROWTH_CAP,
+    phi: FockSymbol, n: int, rule: PlaneRule, alpha: float = 0.0, method: str = "auto"
 ) -> OperatorMatrix:
     """Truncated matrix entries[n, m] = <S e_m, e_n>.
 
@@ -290,17 +291,19 @@ def s_phi_matrix(
     coefficients off a discrete Fourier transform; "auto" takes "deriv" for
     polynomial symbols, where it is exact, and "quadrature" for the series
     symbols, whose alternating sums lose digits as n grows.  Either route
-    checks the symbol's growth against ``growth_cap``, as the plane
-    operators do, and its whole envelope before computing the first column.
+    admits the symbol as the plane operators do (the degree on "quadrature"
+    only) and checks its whole envelope before computing the first column.
     """
     _check_size(n, "matrix size")
     alpha = finite_param(alpha, "rotation angle")
-    _check_growth(phi, growth_cap)
     # entry [i, m] reads the symbol's Taylor coefficients through degree
     # i + m; only polynomial symbols store their series complete
-    poly = phi.kind in ("poly", "const")
+    poly = phi.kind in _POLY_KINDS
     if method == "auto":
         method = "deriv" if poly and n <= DERIV_ORDER_CAP else "quadrature"
+    if method not in ("deriv", "quadrature"):
+        raise ConfigurationError(f"unknown matrix method {method!r}")
+    _check_admitted(phi, plane=method == "quadrature")
     if method == "deriv":
         if not (n <= DERIV_ORDER_CAP and (poly or phi.taylor.order >= 2 * n - 1)):
             raise EnvelopeError(
@@ -309,16 +312,14 @@ def s_phi_matrix(
                 f"it stores {phi.taylor.order} coefficients (use method='quadrature')"
             )
         return OperatorMatrix(_deriv_matrix(phi.monomial()[: 2 * n - 1], n, n, alpha))
-    if method != "quadrature":
-        raise ConfigurationError(f"unknown matrix method {method!r}")
-    check_envelope(FockCoeffs(np.zeros(n, dtype=complex)), MATRIX_RADIUS)
+    check_envelope(n, MATRIX_RADIUS)
     n_circle = max(2 * n, 32)
     circle = MATRIX_RADIUS * np.exp(2j * math.pi * np.arange(n_circle) / n_circle)
     scale = MATRIX_RADIUS ** np.arange(n) / sqrt_factorials(n)
     entries = np.zeros((n, n), dtype=complex)
     for m in range(n):
         unit = FockCoeffs(np.eye(1, m + 1, m, dtype=complex)[0])
-        vals = s_phi_alpha_apply(phi, alpha, unit, circle, rule, growth_cap)
+        vals = s_phi_alpha_apply(phi, alpha, unit, circle, rule)
         entries[:, m] = np.fft.fft(vals)[:n] / n_circle / scale
     return OperatorMatrix(entries)
 
@@ -513,9 +514,9 @@ def hilbert_symbol() -> FockSymbol:
     """The principal-value symbol (2/sqrt(pi)) A(z/sqrt(2)).
 
     Odd entire function with phi(0) = 0 and phi'(z) = sqrt(2/pi) e^{z^2/2};
-    square-summable against the normalized monomials, but its growth sits
-    exactly on the 1/2 boundary, so the generic quadrature guard excludes it
-    unless the caller raises the cap explicitly.
+    square-summable against the normalized monomials, and its growth sits
+    exactly on the 1/2 boundary, where the operators admit this family
+    (kinds "hilbert" and "hilbert-phase") and no other symbol.
     """
 
     def evaluate(z):

@@ -164,10 +164,9 @@ def _check_frft_fock_rotation(cfg: VerifyConfig):
     for alpha in (0.3, math.pi / 2, 2.1):
         coeffs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         F = FockCoeffs(coeffs / np.linalg.norm(coeffs))
-        # frft_integral samples g on its whole 240- or 480-node rule, far
-        # past the inverse integral's default |x| <= 3; the 1e-7 comparison
-        # with the exact rotation below bounds those values
-        g = lambda x: inverse_bargmann_direct(F, x, plane, x_max=math.inf)
+        # frft_integral samples g on its whole 240- or 480-node rule, inside
+        # the inverse integral's measured |x| <= 32
+        g = lambda x: inverse_bargmann_direct(F, x, plane)
         lhs = bargmann_direct(lambda x: _frft.frft_integral(g, alpha, x, line), zs, brule)
         rhs = fock_eval(F, np.exp(-1j * alpha) * zs)
         parts.append((float(np.abs(lhs - rhs).max()), 1e-7))

@@ -23,7 +23,14 @@ from fockbridge.representation import (
     inverse_bargmann_coeff,
     synthesize,
 )
-from fockbridge.singular import WaveletSpec, phi_from_g, s_phi_alpha_apply, wavelet_transform
+from fockbridge.singular import (
+    WaveletSpec,
+    phi_from_g,
+    phi_n_closed,
+    s_phi_alpha_apply,
+    wavelet_transform,
+)
+from fockbridge.special import NORM_CONSTANT
 from fockbridge.verify import default_threads
 
 
@@ -194,11 +201,15 @@ class TestSopCommand:
         assert rc == 2
 
     def test_pv_symbol_behind_raised_cap(self, workdir, capsys):
+        # the principal-value symbol is admitted at its growth 1/2 by kind;
+        # the growth cap is no option
+        rc = run_command(["sop", "apply", "--symbol", "hilbert", "--in", "F.json", "--z", "0.3,0.1"])
+        assert rc == 0
         rc = run_command(
             ["sop", "apply", "--symbol", "hilbert", "--growth-cap", "0.5",
              "--in", "F.json", "--z", "0.3,0.1"]
         )
-        assert rc == 0
+        assert rc == 2
 
     def test_matrix_with_norm(self, workdir):
         rc = run_command(
@@ -220,25 +231,55 @@ class TestSopCommand:
         assert not (workdir / "mat.json").exists()
 
     @pytest.mark.parametrize(
-        "symbol, cap, code",
+        "symbol, code",
         [
-            (["--symbol", "gauss", "--a", "0.3"], "0.1", 2),
-            (["--symbol", "gauss", "--a", "0.3"], "0.3", 0),
-            (["--symbol", "hilbert"], "0.4", 2),
-            (["--symbol", "hilbert"], "0.5", 0),
-            (["--symbol", "poly", "--coeffs", "0,0;1,0"], "0", 0),
+            (["--symbol", "gauss", "--a", "0.3"], 0),
+            (["--symbol", "hilbert"], 0),
+            # g = h_0 at s = 4 induces growth about 4/9, past GROWTH_CAP
+            (["--symbol", "from-g", "--g-file", "g.csv", "--s", "4"], 2),
+            (["--symbol", "poly", "--coeffs", "0,0;1,0"], 0),
         ],
+        ids=["gauss", "hilbert", "from-g", "poly"],
     )
-    def test_apply_and_matrix_share_the_growth_cap(self, symbol, cap, code, workdir, capsys):
+    def test_apply_and_matrix_share_the_symbols_admission(self, symbol, code, workdir, capsys):
         for command, tail in (
             ("apply", ["--in", "F.json", "--z", "0.3,0.1"]),
             ("matrix", ["--n", "3", "--out", "mat.json"]),
         ):
-            assert run_command(["sop", command, *symbol, "--growth-cap", cap, *tail]) == code
+            assert run_command(["sop", command, *symbol, *tail]) == code
             err = capsys.readouterr().err
             assert err.count("\n") == (code != 0)
             assert err.startswith("fockbridge: error=usage" if code else "")
         assert (workdir / "mat.json").exists() == (code == 0)
+
+    def test_polynomial_past_the_plane_edge(self, workdir, capsys):
+        # 0.6^k-scaled degree 39, where plane quadrature was 44.9 off
+        rng = np.random.default_rng([39, 1])
+        mono = (rng.standard_normal(40) + 1j * rng.standard_normal(40)) * 0.6 ** np.arange(40)
+        poly = ["--symbol", "poly", "--coeffs=" + ";".join(f"{c.real!r},{c.imag!r}" for c in mono.tolist())]
+        assert run_command(["sop", "apply", *poly, "--in", "F.json", "--z", "0.5,0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
+        assert "degree 39" in err
+        # the matrix takes the derivative route, exact at any degree up to 40
+        assert run_command(["sop", "matrix", *poly, "--n", "3", "--out", "mat.json"]) == 0
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
+    def test_from_g_symbol_file_applies(self, s, workdir, capsys):
+        # g.csv samples h_0 = NORM_CONSTANT e^{-t^2}, whose symbol is
+        # NORM_CONSTANT phi_0 in closed form
+        z = ["--z", "0.5,0.2", "--z=-1.1,0.7"]
+        built = ["sop", "apply", "--symbol", "from-g", "--g-file", "g.csv", "--s", repr(s)]
+        assert run_command([*built, "--in", "F.json", *z, "--symbol-out", "phi.json"]) == 0
+        assert run_command(["sop", "apply", "--symbol-file", "phi.json", "--in", "F.json", *z,
+                            "--out", "o.json"]) == 0
+        got = [complex(*v["value"]) for v in json.loads((workdir / "o.json").read_text())["values"]]
+        F = fileio.read_coeffs_json(workdir / "F.json")
+        plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
+        want = NORM_CONSTANT * s_phi_alpha_apply(
+            phi_n_closed(0, s), 0.0, F, [0.5 + 0.2j, -1.1 + 0.7j], plane
+        )
+        assert float(np.abs(np.array(got) - want).max()) <= 1e-12
 
     def test_symbol_file_round_trip(self, workdir, capsys):
         rc = run_command(
@@ -524,8 +565,9 @@ class TestContract:
         assert not (workdir / "x.csv").exists()
 
     def test_overflowing_symbol_is_a_numerical_failure(self, workdir):
-        # a separate process, so any numpy warning would reach its stderr
-        taylor = [[0.0, 0.0]] * 19 + [[1e300, 0.0]]
+        # a separate process, so any numpy warning would reach its stderr;
+        # degree 12 is the largest the plane rule admits
+        taylor = [[0.0, 0.0]] * 12 + [[1e300, 0.0]]
         (workdir / "big.json").write_text(
             json.dumps({"kind": "poly", "params": {}, "growth_bound": 0.0, "taylor": taylor})
         )

@@ -7,6 +7,8 @@ exit code is in {0, 1, 2, 3}, a failure leaves exactly one stderr line
 starting ``fockbridge: error=``, and a success writes only finite numbers
 and, when asked, the ``--dump-grid`` file (which ``hilbert --classical``
 refuses with exit 2, as it refuses ``--alpha``, ``--phi`` and ``--n``).
+``sop apply`` refuses a polynomial symbol past the plane rule's degree edge
+with exit 2.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from fockbridge import fileio
 from fockbridge.cli import run_command
 from fockbridge.representation import FockCoeffs, HermiteCoeffs, synthesize
-from fockbridge.singular import gaussian_symbol
+from fockbridge.singular import PLANE_POLY_DEGREE_MAX, gaussian_symbol
 
 #: Malformed, non-finite or extreme files that an argv can name.
 ODD = {
@@ -37,7 +39,7 @@ ODD = {
     "growth_text.json": '{"kind": "poly", "growth_bound": "big", "taylor": [[1, 0]]}',
     "overflow_symbol.json": json.dumps(
         {"kind": "poly", "params": {}, "growth_bound": 0.0,
-         "taylor": [[0.0, 0.0]] * 19 + [[1e300, 0.0]]}
+         "taylor": [[0.0, 0.0]] * 12 + [[1e300, 0.0]]}
     ),
     "bad_row.csv": "x,re,im\n0,1,0\n0.1,one,0\n",
     "one_row.csv": "x,re,im\n0,1,0\n",
@@ -87,6 +89,13 @@ COMPLEX = mostly(
     st.tuples(REALS, REALS).map(",".join), st.sampled_from(["1", "1,2,3", "a,b", ",", ""])
 )
 FILES = mostly(st.sampled_from(VALID), st.sampled_from(INPUTS))
+#: Polynomial coefficient lists: short ones, and valid ones past the plane
+#: rule's degree edge.
+POLY_COEFFS = st.one_of(
+    st.lists(COMPLEX, min_size=1, max_size=3),
+    st.lists(st.sampled_from(["0.5,0", "0,-0.25", "1,1"]), min_size=PLANE_POLY_DEGREE_MAX + 2,
+             max_size=40),
+).map(";".join)
 
 
 def opt(flag, values):
@@ -128,7 +137,7 @@ def argvs(draw):
     symbol = {
         "file": lambda: ["--symbol-file", draw(FILES)],
         "const": lambda: draw(opt("--kappa", COMPLEX)),
-        "poly": lambda: draw(opt("--coeffs", st.lists(COMPLEX, min_size=1, max_size=3).map(";".join))),
+        "poly": lambda: draw(opt("--coeffs", POLY_COEFFS)),
         "gauss": lambda: draw(opt("--a", st.one_of(st.sampled_from(["0.25", "0.4"]), REALS)))
         + draw(opt("--b", REALS)),
         "hilbert": lambda: [],
@@ -136,11 +145,7 @@ def argvs(draw):
     }[kind]()
     if kind != "file":
         symbol = ["--symbol", kind] + symbol
-    symbol += (
-        draw(opt("--alpha", REALS))
-        + draw(opt("--growth-cap", st.one_of(st.just("0.5"), REALS)))
-        + draw(flag("--symbol-out", "sym_out.json"))
-    )
+    symbol += draw(opt("--alpha", REALS)) + draw(flag("--symbol-out", "sym_out.json"))
     if command == "apply":
         zs = draw(st.lists(COMPLEX, min_size=1, max_size=3))
         return (
@@ -173,6 +178,8 @@ def numbers(text: str):
 @given(argv=argvs())
 @example(argv=["hilbert", "--classical", "--in", "sig.csv", "--out", "out.csv", "--alpha=0.3"])
 @example(argv=["hilbert", "--phi=0.0", "--classical", "--n=8", "--in", "sig.csv", "--out", "out.csv"])
+@example(argv=["sop", "apply", "--symbol", "poly", "--coeffs=" + ";".join(["0.5,0"] * 14),
+               "--in", "F.json", "--z=0.5,0"])
 def test_contract(files, argv):
     for name in OUTPUTS:
         (files / name).unlink(missing_ok=True)
@@ -184,6 +191,9 @@ def test_contract(files, argv):
         assert code == 2  # no Hermite expansion to sample on the grid
     if "--classical" in argv and any(a.startswith(("--alpha=", "--phi=", "--n=")) for a in argv):
         assert code == 2  # the grid path has no angle and no truncation order
+    coeffs = [a.count(";") for a in argv if a.startswith("--coeffs=")]
+    if argv[:2] == ["sop", "apply"] and coeffs and coeffs[0] > PLANE_POLY_DEGREE_MAX:
+        assert code == 2  # past the degree the plane rule resolves
     if code:
         assert err.getvalue().startswith("fockbridge: error=")
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -427,8 +427,22 @@ class TestInverseBargmannDirect:
             raise AssertionError("integrand evaluated before the envelope check")
 
         monkeypatch.setattr(representation, "fock_eval", no_eval)
+        for bad in (32.05, -np.inf, np.nan):
+            with pytest.raises(EnvelopeError):
+                inverse_bargmann_direct(unit_fock(1), np.append(np.linspace(-2.0, 31.9, 9), bad), PLANE)
         with pytest.raises(EnvelopeError):
-            inverse_bargmann_direct(unit_fock(1), np.linspace(-2.0, 3.1, 10), PLANE)
+            inverse_bargmann_direct(FockCoeffs(np.ones(41, dtype=complex)), 0.0, PLANE)
+
+    @pytest.mark.parametrize("order", [9, 24, 40])
+    def test_measured_range_against_the_coefficient_route(self, order):
+        # |x| <= 32 covers every node of the largest line rule (512 nodes)
+        assert float(np.abs(gauss_hermite_rule(512).nodes).max()) < 32.0
+        rng = np.random.default_rng(order)
+        c = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+        F = FockCoeffs(c / np.linalg.norm(c))
+        x = np.linspace(-32.0, 32.0, 41)
+        want = hermite_eval(inverse_bargmann_coeff(F), x)
+        assert float(np.abs(inverse_bargmann_direct(F, x, PLANE) - want).max()) < 1e-14
 
     def test_cross_check_with_synthesize(self):
         rng = np.random.default_rng(5)

@@ -157,8 +157,12 @@ class TestSPhiApply:
             s_phi_apply(sym, unit_fock(0), 2.5, PLANE)
         with pytest.raises(EnvelopeError):
             s_phi_apply(sym, FockCoeffs(np.ones(25, dtype=complex)), 0.5, PLANE)
-        with pytest.raises(EnvelopeError):
-            s_phi_apply(hilbert_symbol(), unit_fock(0), 0.5, PLANE)
+        # growth 9/22 lies past GROWTH_CAP; the principal-value family alone
+        # is admitted above it
+        with pytest.raises(EnvelopeError, match="growth bound"):
+            s_phi_apply(phi_n_closed(0, 3.0), unit_fock(0), 0.5, PLANE)
+        with pytest.raises(EnvelopeError, match="degree 13"):
+            s_phi_apply(poly_symbol(0.6 ** np.arange(14)), unit_fock(0), 0.5, PLANE)
 
     @pytest.mark.parametrize("name", sorted(PLANE_OPS))
     def test_points_as_array(self, name, array_contract):
@@ -171,10 +175,10 @@ class TestSPhiApply:
             PLANE_OPS[name](np.append(np.linspace(0.0, 1.9, 9), 2.05j))
 
     def test_pv_symbol_matches_dedicated_kernel_behind_raised_cap(self):
-        # the classical Hilbert operator is S_phi of the PV symbol under the
-        # raised cap: the same call, so the same bits
+        # the classical Hilbert operator is S_phi of the PV symbol, admitted
+        # at its growth 1/2 by kind: the same call, so the same bits
         z = np.array([0.4 - 0.7j, 1.2 + 0.3j])
-        lhs = s_phi_apply(hilbert_symbol(), unit_fock(2), z, PLANE, growth_cap=0.5)
+        lhs = s_phi_apply(hilbert_symbol(), unit_fock(2), z, PLANE)
         np.testing.assert_array_equal(lhs, hilbert_fock_S_apply(unit_fock(2), z, PLANE))
 
 
@@ -212,6 +216,42 @@ class TestDerivRoute:
     def test_degree_cap(self):
         with pytest.raises(EnvelopeError):
             s_phi_apply_deriv(np.ones(41), unit_fock(0))
+
+
+def _found_degree_39():
+    """A degree-39 symbol the plane rule does not resolve: 0.6^k-scaled random
+    coefficients, on which quadrature returned 44.9 off values of 45.8."""
+    rng = np.random.default_rng([39, 1])
+    return poly_symbol((rng.standard_normal(40) + 1j * rng.standard_normal(40)) * 0.6 ** np.arange(40))
+
+
+class TestPolynomialEdge:
+    @pytest.mark.parametrize("degree", [8, singular.PLANE_POLY_DEGREE_MAX])
+    def test_admitted_degrees_exact_at_the_corners(self, degree):
+        # |z| = 1.999 and truncation 24: the plane envelope's corner; the
+        # error is relative to sum|taylor_k| * |F|, the size of the terms
+        z = 1.999 * np.exp(2j * np.pi * (np.arange(4) + 0.5) / 4)
+        rng = np.random.default_rng([degree, 24])
+        fc = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+        F = FockCoeffs(fc / np.linalg.norm(fc))
+        for scale in (0.3, 0.6, 1.0):
+            mono = (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)) * (
+                scale ** np.arange(degree + 1)
+            )
+            sym = poly_symbol(mono)
+            for alpha in (0.0, 0.9):
+                got = s_phi_alpha_apply(sym, alpha, F, z, PLANE)
+                want = fock_eval(s_phi_apply_deriv(mono, F, alpha), z)
+                ratio = np.abs(got - want).max() / np.abs(sym.taylor.coeffs).sum()
+                assert ratio < 1e-10
+
+    def test_past_the_edge_refused_before_the_engine(self, monkeypatch):
+        refuse_node_eval(monkeypatch, "the degree check")
+        with pytest.raises(EnvelopeError, match="degree 39"):
+            s_phi_apply(_found_degree_39(), FockCoeffs(np.array([1.0, 0.5, 0.25])), 0.5, _SMALL)
+        edge = poly_symbol(np.ones(singular.PLANE_POLY_DEGREE_MAX + 2))
+        with pytest.raises(EnvelopeError, match=f"degree <= {singular.PLANE_POLY_DEGREE_MAX}"):
+            s_phi_alpha_apply(edge, 0.9, unit_fock(1), 0.5, _SMALL)
 
 
 def _deriv_matrix_mpmath(mono, n, alpha):
@@ -355,13 +395,11 @@ class TestMatrix:
             s_phi_matrix(sym, 30, PLANE, method="deriv").entries,
         )
 
-    @pytest.mark.parametrize(
-        "sym, cap", [(phi_n_closed(2, 1.0), 0.4), (hilbert_symbol(), 0.5)], ids=["phi_2", "hilbert"]
-    )
-    def test_forced_deriv_on_long_series(self, sym, cap):
+    @pytest.mark.parametrize("sym", [phi_n_closed(2, 1.0), hilbert_symbol()], ids=["phi_2", "hilbert"])
+    def test_forced_deriv_on_long_series(self, sym):
         # both store more than 40 coefficients; the 8 x 8 block reads 15
-        md = s_phi_matrix(sym, 8, PLANE, method="deriv", growth_cap=cap).entries
-        mq = s_phi_matrix(sym, 8, PLANE, method="quadrature", growth_cap=cap).entries
+        md = s_phi_matrix(sym, 8, PLANE, method="deriv").entries
+        mq = s_phi_matrix(sym, 8, PLANE, method="quadrature").entries
         assert np.abs(md - mq).max() <= 1e-12 * np.abs(mq).max()
 
     def test_quadrature_refuses_before_first_apply(self, monkeypatch):
@@ -372,7 +410,7 @@ class TestMatrix:
         with pytest.raises(EnvelopeError):
             s_phi_matrix(gaussian_symbol(0.25, 0.0), 25, PLANE, method="quadrature")
         with pytest.raises(EnvelopeError):
-            s_phi_matrix(hilbert_symbol(), 4, PLANE, method="quadrature")
+            s_phi_matrix(phi_n_closed(0, 3.0), 4, PLANE, method="quadrature")
 
     @pytest.mark.parametrize("method", ["deriv", "quadrature", "auto"])
     def test_growth_cap_checked_up_front(self, method, monkeypatch):
@@ -381,11 +419,27 @@ class TestMatrix:
 
         monkeypatch.setattr(singular, "s_phi_alpha_apply", no_apply)
         monkeypatch.setattr(singular, "_deriv_matrix", no_apply)
-        with pytest.raises(EnvelopeError, match="<= 0.1"):
-            s_phi_matrix(gaussian_symbol(0.25, 0.0), 4, PLANE, method=method, growth_cap=0.1)
+        # phi_0 at s = 3 grows like exp((9/22) |z|^2), past GROWTH_CAP; its
+        # stored series covers the derivative route's 4 x 4 block
+        with pytest.raises(EnvelopeError, match="<= 0.4"):
+            s_phi_matrix(phi_n_closed(0, 3.0), 4, PLANE, method=method)
+
+    def test_polynomial_edge_checked_before_the_first_column(self, monkeypatch):
+        def no_apply(*args, **kwargs):
+            raise AssertionError("a column was computed before the degree check")
+
+        monkeypatch.setattr(singular, "s_phi_alpha_apply", no_apply)
+        sym = poly_symbol(0.6 ** np.arange(singular.PLANE_POLY_DEGREE_MAX + 2))
+        with pytest.raises(EnvelopeError, match="degree"):
+            s_phi_matrix(sym, 4, PLANE, method="quadrature")
+        # the derivative route is exact at any degree, and auto takes it
+        np.testing.assert_array_equal(
+            s_phi_matrix(sym, 4, PLANE).entries, s_phi_matrix(sym, 4, PLANE, method="deriv").entries
+        )
 
     def test_raised_cap_reaches_the_quadrature(self):
-        m = s_phi_matrix(hilbert_symbol(), 3, PLANE, growth_cap=0.5)
+        # the principal-value symbol is admitted at its growth 1/2 by kind
+        m = s_phi_matrix(hilbert_symbol(), 3, PLANE)
         # S_phi for the odd principal-value symbol is antisymmetric on e_0, e_1
         assert m.entries[1, 0] == pytest.approx(-m.entries[0, 1], abs=1e-12)
         assert abs(m.entries[1, 0]) == pytest.approx(math.sqrt(2 / math.pi), abs=1e-12)
