@@ -17,7 +17,7 @@ import numpy as np
 from .errors import RepresentationUnavailableError
 from .quadrature import MAX_LINE_SIZE, LineRule, _evaluate, gauss_hermite_rule
 from .representation import FockCoeffs, HermiteCoeffs
-from .special import SQRT_PI, _check_size, branch_sqrt, finite_param, shaped_like
+from .special import SQRT_PI, _check_size, branch_sqrt, finite_param, finite_points, shaped_like
 
 __all__ = [
     "FrftAngle",
@@ -145,7 +145,8 @@ def frft_integral(f, alpha, x, rule: LineRule):
     (alpha = (alpha - pi/2) + pi/2, exact by the group law); a single rule
     of admissible size cannot resolve the chirp in that regime.
 
-    ``x`` may be a scalar or a 1-d array; the return matches.
+    ``x`` may be a scalar or a 1-d array of finite points; the return
+    matches.
     """
     a = _angle(alpha)
     if abs(a.sin) < MIN_SIN_ALPHA:
@@ -153,7 +154,7 @@ def frft_integral(f, alpha, x, rule: LineRule):
             f"integral form unavailable at sin(alpha)={a.sin:.2e}; "
             "frft_coeffs is exact for every angle"
         )
-    xarr = np.atleast_1d(np.asarray(x, dtype=float))
+    xarr = np.atleast_1d(finite_points(x, "evaluation point"))
     if abs(a.cot) <= MAX_DIRECT_COT:
         fvals = _evaluate(f, rule.nodes, "FrFT integrand")
         out = _stage_values(fvals, a, xarr, rule)

@@ -30,7 +30,8 @@ from .errors import ConfigurationError, EnvelopeError
 from .quadrature import LineRule, PlaneRule, _evaluate, gauss_hermite_rule
 from .quadrature import rule_sum, rule_sum_per_point
 from .representation import FockCoeffs, check_envelope, fock_eval
-from .special import A_eval, SQRT_PI, _check_size, finite_param, shaped_like, sqrt_factorials
+from .special import A_eval, SQRT_PI, _check_size, finite_param, finite_points
+from .special import shaped_like, sqrt_factorials
 
 __all__ = [
     "FockSymbol",
@@ -59,7 +60,7 @@ _PV_KINDS = ("hilbert", "hilbert-phase")
 _POLY_KINDS = ("poly", "const")
 
 #: Largest polynomial degree the PLANE_RULE_SIZES rule resolves: within 2e-11 of
-#: sum|taylor_k|·‖F‖ at |z| = 2 (3.7e-10 at 15; scripts/deriv_accuracy.py).
+#: sum|taylor_k| * |F| at |z| = 2 (3.7e-10 at 15; scripts/deriv_accuracy.py).
 PLANE_POLY_DEGREE_MAX = 12
 
 #: Hard cap for the polynomial (derivative-identity) route.
@@ -340,11 +341,12 @@ def wavelet_transform(f, spec: WaveletSpec, x, rule: LineRule):
     decay like the Hermite-Gaussian class on the rule's node range.  ``f``
     is evaluated once on the rule's nodes whatever the number of points, and
     ``g`` once per block of points; a non-finite value of either raises
-    EvaluationFailureError before any product.
+    EvaluationFailureError before any product, and a non-finite point
+    ConfigurationError before either is evaluated.
     """
+    points = finite_points(x, "evaluation point").ravel()
     t = rule.nodes
     ft = _evaluate(f, t, "wavelet integrand")
-    points = np.asarray(x, dtype=float).ravel()
     rows = max(1, _WAVELET_BLOCK // t.size)
     sums = []
     for lo in range(0, points.size, rows):

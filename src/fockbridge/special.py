@@ -59,6 +59,16 @@ def finite_param(value, what: str) -> float:
     return value
 
 
+def finite_points(x, what: str) -> np.ndarray:
+    """Real points ``x`` as a float array, the array counterpart of
+    :func:`finite_param`: a NaN or infinite point raises ConfigurationError."""
+    arr = np.asarray(x, dtype=float)
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ConfigurationError(f"{what} must be finite, got {bad[0]}")
+    return arr
+
+
 def _check_size(k, what: str, hi: int | None = None, lo: int = 1) -> None:
     """A size or order is an integer in lo..hi (no upper bound without
     ``hi``); anything else, a float such as 64.0 included, raises

@@ -564,6 +564,17 @@ class TestContract:
         assert err.startswith("fockbridge: error=numerical") and err.count("\n") == 1
         assert not (workdir / "x.csv").exists()
 
+    def test_coarse_grid_refused(self, workdir, capsys):
+        # 61 samples at dx 0.4 cannot resolve h_63 (dx*sqrt(4n+2)/pi = 2.04);
+        # the projection used to exit 0 with a coefficient error of 0.265
+        rng = np.random.default_rng(61)
+        h = HermiteCoeffs(rng.standard_normal(24) + 1j * rng.standard_normal(24))
+        fileio.write_signal_csv(synthesize(h, -12.0, 0.4, 61), workdir / "coarse.csv")
+        assert run_command(["bargmann", "--n", "64", "--in", "coarse.csv", "--out", "c.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
+        assert "cannot resolve" in err and not (workdir / "c.json").exists()
+
     def test_overflowing_symbol_is_a_numerical_failure(self, workdir):
         # a separate process, so any numpy warning would reach its stderr;
         # degree 12 is the largest the plane rule admits

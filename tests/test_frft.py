@@ -268,6 +268,21 @@ class TestFrftIntegral:
             assert float(np.abs(vals - ref).max()) < 1e-9
 
 
+class TestNonfinitePoints:
+    """A NaN or infinite evaluation point is refused before the integrand is
+    evaluated, on the direct route (0.3) and the two-pass route (0.7), with
+    no numpy warning on the way (RuntimeWarning is an error in this suite)."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    @pytest.mark.parametrize("x", [[0.0, np.nan], np.inf, [-np.inf, 1.0]])
+    def test_refused_before_the_integrand(self, alpha, x):
+        def f(t):
+            raise AssertionError("integrand evaluated before the point check")
+
+        with pytest.raises(ConfigurationError, match="evaluation point must be finite"):
+            frft_integral(f, alpha, x, RULE)
+
+
 class TestIntertwining:
     def test_coefficient_level(self):
         from fockbridge.representation import bargmann_coeff

@@ -10,6 +10,7 @@ from fockbridge import representation
 from fockbridge.errors import ConfigurationError, EnvelopeError, EvaluationFailureError
 from fockbridge.quadrature import gauss_hermite_rule, plane_gaussian_rule
 from fockbridge.representation import (
+    GRID_NYQUIST,
     FockCoeffs,
     HermiteCoeffs,
     SampledSignal,
@@ -170,6 +171,10 @@ class TestAnalyze:
         np.testing.assert_allclose(back.coeffs, h.coeffs, atol=1e-5)
 
 
+def _no_table(*args):
+    raise AssertionError("a Hermite table was built before the grid check")
+
+
 class TestGridProjection:
     """A SampledSignal is projected by its own grid's rectangle rule."""
 
@@ -192,15 +197,49 @@ class TestGridProjection:
         rng = np.random.default_rng([order, m])
         h = HermiteCoeffs(rng.standard_normal(order) + 1j * rng.standard_normal(order))
         sig = synthesize(h, x0, dx, m)
+        # 64 coefficients, or as many as the grid admits (21 at dx = 0.2)
+        n = min(64, int(((GRID_NYQUIST * math.pi / dx) ** 2 - 2) // 4))
         # the spline reference: fit the samples, evaluate on the line rule
         # (zero off the grid) and project with that rule
         fvals = CubicSpline(sig.grid, sig.values, extrapolate=False)(RULE.nodes)
         fvals = np.where(np.isnan(fvals), 0.0, fvals)
-        spline = hermite_fn_all(63, RULE.nodes) @ (RULE.weights_nogauss * fvals)
-        truth = h.padded(64)
+        spline = hermite_fn_all(n - 1, RULE.nodes) @ (RULE.weights_nogauss * fvals)
+        truth = h.padded(n)
         err_spline = float(np.abs(spline - truth).max())
-        err_grid = float(np.abs(analyze(sig, 64, RULE).coeffs - truth).max())
+        err_grid = float(np.abs(analyze(sig, n, RULE).coeffs - truth).max())
         assert err_grid <= err_spline
+
+    #: ROADMAP item 9's grids: n and r = dx*sqrt(4n + 2)/pi.
+    NYQUIST_N = (16, 32, 64, 128)
+    NYQUIST_R = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1)
+
+    @pytest.mark.parametrize("n", NYQUIST_N)
+    def test_nyquist_table(self, n, monkeypatch):
+        rng = np.random.default_rng([n, 9])
+        h = HermiteCoeffs(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        h = HermiteCoeffs(h.coeffs / h.norm())
+        # the grid covers the signal's support: h_n decays past sqrt(n + 1/2)
+        half = math.sqrt(n + 0.5) + 8.0
+        for r in self.NYQUIST_R:
+            dx = r * math.pi / math.sqrt(4 * n + 2)
+            m = int(2 * half / dx) + 1
+            sig = synthesize(h, -0.5 * (m - 1) * dx, dx, m)
+            if dx * math.sqrt(4 * n + 2) / math.pi <= GRID_NYQUIST:
+                err = float(np.abs(analyze(sig, n, None).coeffs - h.coeffs).max())
+                assert err < 1e-12, (r, err)
+                continue
+            with monkeypatch.context() as mp:
+                mp.setattr(representation, "hermite_fn_all", _no_table)
+                with pytest.raises(EnvelopeError, match="cannot resolve"):
+                    analyze(sig, n, None)
+
+    def test_coarse_grid_refused(self):
+        # 61 samples at dx 0.4 (r = 2.04 at n = 64) projected with an error
+        # of 0.265 before the guard
+        rng = np.random.default_rng(61)
+        h = HermiteCoeffs(rng.standard_normal(24) + 1j * rng.standard_normal(24))
+        with pytest.raises(EnvelopeError):
+            analyze(synthesize(h, -12.0, 0.4, 61), 64, None)
 
     def test_overflow_raises_without_a_warning(self):
         sig = SampledSignal(-10.0, 0.025, np.full(801, 1e308))

@@ -10,6 +10,7 @@ from fockbridge.quadrature import gauss_hermite_rule, plane_gaussian_rule
 from fockbridge.representation import (
     FockCoeffs,
     HermiteCoeffs,
+    SampledSignal,
     bargmann_direct,
     fock_eval,
     hermite_eval,
@@ -465,6 +466,16 @@ class TestMatrix:
 
 
 class TestWavelet:
+    @pytest.mark.parametrize("x", [np.nan, [0.0, np.inf], [-np.inf]])
+    @pytest.mark.parametrize("sampled", [False, True], ids=["callable", "sampled"])
+    def test_nonfinite_point_refused_before_any_evaluation(self, x, sampled):
+        def never(t):
+            raise AssertionError("evaluated before the point check")
+
+        g = SampledSignal(-6.0, 0.02, np.exp(-np.linspace(-6.0, 6.0, 601) ** 2)) if sampled else never
+        with pytest.raises(ConfigurationError, match="evaluation point must be finite"):
+            wavelet_transform(never, WaveletSpec(g, 1.0), x, LINE)
+
     def test_gaussian_correlation_closed_form(self):
         # g = e^{-t^2}, s=1 on the ground state: c/sqrt(2) e^{-x^2/2} by
         # completing the square
