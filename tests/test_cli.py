@@ -24,7 +24,9 @@ from fockbridge.representation import (
     synthesize,
 )
 from fockbridge.singular import (
+    GROWTH_CAP,
     WaveletSpec,
+    hilbert_symbol,
     phi_from_g,
     phi_n_closed,
     s_phi_alpha_apply,
@@ -250,6 +252,33 @@ class TestSopCommand:
             err = capsys.readouterr().err
             assert err.count("\n") == (code != 0)
             assert err.startswith("fockbridge: error=usage" if code else "")
+        assert (workdir / "mat.json").exists() == (code == 0)
+
+    @pytest.mark.parametrize(
+        "symbol, cap, code",
+        [
+            # the principal-value symbol's coefficients under a generic kind
+            # are held to GROWTH_CAP, which its growth 1/2 exceeds
+            pytest.param(["--symbol-file", "pv.json"], "0.4", 2, id="symbol2-0.4-2"),
+            # the principal-value family itself is admitted at its boundary 1/2
+            pytest.param(["--symbol", "hilbert"], "0.5", 0, id="symbol3-0.5-0"),
+        ],
+    )
+    def test_apply_and_matrix_share_the_growth_cap(self, symbol, cap, code, workdir, capsys):
+        pv = hilbert_symbol()
+        assert float(cap) == (0.5 if code == 0 else GROWTH_CAP) and pv.growth_bound == 0.5
+        fileio.write_symbol_json(pv, workdir / "pv.json")
+        doc = json.loads((workdir / "pv.json").read_text())
+        (workdir / "pv.json").write_text(json.dumps({**doc, "kind": "taylor"}))
+        for command, tail in (
+            ("apply", ["--in", "F.json", "--z", "0.3,0.1"]),
+            ("matrix", ["--n", "3", "--out", "mat.json"]),
+        ):
+            assert run_command(["sop", command, *symbol, *tail]) == code
+            err = capsys.readouterr().err
+            assert err.count("\n") == (code != 0)
+            assert err.startswith("fockbridge: error=usage" if code else "")
+            assert (f"(<= {cap})" in err) == (code != 0)
         assert (workdir / "mat.json").exists() == (code == 0)
 
     def test_polynomial_past_the_plane_edge(self, workdir, capsys):
