@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .representation import FockCoeffs, HermiteCoeffs, SampledSignal, fock_eval
-from .singular import FockSymbol, const_symbol, gaussian_symbol, hilbert_symbol, make_symbol
+from .singular import _PV_KINDS, FockSymbol, const_symbol, gaussian_symbol, hilbert_symbol
+from .singular import make_symbol
 
 __all__ = [
     "read_signal_csv",
@@ -153,7 +154,13 @@ def read_symbol_json(path) -> FockSymbol:
     if kind == "const":
         re, im = _number(params, "re", path, 1.0), _number(params, "im", path, 0.0)
         return const_symbol(complex(re, im))
-    # generic: rebuild the evaluator from the stored truncation (poly, from-g)
+    # generic: rebuild the evaluator from the stored truncation (poly, from-g);
+    # only hilbert_symbol() and the fractional kernel's own mix sit at 1/2
+    if kind in _PV_KINDS:
+        raise ConfigurationError(
+            f"{path}: kind '{kind}' is the principal-value family, admitted at growth "
+            "1/2 only as the package builds it; a symbol file cannot claim it"
+        )
     growth = _number(doc, "growth_bound", path, 0.0)
     return make_symbol(
         kind or "taylor",

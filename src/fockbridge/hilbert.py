@@ -21,7 +21,7 @@ from .errors import EnvelopeError
 from .quadrature import PlaneRule
 from .representation import FockCoeffs, HermiteCoeffs, SampledSignal
 from .singular import hilbert_symbol, make_symbol, s_phi_alpha_apply, s_phi_apply
-from .special import _check_size, finite_param, hermite_fn_all
+from .special import finite_param, hermite_fn_all
 from .frft import FrftAngle, _phases
 
 __all__ = [
@@ -91,20 +91,18 @@ def _sign_matrix(n_out: int, n_in: int) -> np.ndarray:
     return np.divide(num, 2.0 * (m - n), out=np.zeros(num.shape), where=(m + n) % 2 == 1)
 
 
-def fractional_hilbert(
-    h: HermiteCoeffs, params: HilbertParams, n_work: int = DEFAULT_WORK_ORDER
-) -> HermiteCoeffs:
+def fractional_hilbert(h: HermiteCoeffs, params: HilbertParams) -> HermiteCoeffs:
     """Fractional Hilbert transform in Hermite coefficients (multiplier chain).
 
     Chain: fractional Fourier rotation by alpha, the two-sided step phase
     e^{-i phi} on x > 0 and e^{i phi} on x < 0, that is
     cos(phi) - i sin(phi) sgn(x), rotation by -alpha.  The step acts through
     the exact Hermite matrix of sgn (``_sign_matrix``), truncated to
-    h_0..h_{n_work-1}; no quadrature is involved.  Working orders above
-    ``MAX_WORK_ORDER`` raise EnvelopeError before any work.
+    h_0..h_{n-1} with n = max(DEFAULT_WORK_ORDER, h.order), so a caller who
+    wants a longer output pads ``h``; no quadrature is involved.  Orders
+    above ``MAX_WORK_ORDER`` raise EnvelopeError before any work.
     """
-    _check_size(n_work, "working order")
-    n_work = max(n_work, h.order)
+    n_work = max(DEFAULT_WORK_ORDER, h.order)
     if n_work > MAX_WORK_ORDER:
         raise EnvelopeError(
             f"working order {n_work} exceeds the chain's cap of {MAX_WORK_ORDER}"

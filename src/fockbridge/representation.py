@@ -34,9 +34,9 @@ __all__ = [
     "check_envelope",
 ]
 
-#: Default guard on |z| for bargmann_direct, whose reach depends on its line
-#: rule; larger arguments need an explicitly larger rule.
-DEFAULT_Z_MAX = 3.0
+#: bargmann_direct's reach: on |z| <= 3 line rules of 120 to 200 nodes map
+#: h_n, n <= 24, to z^n/sqrt(n!) within 3.5e-14 relative.
+DIRECT_Z_MAX = 3.0
 
 #: The plane operators' envelope: the |z| range and truncation their rules resolve.
 PLANE_Z_MAX = 2.0
@@ -293,14 +293,15 @@ def check_envelope(
         )
 
 
-def bargmann_direct(f, z, rule: LineRule, z_max: float = DEFAULT_Z_MAX):
+def bargmann_direct(f, z, rule: LineRule):
     """Bargmann transform by its defining integral, at a point or an array of points.
 
-    c * integral of f(x) exp(2xz - x^2 - z^2/2) dx, where c = (2/pi)^{1/4}.
-    ``f`` must decay like the Hermite-Gaussian class for the rule to apply;
-    it is evaluated once on the rule's nodes whatever the number of points.
+    c * integral of f(x) exp(2xz - x^2 - z^2/2) dx, where c = (2/pi)^{1/4},
+    on |z| <= DIRECT_Z_MAX.  ``f`` must decay like the Hermite-Gaussian class
+    for the rule to apply; it is evaluated once on the rule's nodes whatever
+    the number of points.
     """
-    check_envelope(None, z, z_max)
+    check_envelope(None, z, DIRECT_Z_MAX)
     x = rule.nodes
     fx = _evaluate(f, x, "Bargmann integrand")
     return NORM_CONSTANT * rule_sum_per_point(

@@ -145,25 +145,14 @@ def make_symbol(
 def poly_symbol(mono) -> FockSymbol:
     """Polynomial symbol from its plain monomial coefficients a_0, a_1, ..."""
     mono = np.asarray(mono, dtype=complex)
-    return make_symbol(
-        "poly",
-        lambda z, m=mono: np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), m),
-        FockCoeffs(mono * sqrt_factorials(mono.size)),
-        0.0,
-        {"degree": mono.size - 1},
-    )
+    return _poly_gaussian_symbol("poly", mono, 0.0, 0.0, mono.size, {"degree": mono.size - 1})
 
 
 def const_symbol(kappa: complex) -> FockSymbol:
     """Constant symbol phi = kappa; S_phi is kappa times the identity."""
     kappa = complex(kappa)
-    return make_symbol(
-        "const",
-        lambda z, k=kappa: np.full_like(np.asarray(z, dtype=complex), k),
-        FockCoeffs(np.array([kappa])),
-        0.0,
-        {"re": kappa.real, "im": kappa.imag},
-    )
+    params = {"re": kappa.real, "im": kappa.imag}
+    return _poly_gaussian_symbol("const", [kappa], 0.0, 0.0, 1, params)
 
 
 @dataclass(frozen=True)
@@ -371,18 +360,18 @@ def phi_from_g(spec: WaveletSpec, rule: LineRule) -> FockSymbol:
     a_j = sqrt(|s|/pi) (-s)^j mu_j / j!, mu_j = integral of g(t) t^j
     exp(-s^2 t^2/2) dt.  Wavelets outside L^1 & L^2 are rejected by a
     refinement-stability proxy on the quadrature norms.  ``g`` is evaluated
-    on the rule once, here; the evaluator forms its u × nodes exponential in
-    row blocks of at most _INNER_BLOCK elements (1 MiB of complex), each
-    transformed in place, and sums each row on its own, so a point's value
-    does not depend on the block.
+    on the rule once, here, as :func:`wavelet_transform` evaluates it: a
+    scalar-only callable is accepted, and a non-finite value raises
+    EvaluationFailureError naming the node.  The evaluator forms its
+    u × nodes exponential in row blocks of at most _INNER_BLOCK elements
+    (1 MiB of complex), each transformed in place, and sums each row on its
+    own, so a point's value does not depend on the block.
     """
     s = spec.s
     pref = math.sqrt(abs(s) / math.pi)
 
     def norms(r: LineRule) -> tuple[np.ndarray, float, float]:
-        gv = np.asarray(spec.g(r.nodes), dtype=complex)
-        if not np.all(np.isfinite(gv)):
-            raise ConfigurationError("wavelet produced non-finite values at rule nodes")
+        gv = _evaluate(spec.g, r.nodes, "wavelet")
         l1 = float(np.sum(r.weights_nogauss * np.abs(gv)))
         l2 = float(np.sum(r.weights_nogauss * np.abs(gv) ** 2))
         return gv, l1, l2
@@ -434,27 +423,6 @@ def phi_from_g(spec: WaveletSpec, rule: LineRule) -> FockSymbol:
     return make_symbol("from-g", evaluate, taylor, bound, {"s": s})
 
 
-def _poly_times_gaussian_symbol(kind: str, poly: np.ndarray, a: float, params: dict) -> FockSymbol:
-    """Symbol (poly in z) * exp(a z^2) with exact coefficient convolution.
-
-    The stored truncation must reproduce the evaluator on |z| <= 2, so it
-    grows with the polynomial degree.
-    """
-    # the cross terms poly_j * a^m/m! keep contributing at |z| = 2 until the
-    # Gaussian series index is past ~60 for a near the envelope cap
-    n_taylor = poly.size + 64
-
-    def evaluate(z):
-        zarr = np.asarray(z, dtype=complex)
-        return np.polynomial.polynomial.polyval(zarr, poly) * np.exp(a * zarr * zarr)
-
-    gauss = np.zeros(n_taylor, dtype=complex)
-    gauss[0::2] = [a**m / math.factorial(m) for m in range((n_taylor + 1) // 2)]
-    mono = np.convolve(poly, gauss)[:n_taylor]
-    taylor = FockCoeffs(mono * sqrt_factorials(n_taylor))
-    return make_symbol(kind, evaluate, taylor, a, params)
-
-
 def phi_n_closed(n: int, s: float) -> FockSymbol:
     """Closed-form symbol of the monomial-times-Gaussian wavelet family.
 
@@ -474,10 +442,9 @@ def phi_n_closed(n: int, s: float) -> FockSymbol:
         p[1:] = -(s / d) * prev
         p[: m - 1] += ((m - 1) / d) * prev2
         polys.append(p)
-    return _poly_times_gaussian_symbol(
-        f"phi_{n}",
-        polys[n],
-        s * s / (2.0 * d),
+    # the cross terms poly_j g_m contribute at |z| = 2 to index ~60 near the cap
+    return _poly_gaussian_symbol(
+        f"phi_{n}", polys[n], s * s / (2.0 * d), 0.0, n + 65,
         {"n": n, "s": s, "leading": float(polys[n][-1].real)},
     )
 
@@ -494,22 +461,37 @@ def gaussian_symbol(a: float, b: float) -> FockSymbol:
             f"Gaussian symbol requires 0 < a <= {GROWTH_CAP} (boundedness of the "
             f"operator fails from 1/2 on; the envelope stops at {GROWTH_CAP}), got {a}"
         )
+    b = finite_param(b, "Gaussian symbol shift")
+    return _poly_gaussian_symbol("gauss", [1.0], a, b, DERIV_ORDER_CAP, {"a": a, "b": b})
+
+
+def _poly_gaussian_symbol(
+    kind: str, poly, a: float, b: float, n_taylor: int, params: dict
+) -> FockSymbol:
+    """The closed-form families' one builder: poly(z) * exp(a (z - b)^2).
+
+    The evaluator skips the exp when a = 0, so polynomials pay none, and
+    works on the flattened points, so a point's bits do not depend on the
+    call's shape.  The first n_taylor coefficients are poly convolved with
+    the Gaussian's series g, from (m + 1) g_{m+1} = 2a g_{m-1} - 2ab g_m,
+    g_0 = exp(a b^2).
+    """
+    poly = np.asarray(poly, dtype=complex)
 
     def evaluate(z):
-        zarr = np.asarray(z, dtype=complex)
-        return np.exp(a * (zarr - b) * (zarr - b))
+        u = np.ravel(np.asarray(z, dtype=complex))
+        p = np.polynomial.polynomial.polyval(u, poly)
+        return shaped_like(p if a == 0.0 else p * np.exp(a * (u - b) * (u - b)), z)
 
-    n_taylor = DERIV_ORDER_CAP
-    mono = np.zeros(n_taylor, dtype=complex)
-    try:
-        mono[0] = math.exp(a * b * b)
-    except OverflowError:
-        raise EnvelopeError(f"Gaussian symbol shift b={b} overflows exp(a b^2) at a={a}") from None
-    mono[1] = -2.0 * a * b * mono[0]
-    for m in range(1, n_taylor - 1):
-        mono[m + 1] = (2.0 * a * mono[m - 1] - 2.0 * a * b * mono[m]) / (m + 1)
-    taylor = FockCoeffs(mono * sqrt_factorials(n_taylor))
-    return make_symbol("gauss", evaluate, taylor, a, {"a": a, "b": b})
+    if not a * b * b <= math.log(np.finfo(float).max):
+        raise EnvelopeError(f"Gaussian symbol shift b={b} overflows exp(a b^2) at a={a}")
+    g = np.zeros(max(n_taylor, 2), dtype=complex)
+    g[0] = math.exp(a * b * b)
+    g[1] = -2.0 * a * b * g[0]
+    for m in range(1, g.size - 1):
+        g[m + 1] = (2.0 * a * g[m - 1] - 2.0 * a * b * g[m]) / (m + 1)
+    taylor = FockCoeffs(np.convolve(poly, g)[:n_taylor] * sqrt_factorials(n_taylor))
+    return make_symbol(kind, evaluate, taylor, a, params)
 
 
 def hilbert_symbol() -> FockSymbol:

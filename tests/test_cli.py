@@ -281,6 +281,22 @@ class TestSopCommand:
             assert (f"(<= {cap})" in err) == (code != 0)
         assert (workdir / "mat.json").exists() == (code == 0)
 
+    def test_symbol_file_cannot_claim_the_pv_boundary(self, workdir, capsys):
+        # hilbert_symbol()'s own file relabelled "hilbert-phase": refused with
+        # one stderr line before any input is read
+        fileio.write_symbol_json(hilbert_symbol(), workdir / "pv.json")
+        doc = json.loads((workdir / "pv.json").read_text())
+        (workdir / "pv.json").write_text(json.dumps({**doc, "kind": "hilbert-phase"}))
+        for command, tail in (
+            ("apply", ["--in", "missing.json", "--z", "0.3,0.1", "--out", "o.json"]),
+            ("matrix", ["--n", "3", "--out", "mat.json"]),
+        ):
+            assert run_command(["sop", command, "--symbol-file", "pv.json", *tail]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
+            assert "principal-value family" in err
+        assert not (workdir / "o.json").exists() and not (workdir / "mat.json").exists()
+
     def test_polynomial_past_the_plane_edge(self, workdir, capsys):
         # 0.6^k-scaled degree 39, where plane quadrature was 44.9 off
         rng = np.random.default_rng([39, 1])

@@ -248,6 +248,16 @@ class TestSymbolJson:
         back = fileio.read_symbol_json(path)
         assert back.kind == "hilbert" and back.growth_bound == 0.5
 
+    def test_file_cannot_claim_the_pv_boundary(self, tmp_path):
+        # the principal-value family is admitted at growth 1/2 by kind, so a
+        # file relabelled into it is refused before its series is rebuilt
+        path = tmp_path / "sym.json"
+        fileio.write_symbol_json(hilbert_symbol(), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "kind": "hilbert-phase"}))
+        with pytest.raises(ConfigurationError, match="'hilbert-phase' is the principal-value family"):
+            fileio.read_symbol_json(path)
+
     def test_generic_rebuilds_from_taylor(self, tmp_path):
         sym = gaussian_symbol(0.2, 0.0)
         path = tmp_path / "sym.json"

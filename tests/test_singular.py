@@ -20,6 +20,7 @@ from fockbridge import singular, verify
 from fockbridge.singular import (
     OperatorMatrix,
     WaveletSpec,
+    const_symbol,
     gaussian_symbol,
     hilbert_symbol,
     make_symbol,
@@ -34,7 +35,7 @@ from fockbridge.singular import (
     wavelet_fock_apply,
     wavelet_transform,
 )
-from fockbridge.special import NORM_CONSTANT, hermite_fn_all
+from fockbridge.special import NORM_CONSTANT, hermite_fn_all, sqrt_factorials
 
 PLANE = plane_gaussian_rule(64, 256)
 LINE = gauss_hermite_rule(200)
@@ -684,6 +685,30 @@ class TestPhiFromG:
         with pytest.raises(ConfigurationError):
             phi_from_g(WaveletSpec(lambda t: 1.0 / (math.sqrt(math.pi) * t), -1.0), LINE)
 
+    def test_scalar_only_wavelet_as_in_the_transform(self):
+        # g is evaluated as wavelet_transform evaluates it: a callable that
+        # takes one float at a time (math.exp refuses an array) gives the
+        # bits of the same function mapped over the nodes
+        g = lambda t: math.exp(-t * t) * (1.0 + t)
+        scalar = WaveletSpec(g, 1.5)
+        vector = WaveletSpec(lambda t: np.array([g(x) for x in t.tolist()]), 1.5)
+        got, want = phi_from_g(scalar, LINE), phi_from_g(vector, LINE)
+        np.testing.assert_array_equal(got.taylor.coeffs, want.taylor.coeffs)
+        z = np.array([0.3 + 0.4j, -1.5, 2.0j, 1.1 - 0.7j])
+        np.testing.assert_array_equal(got.evaluate(z), want.evaluate(z))
+        f = lambda t: np.exp(-t * t)
+        assert wavelet_transform(f, scalar, 0.3, LINE) == wavelet_transform(f, vector, 0.3, LINE)
+
+    def test_non_finite_wavelet_names_the_node(self):
+        # inf past |t| = 10, where the rules have nodes: both routes raise
+        # EvaluationFailureError at such a node, before any product
+        spec = WaveletSpec(lambda t: np.where(np.abs(t) > 10, np.inf, np.exp(-t * t)), 1.0)
+        for route in (lambda: phi_from_g(spec, LINE),
+                      lambda: wavelet_transform(lambda t: np.exp(-t * t), spec, 0.0, LINE)):
+            with pytest.raises(EvaluationFailureError, match="wavelet produced a non-finite") as err:
+                route()
+            assert err.value.node_index is not None and abs(err.value.node) > 10
+
 
 class TestPhiNClosed:
     def test_ground_member(self):
@@ -739,6 +764,114 @@ class TestGaussianSymbol:
             assert complex(sym.evaluate(z)) == pytest.approx(
                 complex(gs.evaluate(z)), rel=1e-10
             )
+
+
+def _bits(values):
+    """The bit patterns of a complex array, so that a comparison sees signed
+    zeros and last-place differences."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
+class TestClosedFormBuilder:
+    """gauss, poly, const and phi_n are one family, poly(z) exp(a (z - b)^2),
+    built in one place: each evaluator is its closed form bit for bit, and
+    each Taylor vector is poly convolved with the Gaussian's series."""
+
+    # 200 points out to |z| = 18, off the axes
+    rng = np.random.default_rng(23)
+    Z = 18 * np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
+
+    @staticmethod
+    def _phi_n_factors(monkeypatch, n, s):
+        """phi_n_closed(n, s) and the (poly, a, b) it hands the builder."""
+        seen = {}
+        build = singular._poly_gaussian_symbol
+
+        def recording(kind, poly, a, b, n_taylor, params):
+            seen.update(poly=np.asarray(poly, dtype=complex), a=a, b=b)
+            return build(kind, poly, a, b, n_taylor, params)
+
+        monkeypatch.setattr(singular, "_poly_gaussian_symbol", recording)
+        return phi_n_closed(n, s), seen
+
+    @pytest.mark.parametrize("a, b", [(0.05, 0.0), (0.25, 0.3), (0.4, -1.0), (0.3, 1.5)])
+    def test_gauss_evaluator_is_its_closed_form(self, a, b):
+        z = self.Z
+        want = np.exp(a * (z - b) * (z - b))
+        np.testing.assert_array_equal(_bits(gaussian_symbol(a, b).evaluate(z)), _bits(want))
+
+    def test_poly_evaluator_is_polyval(self):
+        mono = np.array([0.2, 0.5 - 0.1j, 0.0, 0.3j, -1.1 + 0.4j])
+        want = np.polynomial.polynomial.polyval(self.Z, mono)
+        np.testing.assert_array_equal(_bits(poly_symbol(mono).evaluate(self.Z)), _bits(want))
+
+    @pytest.mark.parametrize("kappa", [1.7 - 0.4j, 2.0, 1j])
+    def test_const_evaluator_is_kappa(self, kappa):
+        want = np.full(self.Z.shape, kappa, dtype=complex)
+        np.testing.assert_array_equal(_bits(const_symbol(kappa).evaluate(self.Z)), _bits(want))
+
+    @pytest.mark.parametrize("n, s", [(0, 1.0), (2, -1.0), (6, 2.0), (17, 0.5), (30, 1.0)])
+    def test_phi_n_evaluator_is_poly_times_gaussian(self, n, s, monkeypatch):
+        sym, f = self._phi_n_factors(monkeypatch, n, s)
+        assert f["a"] == s * s / (2 * (s * s + 2)) and f["b"] == 0.0
+        z = self.Z
+        want = np.polynomial.polynomial.polyval(z, f["poly"]) * np.exp(f["a"] * z * z)
+        np.testing.assert_array_equal(_bits(sym.evaluate(z)), _bits(want))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 6, 17, 30])
+    @pytest.mark.parametrize("s", [1.0, -1.0, 2.0, 0.5])
+    def test_phi_n_taylor_is_the_explicit_convolution(self, n, s, monkeypatch):
+        # the oracle is the explicit series a^m/m! of exp(a z^2)
+        sym, f = self._phi_n_factors(monkeypatch, n, s)
+        size, a = sym.taylor.order, f["a"]
+        assert size == n + 65
+        gauss = np.zeros(size, dtype=complex)
+        gauss[0::2] = [a**m / math.factorial(m) for m in range((size + 1) // 2)]
+        want = np.convolve(f["poly"], gauss)[:size] * sqrt_factorials(size)
+        got = sym.taylor.coeffs
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    @pytest.mark.parametrize("a, b", [(0.25, 0.3), (0.4, -1.0), (0.1, 2.0), (0.35, 0.7)])
+    def test_gauss_taylor_against_mpmath(self, a, b):
+        # coefficient k of exp(a b^2) exp(-2ab z) exp(a z^2), to 30 digits
+        sym = gaussian_symbol(a, b)
+        assert sym.taylor.order == 40
+        with mp.workdps(30):
+            A, B = mp.mpf(a), mp.mpf(b)
+            want = np.array([
+                complex(mp.exp(A * B * B) * mp.sqrt(mp.factorial(k)) * mp.fsum(
+                    A**j / mp.factorial(j) * (-2 * A * B) ** (k - 2 * j) / mp.factorial(k - 2 * j)
+                    for j in range(k // 2 + 1)
+                ))
+                for k in range(40)
+            ])
+        got = sym.taylor.coeffs
+        assert float(np.max(np.abs(got - want) / np.abs(want))) <= 1e-14
+
+    def test_polynomial_taylor_vectors_are_their_coefficients(self):
+        mono = np.array([0.2, 0.5 - 0.1j, 0.0, 0.3j])
+        np.testing.assert_array_equal(poly_symbol(mono).taylor.coeffs, mono * sqrt_factorials(4))
+        np.testing.assert_array_equal(const_symbol(1.7 - 0.4j).taylor.coeffs, [1.7 - 0.4j])
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: gaussian_symbol(0.3, -0.6), lambda: poly_symbol([0.2, -1j, 0.4]),
+         lambda: const_symbol(1.7 - 0.4j), lambda: phi_n_closed(3, 1.5)],
+        ids=["gauss", "poly", "const", "phi_n"],
+    )
+    def test_points_as_array(self, build, array_contract):
+        array_contract(build().evaluate)
+
+    @pytest.mark.parametrize("b", [50.0, 1e160])
+    def test_shift_overflow_refused(self, b):
+        # exp(a b^2) overflows at 50; at 1e160 a b^2 itself does
+        with pytest.raises(EnvelopeError, match="overflows"):
+            gaussian_symbol(0.4, b)
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf])
+    def test_non_finite_shift_refused(self, b):
+        with pytest.raises(ConfigurationError, match="shift must be finite"):
+            gaussian_symbol(0.4, b)
 
 
 class TestHilbertSymbol:

@@ -392,11 +392,8 @@ class TestSizeGuard:
             lambda: fb.s_phi_matrix(fb.gaussian_symbol(0.2, 0.0), 4.0, fb.plane_gaussian_rule(8, 16)),
             lambda: fb.analyze(_untouchable, 4.0, fb.gauss_hermite_rule(16)),
             lambda: fb.phi_n_closed(2.0, 1.0),
-            lambda: fb.fractional_hilbert(
-                fb.HermiteCoeffs(np.ones(4, dtype=complex)), fb.HilbertParams(0.5, 0.5), n_work=50.5
-            ),
         ],
-        ids=["matrix-size", "coefficient-count", "family-index", "working-order"],
+        ids=["matrix-size", "coefficient-count", "family-index"],
     )
     def test_float_order_is_a_configuration_error(self, call):
         # each of these raised a bare TypeError from deep inside numpy
