@@ -4,18 +4,21 @@
     PYTHONPATH=src python3 scripts/rule_accuracy.py [k ...]
 
 For each rule size (by default every Gauss-Hermite size the package builds,
-and the Gauss-Laguerre sizes 64, 128 and 256), every node is polished by
+the Gauss-Laguerre sizes 64, 128 and 256, and the Gauss-Legendre panel
+sizes 32, 120 and 240), every node is polished by
 two Newton steps at 40 digits on the family's recurrence, and the weight is
 compared with the Christoffel weight at that root.  Gauss-Hermite nodes are
 exactly symmetric, so only the non-negative half is checked there, against
 the lifted weight exp(x^2) / sum_{j<k} q_j(x)^2.  The Gauss-Laguerre weight
 1 / sum_{m<k} L_m(t)^2 is compared where it is a normal double (at k = 256
-the largest nodes' weights underflow).  Prints, per family and size, the
-median and the largest node distance in ulp, where one ulp is
-spacing(max(|x|, 1)), and the largest relative weight error.  Sizes given
-on the command line apply to both families (Gauss-Laguerre up to 256).
-Needs mpmath (a test-time dependency); the default sizes take about a
-minute.
+the largest nodes' weights underflow).  The Gauss-Legendre rule of the
+split panels is checked on (-1, 1) at every node, against
+1 / sum_{j<k} (j + 1/2) P_j(u)^2, beside numpy's ``leggauss`` at the same
+size as a comparison.  Prints, per family and size, the median and the
+largest node distance in ulp, where one ulp is spacing(max(|x|, 1)), and
+the largest relative weight error.  Sizes given on the command line apply
+to every family (Gauss-Laguerre up to 256).  Needs mpmath (a test-time
+dependency); the default sizes take about a minute.
 """
 
 import sys
@@ -23,10 +26,12 @@ import sys
 import mpmath as mp
 import numpy as np
 
-from fockbridge.quadrature import MAX_RADIAL_SIZE, _gauss_laguerre, gauss_hermite_rule
+from fockbridge.quadrature import MAX_RADIAL_SIZE, _gauss_laguerre, _legendre_nodes
+from fockbridge.quadrature import gauss_hermite_rule, split_line_rule
 
 SIZES = (40, 64, 120, 160, 200, 240, 480, 512)
 LAGUERRE_SIZES = (64, 128, 256)
+LEGENDRE_SIZES = (32, 120, 240)
 
 
 def _hermite_recurrence(k: int, x):
@@ -47,6 +52,16 @@ def _laguerre_recurrence(k: int, t):
         total += l * l
         l_prev, l = l, ((2 * m + 1 - t) * l - m * l_prev) / (m + 1)
     return l, l_prev, total
+
+
+def _legendre_recurrence(k: int, u):
+    """(P_k, P_{k-1}, sum_{j<k} (j + 1/2) P_j^2) at u; the sqrt(j + 1/2) P_j
+    are orthonormal on (-1, 1)."""
+    p_prev, p, total = mp.mpf(0), mp.mpf(1), mp.mpf(0)
+    for j in range(k):
+        total += (j + mp.mpf(0.5)) * p * p
+        p_prev, p = p, ((2 * j + 1) * u * p - j * p_prev) / (j + 1)
+    return p, p_prev, total
 
 
 def hermite_errors(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,8 +100,42 @@ def laguerre_errors(k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ulps), np.array(rel)
 
 
+def legendre_errors(nodes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node distances in ulp and relative weight errors at every node of a
+    k-point Gauss-Legendre rule on (-1, 1)."""
+    k = nodes.size
+    ulps, rel = [], []
+    with mp.workdps(40):
+        for node, weight in zip(nodes.tolist(), weights.tolist()):
+            u = mp.mpf(node)
+            for _ in range(2):
+                p, p_prev, _ = _legendre_recurrence(k, u)
+                u -= p * (1 - u * u) / (k * (p_prev - u * p))
+            _, _, total = _legendre_recurrence(k, u)
+            ulps.append(float(abs(node - u)) / np.spacing(1.0))
+            rel.append(float(abs(weight * total - 1)))
+    return np.array(ulps), np.array(rel)
+
+
+def panel_errors(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`legendre_errors` of the split rule's panel; on (0, 2] the
+    panel map is u + 1 and leaves the weights as they are."""
+    return legendre_errors(_legendre_nodes(k), split_line_rule(k, 2.0).pos_weights)
+
+
+def leggauss_errors(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`legendre_errors` of numpy's ``leggauss`` (LAPACK eigenvalues
+    of the Jacobi matrix), the rule the split panels were built from before."""
+    return legendre_errors(*np.polynomial.legendre.leggauss(k))
+
+
+def _row(k: int, ulps: np.ndarray, rel: np.ndarray) -> str:
+    return f"{k:4d} {np.median(ulps):11.2f} {ulps.max():8.2f} {rel.max():15.2e}"
+
+
 def main(argv: list[str]) -> int:
     sizes = [int(a) for a in argv]
+    head = f"{'k':>4} {'median ulp':>11} {'max ulp':>8} {'max weight rel':>15}"
     tables = (
         ("Gauss-Hermite", hermite_errors, sizes or SIZES),
         ("Gauss-Laguerre", laguerre_errors,
@@ -94,10 +143,13 @@ def main(argv: list[str]) -> int:
     )
     for name, errors, ks in tables:
         print(name)
-        print(f"{'k':>4} {'median ulp':>11} {'max ulp':>8} {'max weight rel':>15}")
+        print(head)
         for k in ks:
-            ulps, rel = errors(k)
-            print(f"{k:4d} {np.median(ulps):11.2f} {ulps.max():8.2f} {rel.max():15.2e}")
+            print(_row(k, *errors(k)))
+    print("Gauss-Legendre panels (left) and numpy's leggauss (right)")
+    print(f"{head}   {head[5:]}")
+    for k in sizes or LEGENDRE_SIZES:
+        print(f"{_row(k, *panel_errors(k))}   {_row(k, *leggauss_errors(k))[5:]}")
     return 0
 
 

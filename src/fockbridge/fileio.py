@@ -77,11 +77,34 @@ def _pairs(vec: np.ndarray) -> list[list[float]]:
     return [[float(c.real), float(c.imag)] for c in vec]
 
 
-def _unpairs(pairs) -> np.ndarray:
+def _real(value) -> float | None:
+    """A JSON number as a float; None for anything else: a bool, a string,
+    a list, null, or an integer past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
     try:
-        return np.array([complex(p[0], p[1]) for p in pairs], dtype=complex)
-    except (TypeError, IndexError, KeyError) as exc:
-        raise ConfigurationError(f"malformed [re, im] pair list: {exc}") from exc
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def _unpairs(doc: dict, key: str, path) -> np.ndarray:
+    """The complex vector stored at ``doc[key]`` as a list of [re, im]
+    pairs; an entry that is not a list of exactly two real JSON numbers is
+    refused by its index."""
+    pairs = doc.get(key, [])
+    if not isinstance(pairs, list):
+        raise ConfigurationError(f"{path}: '{key}' must be a list of [re, im] pairs")
+    values = []
+    for i, pair in enumerate(pairs):
+        parts = [_real(v) for v in pair] if isinstance(pair, list) else []
+        if len(parts) != 2 or None in parts:
+            raise ConfigurationError(
+                f"{path}: '{key}' entry {i} is not an [re, im] pair of real numbers "
+                f"({pair!r:.40})"
+            )
+        values.append(complex(*parts))
+    return np.array(values, dtype=complex)
 
 
 def _read_object(path) -> dict:
@@ -98,9 +121,10 @@ def _read_object(path) -> dict:
 def _number(doc: dict, key: str, path, default=None) -> float:
     """The number at ``doc[key]``; refused when missing without a default."""
     value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{path}: '{key}' is missing or not a number ({value!r})")
-    return float(value)
+    number = _real(value)
+    if number is None:
+        raise ConfigurationError(f"{path}: '{key}' is missing or not a number ({value!r:.40})")
+    return number
 
 
 def write_coeffs_json(coeffs, path) -> None:
@@ -116,11 +140,12 @@ def read_coeffs_json(path):
     basis = doc.get("basis")
     if basis not in ("hermite", "fock"):
         raise ConfigurationError(f"{path}: basis must be 'hermite' or 'fock'")
-    coeffs = _unpairs(doc.get("coeffs", []))
-    if "n" in doc and doc["n"] != coeffs.size:
-        raise ConfigurationError(
-            f"{path}: declared n={doc['n']} but {coeffs.size} coefficients given"
-        )
+    coeffs = _unpairs(doc, "coeffs", path)
+    n = doc.get("n", coeffs.size)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ConfigurationError(f"{path}: 'n' must be an integer, got {n!r:.40}")
+    if n != coeffs.size:
+        raise ConfigurationError(f"{path}: declared n={n} but {coeffs.size} coefficients given")
     return HermiteCoeffs(coeffs) if basis == "hermite" else FockCoeffs(coeffs)
 
 
@@ -146,7 +171,7 @@ def read_symbol_json(path) -> FockSymbol:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigurationError(f"{path}: params must be a JSON object")
-    taylor = FockCoeffs(_unpairs(doc.get("taylor", [])))
+    taylor = FockCoeffs(_unpairs(doc, "taylor", path))
     if kind == "gauss":
         return gaussian_symbol(_number(params, "a", path), _number(params, "b", path))
     if kind == "hilbert":

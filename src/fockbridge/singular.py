@@ -67,6 +67,9 @@ PLANE_POLY_DEGREE_MAX = 12
 DERIV_ORDER_CAP = 40
 
 _SYMBOL_CHECK_TOL = 1e-8
+#: Points of the cross-check's circles |z| = 0.5, 1, 1.5 and 2.
+_CHECK_RING = np.exp(2j * math.pi * np.arange(24) / 24)
+_LOG_MAX = math.log(np.finfo(float).max)
 _PHI_N_MAX = 30
 
 #: Radius of the circle on which s_phi_matrix's quadrature route samples.
@@ -116,8 +119,7 @@ def _taylor_check(evaluate, taylor: FockCoeffs) -> float:
     """Worst evaluator-vs-coefficients disagreement on circles |z| <= 2,
     relative where the symbol is large (family members reach ~1e11 there);
     NaN or inf when either side is non-finite anywhere."""
-    ring = np.exp(2j * math.pi * np.arange(24) / 24)
-    z = np.concatenate([r * ring for r in (0.5, 1.0, 1.5, 2.0)])
+    z = np.concatenate([r * _CHECK_RING for r in (0.5, 1.0, 1.5, 2.0)])
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(evaluate(z))
         resid = np.abs(vals - fock_eval(taylor, z)) / np.maximum(1.0, np.abs(vals))
@@ -454,7 +456,9 @@ def gaussian_symbol(a: float, b: float) -> FockSymbol:
 
     The induced operator is bounded exactly for a < 1/2 and unbounded past
     it; the quadrature envelope stays strictly inside, so larger a is
-    rejected rather than computed badly.
+    rejected rather than computed badly.  The shift's envelope is what the
+    40-term series resolves on |z| <= 2 (:func:`_check_shift`): |b| up to
+    about 2.5 at a = 0.4, 5.3 at 0.25, 17 at 0.1 and 37 at 0.05.
     """
     if not 0.0 < a <= GROWTH_CAP:
         raise EnvelopeError(
@@ -462,7 +466,45 @@ def gaussian_symbol(a: float, b: float) -> FockSymbol:
             f"operator fails from 1/2 on; the envelope stops at {GROWTH_CAP}), got {a}"
         )
     b = finite_param(b, "Gaussian symbol shift")
+    _check_shift(a, b)
     return _poly_gaussian_symbol("gauss", [1.0], a, b, DERIV_ORDER_CAP, {"a": a, "b": b})
+
+
+def _check_shift(a: float, b: float) -> None:
+    """Refuse, before any series is formed, a shift b whose symbol
+    exp(a (z - b)^2) the DERIV_ORDER_CAP-term series cannot carry through
+    the construction cross-check: the symbol overflows on |z| <= 2, or the
+    series' tail on |z| = 2, relative as the cross-check measures it,
+    exceeds 1.25 times its tolerance.  The tail is summed from the
+    normalized series exp(a z^2 - 2ab z) up to degree 199, and leaves out
+    rounding; the margin keeps every shift the cross-check admits.
+    """
+    reach = abs(b) + 2.0
+    if not a * reach * reach <= _LOG_MAX:
+        raise EnvelopeError(
+            f"Gaussian symbol exp(a (z - b)^2) overflows on |z| <= 2 at a={a}, b={b}"
+        )
+    z = 2.0 * _CHECK_RING
+    h = _gaussian_series(a, b, 1.0, 200)
+    tail = np.abs(z**DERIV_ORDER_CAP * np.polyval(h[DERIV_ORDER_CAP:][::-1], z))
+    rel = tail / np.maximum(math.exp(-a * b * b), np.abs(np.exp(a * z * z - 2.0 * a * b * z)))
+    if not rel.max() <= 1.25 * _SYMBOL_CHECK_TOL:
+        raise EnvelopeError(
+            f"Gaussian symbol shift b={b} is outside the envelope at a={a}: the "
+            f"{DERIV_ORDER_CAP}-term series misses exp(a (z - b)^2) by {rel.max():.2e} "
+            f"relative on |z| = 2 (tolerance {_SYMBOL_CHECK_TOL:.0e})"
+        )
+
+
+def _gaussian_series(a: float, b: float, g0: float, size: int) -> np.ndarray:
+    """The first max(size, 2) Taylor coefficients g of g0 exp(a z^2 - 2ab z),
+    from (m + 1) g_{m+1} = 2a g_{m-1} - 2ab g_m."""
+    g = np.zeros(max(size, 2), dtype=complex)
+    g[0] = g0
+    g[1] = -2.0 * a * b * g[0]
+    for m in range(1, g.size - 1):
+        g[m + 1] = (2.0 * a * g[m - 1] - 2.0 * a * b * g[m]) / (m + 1)
+    return g
 
 
 def _poly_gaussian_symbol(
@@ -473,23 +515,16 @@ def _poly_gaussian_symbol(
     The evaluator skips the exp when a = 0, so polynomials pay none, and
     works on the flattened points, so a point's bits do not depend on the
     call's shape.  The first n_taylor coefficients are poly convolved with
-    the Gaussian's series g, from (m + 1) g_{m+1} = 2a g_{m-1} - 2ab g_m,
-    g_0 = exp(a b^2).
+    the Gaussian's series g (:func:`_gaussian_series`, g_0 = exp(a b^2)).
     """
     poly = np.asarray(poly, dtype=complex)
 
     def evaluate(z):
         u = np.ravel(np.asarray(z, dtype=complex))
-        p = np.polynomial.polynomial.polyval(u, poly)
+        p = np.polyval(poly[::-1], u)
         return shaped_like(p if a == 0.0 else p * np.exp(a * (u - b) * (u - b)), z)
 
-    if not a * b * b <= math.log(np.finfo(float).max):
-        raise EnvelopeError(f"Gaussian symbol shift b={b} overflows exp(a b^2) at a={a}")
-    g = np.zeros(max(n_taylor, 2), dtype=complex)
-    g[0] = math.exp(a * b * b)
-    g[1] = -2.0 * a * b * g[0]
-    for m in range(1, g.size - 1):
-        g[m + 1] = (2.0 * a * g[m - 1] - 2.0 * a * b * g[m]) / (m + 1)
+    g = _gaussian_series(a, b, math.exp(a * b * b), n_taylor)
     taylor = FockCoeffs(np.convolve(poly, g)[:n_taylor] * sqrt_factorials(n_taylor))
     return make_symbol(kind, evaluate, taylor, a, params)
 

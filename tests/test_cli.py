@@ -297,6 +297,16 @@ class TestSopCommand:
             assert "principal-value family" in err
         assert not (workdir / "o.json").exists() and not (workdir / "mat.json").exists()
 
+    def test_gauss_shift_outside_the_envelope(self, workdir, capsys):
+        # the 40-term series misses exp(0.4 (z - 10)^2) by 2.3e9 on |z| = 2
+        argv = ["sop", "apply", "--symbol", "gauss", "--a", "0.4", "--b", "10", "--in", "F.json",
+                "--z", "0.5,0", "--out", "o.json"]
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
+        assert "b=10.0" in err and "a=0.4" in err
+        assert not (workdir / "o.json").exists()
+
     def test_polynomial_past_the_plane_edge(self, workdir, capsys):
         # 0.6^k-scaled degree 39, where plane quadrature was 44.9 off
         rng = np.random.default_rng([39, 1])
@@ -563,6 +573,29 @@ MALFORMED = {
         ["sop", "apply", "--symbol-file", "bad.json", "--in", "F.json", "--z", "0,0"],
         '{"kind": "poly", "params": {}, "growth_bound": 0.0, "taylor": [[0, 0], [1e308, 0]]}',
     ),
+    # entries that are not [re, im] pairs of real numbers, and a bool count,
+    # once read as 1+0i and n = 1
+    "pair_of_three": (
+        ["frft", "--alpha", "1", "--in", "bad.json", "--out", "x.json"],
+        '{"basis": "fock", "coeffs": [[1, 0, 3]]}',
+    ),
+    "bool_pair": (
+        ["frft", "--alpha", "1", "--in", "bad.json", "--out", "x.json"],
+        '{"basis": "fock", "coeffs": [[true, false]]}',
+    ),
+    "bool_n": (
+        ["frft", "--alpha", "1", "--in", "bad.json", "--out", "x.json"],
+        '{"basis": "fock", "n": true, "coeffs": [[1, 0]]}',
+    ),
+    # an integer past the float range once escaped as an OverflowError
+    "int_past_float": (
+        ["frft", "--alpha", "1", "--in", "bad.json", "--out", "x.json"],
+        '{"basis": "fock", "coeffs": [[1' + "0" * 400 + ', 0]]}',
+    ),
+    "bool_taylor_pair": (
+        ["sop", "apply", "--symbol-file", "bad.json", "--in", "F.json", "--z", "0,0"],
+        '{"kind": "poly", "growth_bound": 0.0, "taylor": [[1, 0], [true, false]]}',
+    ),
 }
 
 
@@ -696,10 +729,11 @@ class TestImportHygiene:
         assert proc.stdout.splitlines() == ["-", "-", "-"]
 
     def test_rules_symbols_and_sop_matrices_load_no_scipy(self, workdir):
-        # Rules come from numpy.linalg and the erf-type kernels are numpy, so
-        # the import, every rule the package builds, symbol construction, the
-        # erf-type kernels and the PV symbol, a derivative-route matrix and a
-        # CLI data command run without any scipy module.
+        # Rules come from the package's own Newton-Christoffel constructions and
+        # the erf-type kernels are numpy, so the import, every rule the
+        # package builds, symbol construction, the erf-type kernels and the PV
+        # symbol, a derivative-route matrix and a CLI data command run without
+        # any scipy module, and without numpy.polynomial.
         env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
         code = (
             "import sys\n"
@@ -717,12 +751,13 @@ class TestImportHygiene:
             "assert fockbridge.cli.run_command(['bargmann', '--in', 'h.json', '--out', 'F2.json']) == 0\n"
             "A_eval(0.3 + 0.2j), A_phi_eval(0.7, [0.3 + 0.2j, 1.5]), hilbert_symbol().evaluate(1.2)\n"
             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')) or '-')\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))) or '-')\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env=env, cwd=workdir, capture_output=True, text=True, timeout=120, check=True,
         )
-        assert proc.stdout.splitlines() == ["-"]
+        assert proc.stdout.splitlines() == ["-", "-"]
 
     def test_verify_hilbert_suite_loads_no_scipy(self):
         # the suite that evaluates both erf-type kernels on the plane rule

@@ -186,6 +186,21 @@ class TestChunkedWriter:
         assert traced_peak(lambda: fileio.write_signal_csv(sig, tmp_path / "sig.csv")) <= 2 * 2**20
 
 
+#: Pair lists that are not lists of [re, im] pairs of real JSON numbers, and
+#: what the refusal names.
+BAD_PAIRS = {
+    "three_numbers": ([[1, 0, 3]], "entry 0"),
+    "bools": ([[True, False]], "entry 0"),
+    "one_number": ([[1, 0], [1]], "entry 1"),
+    "string": ([[1, 0], ["1", 0]], "entry 1"),
+    "null": ([[1, 0], [1, None]], "entry 1"),
+    "bare_number": ([1, 0], "entry 0"),
+    "object": ([{"re": 1, "im": 0}], "entry 0"),
+    "int_past_float": ([[10**400, 0]], "entry 0"),
+    "not_a_list": ({"0": [1, 0]}, "must be a list"),
+}
+
+
 class TestCoeffsJson:
     def test_hermite_round_trip(self, tmp_path):
         h = HermiteCoeffs(np.array([1.0, -0.5j, 0.25 + 0.25j]))
@@ -227,6 +242,21 @@ class TestCoeffsJson:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ConfigurationError):
+            fileio.read_coeffs_json(path)
+
+    @pytest.mark.parametrize("pairs, entry", [*BAD_PAIRS.values()], ids=[*BAD_PAIRS])
+    def test_rejects_malformed_pairs(self, pairs, entry, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"basis": "fock", "coeffs": pairs}))
+        with pytest.raises(ConfigurationError, match=entry):
+            fileio.read_coeffs_json(path)
+
+    @pytest.mark.parametrize("n", [True, 1.0, "1", None])
+    def test_rejects_non_integer_n(self, n, tmp_path):
+        # true == 1 and 1.0 == 1 in Python, so a plain comparison let them pass
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"basis": "fock", "n": n, "coeffs": [[1, 0]]}))
+        with pytest.raises(ConfigurationError, match="'n' must be an integer"):
             fileio.read_coeffs_json(path)
 
 
@@ -272,6 +302,13 @@ class TestSymbolJson:
         assert complex(back.evaluate(1.0 + 0.5j)) == pytest.approx(
             complex(sym.evaluate(1.0 + 0.5j)), rel=1e-10
         )
+
+    @pytest.mark.parametrize("pairs, entry", [*BAD_PAIRS.values()], ids=[*BAD_PAIRS])
+    def test_rejects_malformed_taylor(self, pairs, entry, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": "poly", "growth_bound": 0.0, "taylor": pairs}))
+        with pytest.raises(ConfigurationError, match=f"'taylor' {entry}"):
+            fileio.read_symbol_json(path)
 
     def test_overflowing_series_refused(self, tmp_path):
         # 1e308 z overflows on |z| <= 2: the symbol's own check refuses it at

@@ -15,6 +15,9 @@ from fockbridge.quadrature import (
     _gauss_laguerre,
     _hermite_recurrence,
     _laguerre_recurrence,
+    _legendre_nodes,
+    _legendre_recurrence,
+    _split_line_rule,
     _sum_squares,
     gauss_hermite_rule,
     integrate_line,
@@ -298,6 +301,43 @@ class TestSplitLineRule:
         with pytest.raises(ConfigurationError, match="integer"):
             split_line_rule(240.5)
 
+    @pytest.mark.parametrize("k", [1, 2, 7, 32, 120, 240, 241])
+    def test_exact_mirror_symmetry(self, k):
+        # nodes on (-1, 1) mirror to the bit before the panel map, so the
+        # Christoffel weights of mirrored nodes are bit-equal too
+        u = _legendre_nodes(k)
+        assert np.array_equal(u, -u[::-1])
+        assert np.all(np.diff(u) > 0)
+        if k % 2:
+            assert u[k // 2] == 0.0
+        w = split_line_rule(k, 2.0).pos_weights
+        assert np.array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("k", [32, 120, 240])
+    def test_against_mpmath(self, k):
+        # on the panel (0, 2] the map is u + 1 and the weights are unscaled;
+        # leggauss's weights are off by 4.2e-11 relative at k = 240
+        u = _legendre_nodes(k)
+        w = split_line_rule(k, 2.0).pos_weights
+        with mp.workdps(40):
+            for i in range(k // 2, k):
+                x = mp.mpf(u[i])
+                for _ in range(2):
+                    p, p_prev, _ = _mp_legendre_recurrence(k, x)
+                    x -= p * (1 - x * x) / (k * (p_prev - x * p))
+                _, _, total = _mp_legendre_recurrence(k, x)
+                assert abs(u[i] - x) <= np.spacing(1.0)
+                assert abs(w[i] * total - 1) < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 240, 512])
+    def test_builds_without_lapack(self, k, no_lapack):
+        rule = _split_line_rule.__wrapped__(k, 12.0)
+        assert rule.pos_nodes.size == rule.pos_weights.size == k
+
+    def test_build_memory_linear(self, traced_peak):
+        # a few k-long arrays, not a dense k x k companion matrix (2 MiB at k = 512)
+        assert traced_peak(lambda: _split_line_rule.__wrapped__(512, 12.0)) <= 0.25 * 2**20
+
 
 def _golub_welsch_nodes(k: int) -> np.ndarray:
     """The roots of H_k as eigenvalues of the Jacobi matrix (numpy's LAPACK)."""
@@ -321,8 +361,9 @@ class TestGaussLaguerreRule:
 
 
 class TestRuleBitIdentity:
-    """Every rule agrees with Golub-Welsch to round-off, and its weights are
-    the Christoffel weights of its own nodes to the last bit."""
+    """Every rule agrees with Golub-Welsch (numpy's ``leggauss`` for
+    Legendre) to round-off, and its weights are the Christoffel weights of
+    its own nodes to the last bit."""
 
     @pytest.mark.parametrize("k", range(1, MAX_LINE_SIZE + 1))
     def test_hermite(self, k):
@@ -349,6 +390,16 @@ class TestRuleBitIdentity:
         total = _sum_squares(_laguerre_recurrence(k, nodes), k)
         assert np.array_equal(weights, np.exp(-nodes) / total)
 
+    @pytest.mark.parametrize("k", range(1, 257))
+    def test_legendre(self, k):
+        u = _legendre_nodes(k)
+        # 5e-15 is below every node gap (the smallest, at k = 256, is 7.5e-5),
+        # so a Newton step landing on a neighbouring root fails here
+        assert np.abs(u - np.polynomial.legendre.leggauss(k)[0]).max() < 5e-15
+        w = _split_line_rule.__wrapped__(k, 2.0).pos_weights
+        assert math.fsum(w) == pytest.approx(2.0, abs=1e-14)
+        assert np.array_equal(w, 1.0 / _sum_squares(_legendre_recurrence(k, u), k))
+
 
 def _oracle_indices(k: int) -> list[int]:
     """Every k//16-th node, the extremes and the middle."""
@@ -362,6 +413,16 @@ def _mp_hermite_recurrence(k: int, x):
     for j in range(k):
         total += p * p
         p_prev, p = p, mp.sqrt(mp.mpf(2) / (j + 1)) * x * p - mp.sqrt(mp.mpf(j) / (j + 1)) * p_prev
+    return p, p_prev, total
+
+
+def _mp_legendre_recurrence(k: int, u):
+    """(P_k, P_{k-1}, sum_{j<k} (j + 1/2) P_j^2) at u; the sqrt(j + 1/2) P_j
+    are orthonormal on (-1, 1)."""
+    p_prev, p, total = mp.mpf(0), mp.mpf(1), mp.mpf(0)
+    for j in range(k):
+        total += (j + mp.mpf(0.5)) * p * p
+        p_prev, p = p, ((2 * j + 1) * u * p - j * p_prev) / (j + 1)
     return p, p_prev, total
 
 
@@ -435,7 +496,7 @@ class TestRuleSizes:
 
         monkeypatch.setattr(quadrature, "_hermite_nodes", no_work)
         monkeypatch.setattr(quadrature, "_gauss_laguerre", no_work)
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_work)
+        monkeypatch.setattr(quadrature, "_legendre_nodes", no_work)
         with pytest.raises(ConfigurationError, match="integer"):
             build(*args)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -753,6 +754,61 @@ class TestGaussianSymbol:
         for a in (0.5, 0.45, 0.8, -0.1, 0.0):
             with pytest.raises(EnvelopeError):
                 gaussian_symbol(a, 0.0)
+
+    #: The largest shift the construction cross-check admitted before the
+    #: shift had an envelope of its own, per a.
+    SHIFT_EDGES = {0.4: 2.47, 0.25: 5.28, 0.1: 17.1, 0.05: 37.3}
+
+    @pytest.mark.parametrize("a", sorted(SHIFT_EDGES))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_shift_envelope_edges(self, a, sign):
+        edge = sign * self.SHIFT_EDGES[a]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sym = gaussian_symbol(a, 0.95 * edge)
+            with pytest.raises(EnvelopeError, match=rf"b={1.05 * edge!r}.*a={a}"):
+                gaussian_symbol(a, 1.05 * edge)
+        assert sym.params == {"a": a, "b": 0.95 * edge}
+
+    @pytest.mark.parametrize(
+        "a, edge", [(0.4, 2.47), (0.3, 4.03), (0.2, 7.2), (0.1, 17.1), (0.05, 37.2),
+                    (0.02, 98.2), (0.005, 374.8)]
+    )
+    def test_shift_envelope_keeps_what_the_cross_check_admits(self, a, edge):
+        # _poly_gaussian_symbol alone, as gaussian_symbol called it before the
+        # shift had an envelope, about the edge its cross-check measured; the
+        # overflow edge binds at a = 0.005, where its exp(a b^2) may overflow
+        def admitted(build, b):
+            try:
+                with np.errstate(all="ignore"):
+                    build(a, b)
+            except (ConfigurationError, OverflowError):
+                return False
+            return True
+
+        def series_only(a, b):
+            return singular._poly_gaussian_symbol("gauss", [1.0], a, b, 40, {})
+
+        seen = set()
+        for b in np.linspace(0.9 * edge, 1.1 * edge, 41):
+            for shift in (b, -b):
+                new = admitted(gaussian_symbol, shift)
+                assert new or not admitted(series_only, shift), shift
+                seen.add(new)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("b", [10.0, 20.0, 41.0])
+    def test_shift_refused_before_the_series(self, b, monkeypatch):
+        # no series is formed, so no overflow warning and no cross-check
+        # failure that does not name the shift
+        def no_series(*_):
+            raise AssertionError("the series was formed")
+
+        monkeypatch.setattr(singular, "_poly_gaussian_symbol", no_series)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EnvelopeError, match=rf"a=0.4, b={b}|b={b} .* at a=0.4"):
+                gaussian_symbol(0.4, b)
 
     def test_arises_from_gaussian_wavelet(self):
         # eps=1, b=0: the prefactor sqrt(2/(1+eps)) is 1, so the induced
