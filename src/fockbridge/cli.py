@@ -42,9 +42,9 @@ from .singular import (
     operator_norm_estimate,
     phi_from_g,
     poly_symbol,
-    s_phi_alpha_apply,
     s_phi_matrix,
     wavelet_transform,
+    _routed_apply,
 )
 from .verify import VerifyConfig, default_threads, report_to_json, run_suite, SUITES
 
@@ -254,36 +254,30 @@ def _symbol_from_args(args):
 
 def _cmd_sop(args) -> int:
     sym = _symbol_from_args(args)
-    if args.symbol_out:
-        fileio.write_symbol_json(sym, args.symbol_out)
     plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
+    doc = {"kind": sym.kind, "alpha": args.alpha}
     if args.sop_command == "apply":
         data = fileio.read_coeffs_json(args.infile)
         if not isinstance(data, FockCoeffs):
             raise UsageError("sop apply expects Fock coefficient JSON")
         zs = [_parse_complex(ztext) for ztext in args.z]
-        vals = s_phi_alpha_apply(sym, args.alpha, data, zs, plane)
-        values = [
+        vals = _routed_apply(sym, args.alpha, data, zs, plane)
+        doc["values"] = [
             {"z": [z.real, z.imag], "value": [val.real, val.imag]}
             for z, val in zip(zs, vals.tolist())
         ]
-        doc = json.dumps({"kind": sym.kind, "alpha": args.alpha, "values": values},
-                         sort_keys=True, indent=1) + "\n"
-        if args.outfile:
-            Path(args.outfile).write_text(doc, encoding="utf-8")
-        else:
-            sys.stdout.write(doc)
-        return 0
-    # matrix
-    mat = s_phi_matrix(sym, _order(args), plane, alpha=args.alpha)
-    doc = {
-        "kind": sym.kind,
-        "alpha": args.alpha,
-        "n": args.n,
-        "entries": [[[c.real, c.imag] for c in row] for row in mat.entries],
-        "norm_estimate": operator_norm_estimate(mat),
-    }
-    Path(args.outfile).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    else:
+        mat = s_phi_matrix(sym, _order(args), plane, alpha=args.alpha)
+        doc.update(n=args.n, entries=[[[c.real, c.imag] for c in row] for row in mat.entries],
+                   norm_estimate=operator_norm_estimate(mat))
+    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    if args.outfile:
+        Path(args.outfile).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    # last, so that a command that fails leaves no symbol file
+    if args.symbol_out:
+        fileio.write_symbol_json(sym, args.symbol_out)
     return 0
 
 
@@ -291,10 +285,12 @@ def _cmd_wavelet(args) -> int:
     gsig = fileio.read_signal_csv(args.gfile)
     fsig = fileio.read_signal_csv(args.infile)
     spec = WaveletSpec(gsig, args.s)
-    if args.symbol_out:
-        fileio.write_symbol_json(phi_from_g(spec, gauss_hermite_rule(200)), args.symbol_out)
+    # built before any output, so that a wavelet failing its integrability check writes nothing
+    phi = phi_from_g(spec, gauss_hermite_rule(200)) if args.symbol_out else None
     values = wavelet_transform(fsig, spec, fsig.grid, gauss_hermite_rule(240))
     fileio.write_signal_csv(SampledSignal(fsig.x0, fsig.dx, values), args.outfile)
+    if phi is not None:
+        fileio.write_symbol_json(phi, args.symbol_out)
     return 0
 
 
@@ -359,9 +355,6 @@ def run_command(argv: list[str] | None = None) -> int:
         # numpy warnings would add stderr lines; non-finite values are refused anyway
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        sys.stderr.write(f'fockbridge: error=usage detail="{exc}"\n')
-        return 2
     except EvaluationFailureError as exc:
         sys.stderr.write(f'fockbridge: error=numerical detail="{exc}"\n')
         return 3

@@ -6,7 +6,8 @@ of text at a time and parses it into one flat float buffer (24 bytes per row),
 the writer formats ``_WRITE_CHUNK`` rows at a time, and neither holds the
 file's text or a Python object per row.  Coefficient JSON:
 ``{"basis": "hermite"|"fock", "n": N, "coeffs": [[re, im], ...]}``.
-Symbol JSON: ``{"kind": ..., "params": {...}, "taylor": [[re, im], ...]}``.
+Symbol JSON: ``{"kind": ..., "params": {...}, "taylor": [[re, im], ...]}``, read
+back as the polynomial its series spells unless ``kind`` is ``gauss`` or ``hilbert``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .representation import FockCoeffs, HermiteCoeffs, SampledSignal, fock_eval
-from .singular import _PV_KINDS, FockSymbol, const_symbol, gaussian_symbol, hilbert_symbol
-from .singular import make_symbol
+from .representation import FockCoeffs, HermiteCoeffs, SampledSignal
+from .singular import FockSymbol, gaussian_symbol, hilbert_symbol, poly_symbol
+from .special import sqrt_factorials
 
 __all__ = [
     "read_signal_csv",
@@ -118,9 +119,9 @@ def _read_object(path) -> dict:
     return doc
 
 
-def _number(doc: dict, key: str, path, default=None) -> float:
-    """The number at ``doc[key]``; refused when missing without a default."""
-    value = doc.get(key, default)
+def _number(doc: dict, key: str, path) -> float:
+    """The number at ``doc[key]``; refused when missing."""
+    value = doc.get(key)
     number = _real(value)
     if number is None:
         raise ConfigurationError(f"{path}: '{key}' is missing or not a number ({value!r:.40})")
@@ -152,7 +153,7 @@ def read_coeffs_json(path):
 def write_symbol_json(sym: FockSymbol, path) -> None:
     doc = {
         "kind": sym.kind,
-        "params": {k: v for k, v in sym.params.items() if _jsonable(v)},
+        "params": {k: v for k, v in sym.params.items() if isinstance(v, (int, float, str, bool))},
         "growth_bound": sym.growth_bound,
         "taylor": _pairs(sym.taylor.coeffs),
     }
@@ -161,13 +162,14 @@ def write_symbol_json(sym: FockSymbol, path) -> None:
     )
 
 
-def _jsonable(v) -> bool:
-    return isinstance(v, (int, float, str, bool))
-
-
 def read_symbol_json(path) -> FockSymbol:
+    """The symbol a file stores: ``gauss`` and ``hilbert`` rebuilt by name, any
+    other file the polynomial its ``taylor`` series spells (kind ``poly``,
+    growth 0), whatever ``kind``, ``growth_bound`` or ``params`` it claims."""
     doc = _read_object(path)
-    kind = doc.get("kind")
+    kind = doc.get("kind", "poly")
+    if not isinstance(kind, str):
+        raise ConfigurationError(f"{path}: 'kind' must be a string, got {kind!r:.40}")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigurationError(f"{path}: params must be a JSON object")
@@ -176,21 +178,6 @@ def read_symbol_json(path) -> FockSymbol:
         return gaussian_symbol(_number(params, "a", path), _number(params, "b", path))
     if kind == "hilbert":
         return hilbert_symbol()
-    if kind == "const":
-        re, im = _number(params, "re", path, 1.0), _number(params, "im", path, 0.0)
-        return const_symbol(complex(re, im))
-    # generic: rebuild the evaluator from the stored truncation (poly, from-g);
-    # only hilbert_symbol() and the fractional kernel's own mix sit at 1/2
-    if kind in _PV_KINDS:
-        raise ConfigurationError(
-            f"{path}: kind '{kind}' is the principal-value family, admitted at growth "
-            "1/2 only as the package builds it; a symbol file cannot claim it"
-        )
-    growth = _number(doc, "growth_bound", path, 0.0)
-    return make_symbol(
-        kind or "taylor",
-        lambda z, t=taylor: fock_eval(t, np.asarray(z, dtype=complex)),
-        taylor,
-        growth,
-        dict(params),
-    )
+    # past 301 terms sqrt(k!) overflows, and the symbol's series is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        return poly_symbol(taylor.coeffs / sqrt_factorials(taylor.order))

@@ -120,7 +120,7 @@ def hilbert_fock_kernel_apply(F: FockCoeffs, params: HilbertParams, z, rule: Pla
 
     Since erf(y) = i erfi(-i y), chi(e^{i(alpha-pi/2)} z - e^{-i(alpha-pi/2)} conj(w))
     is the kernel (1/sqrt(pi)) A_phi((e^{i alpha} z + e^{-i alpha} conj(w)) / sqrt(2)).
-    chi grows like pv (0 when sin(phi) vanishes), admitted at 1/2 by kind.
+    chi grows like pv (0 when sin(phi) vanishes); built here, it is admitted at 1/2.
     """
     pv = hilbert_symbol()
     c, s = math.cos(params.phi), math.sin(params.phi)

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, EnvelopeError
-from .quadrature import LineRule, PlaneRule, _evaluate, gauss_hermite_rule
+from .quadrature import LineRule, PlaneRule, _check_finite, _evaluate, gauss_hermite_rule
 from .quadrature import rule_sum, rule_sum_per_point
 from .representation import FockCoeffs, check_envelope, fock_eval
 from .special import A_eval, SQRT_PI, _check_size, finite_param, finite_points
@@ -96,7 +96,7 @@ class FockSymbol:
     z^n/sqrt(n!); ``monomial()`` converts to plain Taylor coefficients.
     ``growth_bound`` is a constant a with |phi(z)| <= C exp(a |z|^2); the
     operators admit a <= GROWTH_CAP, and 0.5 for the principal-value
-    family (kinds "hilbert" and "hilbert-phase") alone.
+    family (kinds "hilbert" and "hilbert-phase") alone; no file sets ``kind``.
     """
 
     kind: str
@@ -152,9 +152,7 @@ def poly_symbol(mono) -> FockSymbol:
 
 def const_symbol(kappa: complex) -> FockSymbol:
     """Constant symbol phi = kappa; S_phi is kappa times the identity."""
-    kappa = complex(kappa)
-    params = {"re": kappa.real, "im": kappa.imag}
-    return _poly_gaussian_symbol("const", [kappa], 0.0, 0.0, 1, params)
+    return _poly_gaussian_symbol("const", [complex(kappa)], 0.0, 0.0, 1, {})
 
 
 @dataclass(frozen=True)
@@ -261,7 +259,7 @@ def s_phi_apply_deriv(phi_monomial: np.ndarray, F: FockCoeffs, alpha: float = 0.
     and the rotated variant replaces z by e^{i a} z and conj(w) by
     e^{-i a} conj(w), contributing phases e^{i a (k-2j)}.  Computed as the
     band matrix of :func:`_deriv_matrix` times F; exact up to rounding for
-    polynomial inputs; caps at degree 40.
+    polynomial inputs; caps at degree 40; overflow raises EvaluationFailureError.
     """
     a = np.asarray(phi_monomial, dtype=complex)
     if a.size > DERIV_ORDER_CAP or F.order > DERIV_ORDER_CAP:
@@ -269,7 +267,29 @@ def s_phi_apply_deriv(phi_monomial: np.ndarray, F: FockCoeffs, alpha: float = 0.
             f"polynomial route caps at degree {DERIV_ORDER_CAP}; "
             f"got symbol {a.size}, argument {F.order}"
         )
-    return FockCoeffs(_deriv_matrix(a, a.size + F.order - 1, F.order, float(alpha)) @ F.coeffs)
+    alpha = finite_param(alpha, "rotation angle")
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _deriv_matrix(a, a.size + F.order - 1, F.order, alpha) @ F.coeffs
+    _check_finite(coeffs, np.arange(coeffs.size), "derivative route coefficient")
+    return FockCoeffs(coeffs)
+
+
+def _band_route(phi: FockSymbol, *sizes: int) -> bool:
+    """The one route rule: a polynomial symbol takes the exact band route when each
+    size of the call (a matrix's n; an apply's symbol and F lengths) is <= DERIV_ORDER_CAP."""
+    return phi.kind in _POLY_KINDS and max(sizes) <= DERIV_ORDER_CAP
+
+
+def _routed_apply(phi: FockSymbol, alpha: float, F: FockCoeffs, z, rule: PlaneRule):
+    """The rotated operator at a list of points, on the :func:`_band_route`
+    route: the band route's coefficients evaluated at z, or the plane engine."""
+    if not _band_route(phi, phi.taylor.order, F.order):
+        return s_phi_alpha_apply(phi, alpha, F, z, rule)
+    check_envelope(None, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = fock_eval(s_phi_apply_deriv(phi.monomial(), F, alpha), z)
+    _check_finite(np.ravel(vals), np.ravel(z), "derivative route")
+    return vals
 
 
 def s_phi_matrix(
@@ -280,24 +300,23 @@ def s_phi_matrix(
     method "deriv" is :func:`_deriv_matrix` on the symbol's first 2n - 1
     Taylor coefficients, the only ones the block reads; "quadrature"
     samples S e_m on the circle |z| = MATRIX_RADIUS and reads the Taylor
-    coefficients off a discrete Fourier transform; "auto" takes "deriv" for
-    polynomial symbols, where it is exact, and "quadrature" for the series
-    symbols, whose alternating sums lose digits as n grows.  Either route
+    coefficients off a discrete Fourier transform; "auto" takes "deriv"
+    where :func:`_band_route` admits the call, and "quadrature" for the
+    series symbols, whose alternating sums lose digits as n grows.  Either route
     admits the symbol as the plane operators do (the degree on "quadrature"
     only) and checks its whole envelope before computing the first column.
     """
     _check_size(n, "matrix size")
     alpha = finite_param(alpha, "rotation angle")
-    # entry [i, m] reads the symbol's Taylor coefficients through degree
-    # i + m; only polynomial symbols store their series complete
-    poly = phi.kind in _POLY_KINDS
     if method == "auto":
-        method = "deriv" if poly and n <= DERIV_ORDER_CAP else "quadrature"
+        method = "deriv" if _band_route(phi, n) else "quadrature"
     if method not in ("deriv", "quadrature"):
         raise ConfigurationError(f"unknown matrix method {method!r}")
     _check_admitted(phi, plane=method == "quadrature")
     if method == "deriv":
-        if not (n <= DERIV_ORDER_CAP and (poly or phi.taylor.order >= 2 * n - 1)):
+        # entry [i, m] reads the symbol's Taylor coefficients through degree
+        # i + m; only polynomial symbols store their series complete
+        if not (_band_route(phi, n) or (n <= DERIV_ORDER_CAP and phi.taylor.order >= 2 * n - 1)):
             raise EnvelopeError(
                 f"derivative route at n={n} needs the Taylor series of symbol "
                 f"'{phi.kind}' through degree {2 * n - 2} and n <= {DERIV_ORDER_CAP}; "

@@ -20,6 +20,7 @@ from fockbridge.representation import (
     FockCoeffs,
     HermiteCoeffs,
     SampledSignal,
+    fock_eval,
     inverse_bargmann_coeff,
     synthesize,
 )
@@ -29,7 +30,10 @@ from fockbridge.singular import (
     hilbert_symbol,
     phi_from_g,
     phi_n_closed,
+    poly_symbol,
     s_phi_alpha_apply,
+    s_phi_apply_deriv,
+    s_phi_matrix,
     wavelet_transform,
 )
 from fockbridge.special import NORM_CONSTANT
@@ -257,19 +261,16 @@ class TestSopCommand:
     @pytest.mark.parametrize(
         "symbol, cap, code",
         [
-            # the principal-value symbol's coefficients under a generic kind
-            # are held to GROWTH_CAP, which its growth 1/2 exceeds
-            pytest.param(["--symbol-file", "pv.json"], "0.4", 2, id="symbol2-0.4-2"),
+            # g = h_0 at s = 4 induces growth about 4/9: held to GROWTH_CAP
+            pytest.param(["--symbol", "from-g", "--g-file", "g.csv", "--s", "4"], "0.4", 2,
+                         id="symbol2-0.4-2"),
             # the principal-value family itself is admitted at its boundary 1/2
             pytest.param(["--symbol", "hilbert"], "0.5", 0, id="symbol3-0.5-0"),
         ],
     )
     def test_apply_and_matrix_share_the_growth_cap(self, symbol, cap, code, workdir, capsys):
-        pv = hilbert_symbol()
-        assert float(cap) == (0.5 if code == 0 else GROWTH_CAP) and pv.growth_bound == 0.5
-        fileio.write_symbol_json(pv, workdir / "pv.json")
-        doc = json.loads((workdir / "pv.json").read_text())
-        (workdir / "pv.json").write_text(json.dumps({**doc, "kind": "taylor"}))
+        assert float(cap) == (0.5 if code == 0 else GROWTH_CAP)
+        assert hilbert_symbol().growth_bound == 0.5
         for command, tail in (
             ("apply", ["--in", "F.json", "--z", "0.3,0.1"]),
             ("matrix", ["--n", "3", "--out", "mat.json"]),
@@ -282,20 +283,21 @@ class TestSopCommand:
         assert (workdir / "mat.json").exists() == (code == 0)
 
     def test_symbol_file_cannot_claim_the_pv_boundary(self, workdir, capsys):
-        # hilbert_symbol()'s own file relabelled "hilbert-phase": refused with
-        # one stderr line before any input is read
+        # hilbert_symbol()'s own file relabelled "hilbert-phase" is the
+        # polynomial of its 60 stored coefficients, at growth 0: too long for
+        # the band route and past the plane rule's degree edge on apply, and
+        # on the band route for a matrix
         fileio.write_symbol_json(hilbert_symbol(), workdir / "pv.json")
         doc = json.loads((workdir / "pv.json").read_text())
         (workdir / "pv.json").write_text(json.dumps({**doc, "kind": "hilbert-phase"}))
-        for command, tail in (
-            ("apply", ["--in", "missing.json", "--z", "0.3,0.1", "--out", "o.json"]),
-            ("matrix", ["--n", "3", "--out", "mat.json"]),
-        ):
-            assert run_command(["sop", command, "--symbol-file", "pv.json", *tail]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
-            assert "principal-value family" in err
-        assert not (workdir / "o.json").exists() and not (workdir / "mat.json").exists()
+        argv = ["sop", "apply", "--symbol-file", "pv.json", "--in", "F.json", "--z", "0.3,0.1"]
+        assert run_command([*argv, "--out", "o.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
+        assert "degree 59" in err and not (workdir / "o.json").exists()
+        argv = ["sop", "matrix", "--symbol-file", "pv.json", "--n", "3", "--out", "mat.json"]
+        assert run_command(argv) == 0
+        assert json.loads((workdir / "mat.json").read_text())["kind"] == "poly"
 
     def test_gauss_shift_outside_the_envelope(self, workdir, capsys):
         # the 40-term series misses exp(0.4 (z - 10)^2) by 2.3e9 on |z| = 2
@@ -308,16 +310,27 @@ class TestSopCommand:
         assert not (workdir / "o.json").exists()
 
     def test_polynomial_past_the_plane_edge(self, workdir, capsys):
-        # 0.6^k-scaled degree 39, where plane quadrature was 44.9 off
+        # 0.6^k-scaled degree 39, where plane quadrature was 44.9 off, takes
+        # the band route; degree 40 is past it and past the plane edge
         rng = np.random.default_rng([39, 1])
-        mono = (rng.standard_normal(40) + 1j * rng.standard_normal(40)) * 0.6 ** np.arange(40)
-        poly = ["--symbol", "poly", "--coeffs=" + ";".join(f"{c.real!r},{c.imag!r}" for c in mono.tolist())]
-        assert run_command(["sop", "apply", *poly, "--in", "F.json", "--z", "0.5,0"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
-        assert "degree 39" in err
-        # the matrix takes the derivative route, exact at any degree up to 40
-        assert run_command(["sop", "matrix", *poly, "--n", "3", "--out", "mat.json"]) == 0
+        mono = (rng.standard_normal(41) + 1j * rng.standard_normal(41)) * 0.6 ** np.arange(41)
+        F = fileio.read_coeffs_json(workdir / "F.json")
+        for deg in (39, 40):
+            poly = ["--symbol", "poly",
+                    "--coeffs=" + ";".join(f"{c.real!r},{c.imag!r}" for c in mono[: deg + 1].tolist())]
+            rc = run_command(["sop", "apply", *poly, "--in", "F.json", "--z", "0.5,0"])
+            out, err = capsys.readouterr()
+            if deg == 39:
+                assert rc == 0
+                got = complex(*json.loads(out)["values"][0]["value"])
+                want = complex(fock_eval(s_phi_apply_deriv(mono[:40], F), 0.5))
+                assert abs(got - want) <= 1e-12 * abs(want)
+            else:
+                assert rc == 2
+                assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
+                assert "degree 40" in err
+            # the matrix takes the derivative route, exact at any degree
+            assert run_command(["sop", "matrix", *poly, "--n", "3", "--out", "mat.json"]) == 0
 
     @pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
     def test_from_g_symbol_file_applies(self, s, workdir, capsys):
@@ -347,6 +360,68 @@ class TestSopCommand:
             ["sop", "apply", "--symbol-file", "sym.json", "--in", "F.json", "--z", "0,0"]
         )
         assert rc == 0
+
+    @pytest.mark.parametrize("kind", ["from-g", None, "poly"], ids=["from-g", "no-kind", "poly"])
+    def test_symbol_file_is_the_polynomial_it_stores(self, kind, workdir, capsys):
+        # the degree-39 polynomial of test_polynomial_past_the_plane_edge,
+        # whatever the file calls it: the plane rule was 9e-4 off relative
+        # under "from-g" or no kind, and refused it under "poly"
+        rng = np.random.default_rng([39, 1])
+        mono = (rng.standard_normal(40) + 1j * rng.standard_normal(40)) * 0.6 ** np.arange(40)
+        fileio.write_symbol_json(poly_symbol(mono), workdir / "sym.json")
+        doc = {k: v for k, v in json.loads((workdir / "sym.json").read_text()).items() if k != "kind"}
+        (workdir / "sym.json").write_text(json.dumps({**doc, "kind": kind} if kind else doc))
+        zs = np.array([0.5 + 0.2j, -1.1 + 0.7j, 1.9j, -1.99])
+        argv = ["sop", "apply", "--symbol-file", "sym.json", "--in", "F.json",
+                *[f"--z={z.real!r},{z.imag!r}" for z in zs.tolist()]]
+        assert run_command(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        got = np.array([complex(*v["value"]) for v in out["values"]])
+        want = fock_eval(s_phi_apply_deriv(mono, fileio.read_coeffs_json(workdir / "F.json")), zs)
+        assert out["kind"] == "poly"
+        assert float(np.abs(got - want).max()) <= 1e-12 * float(np.abs(want).max())
+        argv = ["sop", "matrix", "--symbol-file", "sym.json", "--n", "8", "--out", "mat.json"]
+        assert run_command(argv) == 0
+        mat = json.loads((workdir / "mat.json").read_text())
+        plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
+        want = s_phi_matrix(fileio.read_symbol_json(workdir / "sym.json"), 8, plane, method="deriv")
+        assert mat["kind"] == "poly"
+        entries = np.array(mat["entries"])
+        assert np.array_equal(entries[..., 0] + 1j * entries[..., 1], want.entries)
+
+    def test_symbol_file_kind_must_be_a_string(self, workdir, capsys):
+        fileio.write_symbol_json(poly_symbol([1.0, 0.5]), workdir / "sym.json")
+        doc = json.loads((workdir / "sym.json").read_text())
+        (workdir / "sym.json").write_text(json.dumps({**doc, "kind": 1e308}))
+        for command, tail in (
+            ("apply", ["--in", "F.json", "--z", "0.3,0.1", "--out", "o.json"]),
+            ("matrix", ["--n", "3", "--out", "mat.json"]),
+        ):
+            argv = ["sop", command, "--symbol-file", "sym.json", *tail, "--symbol-out", "s.json"]
+            assert run_command(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
+            assert "'kind' must be a string" in err
+        assert not any((workdir / n).exists() for n in ("o.json", "mat.json", "s.json"))
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["sop", "apply", "--symbol", "gauss", "--a", "0.25", "--in", "missing.json",
+              "--z", "0.5,0"], 2),
+            (["sop", "apply", "--symbol", "gauss", "--a", "0.25", "--in", "F.json", "--z", "3,0"],
+             2),
+            (["sop", "matrix", "--symbol", "gauss", "--a", "0.25", "--n", "200", "--out", "m.json"],
+             2),
+            (["wavelet", "--s", "1.0", "--g", "g.csv", "--in", "sig.csv", "--out", "no/w.csv"], 2),
+            (["wavelet", "--s", "1.0", "--g", "g.csv", "--in", "sig.csv", "--out", "w.csv"], 0),
+        ],
+        ids=["apply-missing-input", "apply-outside-envelope", "matrix-outside-envelope",
+             "wavelet-unwritable-output", "wavelet-succeeds"],
+    )
+    def test_symbol_file_written_only_on_success(self, argv, code, workdir, capsys):
+        assert run_command([*argv, "--symbol-out", "s.json"]) == code
+        assert (workdir / "s.json").exists() == (code == 0)
 
 
 class TestWaveletCommand:
@@ -654,20 +729,26 @@ class TestContract:
         assert "cannot resolve" in err and not (workdir / "c.json").exists()
 
     def test_overflowing_symbol_is_a_numerical_failure(self, workdir):
-        # a separate process, so any numpy warning would reach its stderr;
-        # degree 12 is the largest the plane rule admits
-        taylor = [[0.0, 0.0]] * 12 + [[1e300, 0.0]]
-        (workdir / "big.json").write_text(
-            json.dumps({"kind": "poly", "params": {}, "growth_bound": 0.0, "taylor": taylor})
-        )
+        # a separate process, so any numpy warning would reach its stderr.
+        # The degree-12 symbol is finite on |z| <= 2, but a coefficient of
+        # S_phi F overflows on the band route; a band route with finite
+        # coefficients overflows at z; the plane route's rule sum overflows
+        taylor = [[0.0, 0.0]] * 12 + [[1e308, 0.0]]
+        (workdir / "sym.json").write_text(json.dumps({"kind": "poly", "taylor": taylor}))
+        fileio.write_coeffs_json(FockCoeffs(np.array([1e308, 1e308])), workdir / "big.json")
         env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fockbridge.cli", "sop", "apply", "--symbol-file", "big.json",
-             "--in", "F.json", "--z", "0.5,0"],
-            cwd=workdir, env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 3
-        assert proc.stderr.startswith("fockbridge: error=numerical") and proc.stderr.count("\n") == 1
+        for argv in (
+            ["--symbol-file", "sym.json", "--in", "F.json", "--z", "0.5,0"],
+            ["--symbol", "const", "--in", "big.json", "--z", "1.9,0"],
+            ["--symbol", "gauss", "--a", "0.25", "--in", "big.json", "--z", "0.5,0"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "fockbridge.cli", "sop", "apply", *argv],
+                cwd=workdir, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 3, argv
+            assert proc.stderr.startswith("fockbridge: error=numerical")
+            assert proc.stderr.count("\n") == 1
 
 
 #: One command per route that takes a CSV signal, and whether it builds a

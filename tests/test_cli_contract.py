@@ -7,8 +7,10 @@ exit code is in {0, 1, 2, 3}, a failure leaves exactly one stderr line
 starting ``fockbridge: error=``, and a success writes only finite numbers
 and, when asked, the ``--dump-grid`` file (which ``hilbert --classical``
 refuses with exit 2, as it refuses ``--alpha``, ``--phi`` and ``--n``).
-``sop apply`` refuses a polynomial symbol past the plane rule's degree edge
-with exit 2.
+``sop apply`` serves a polynomial symbol of at most DERIV_ORDER_CAP (40)
+coefficients on the band route, and refuses a longer one, which is past the
+plane rule's degree edge, with exit 2.  Symbol files are read as the
+polynomial they store, whatever their ``kind`` says.
 """
 
 import contextlib
@@ -24,7 +26,14 @@ from hypothesis import example, given, settings, strategies as st
 from fockbridge import fileio
 from fockbridge.cli import run_command
 from fockbridge.representation import FockCoeffs, HermiteCoeffs, synthesize
-from fockbridge.singular import PLANE_POLY_DEGREE_MAX, gaussian_symbol
+from fockbridge.singular import DERIV_ORDER_CAP, PLANE_POLY_DEGREE_MAX, gaussian_symbol, poly_symbol
+
+#: The degree-39 polynomial the plane rule resolved 9e-4 off relative, under
+#: the label it once passed with, with no label, and with a numeric one.
+_RNG = np.random.default_rng([39, 1])
+_MONO = (_RNG.standard_normal(40) + 1j * _RNG.standard_normal(40)) * 0.6 ** np.arange(40)
+_DEG39 = {"params": {}, "growth_bound": 0.0,
+          "taylor": [[c.real, c.imag] for c in poly_symbol(_MONO).taylor.coeffs.tolist()]}
 
 #: Malformed, non-finite or extreme files that an argv can name.
 ODD = {
@@ -41,6 +50,9 @@ ODD = {
         {"kind": "poly", "params": {}, "growth_bound": 0.0,
          "taylor": [[0.0, 0.0]] * 12 + [[1e300, 0.0]]}
     ),
+    "deg39_from_g.json": json.dumps({**_DEG39, "kind": "from-g"}),
+    "deg39_no_kind.json": json.dumps(_DEG39),
+    "kind_number.json": json.dumps({**_DEG39, "kind": 1e308}),
     "bad_row.csv": "x,re,im\n0,1,0\n0.1,one,0\n",
     "one_row.csv": "x,re,im\n0,1,0\n",
     "nan.csv": "x,re,im\n0,nan,0\n0.1,1,0\n0.2,1,0\n",
@@ -90,11 +102,11 @@ COMPLEX = mostly(
 )
 FILES = mostly(st.sampled_from(VALID), st.sampled_from(INPUTS))
 #: Polynomial coefficient lists: short ones, and valid ones past the plane
-#: rule's degree edge.
+#: rule's degree edge, on either side of the band route's length cap.
 POLY_COEFFS = st.one_of(
     st.lists(COMPLEX, min_size=1, max_size=3),
     st.lists(st.sampled_from(["0.5,0", "0,-0.25", "1,1"]), min_size=PLANE_POLY_DEGREE_MAX + 2,
-             max_size=40),
+             max_size=DERIV_ORDER_CAP + 4),
 ).map(";".join)
 
 
@@ -180,6 +192,9 @@ def numbers(text: str):
 @example(argv=["hilbert", "--phi=0.0", "--classical", "--n=8", "--in", "sig.csv", "--out", "out.csv"])
 @example(argv=["sop", "apply", "--symbol", "poly", "--coeffs=" + ";".join(["0.5,0"] * 14),
                "--in", "F.json", "--z=0.5,0"])
+@example(argv=["sop", "apply", "--symbol", "poly", "--coeffs=" + ";".join(["0.5,0"] * 41),
+               "--in", "F.json", "--z=0.5,0"])
+@example(argv=["sop", "apply", "--symbol-file", "deg39_from_g.json", "--in", "F.json", "--z=1.9,0"])
 def test_contract(files, argv):
     for name in OUTPUTS:
         (files / name).unlink(missing_ok=True)
@@ -192,8 +207,8 @@ def test_contract(files, argv):
     if "--classical" in argv and any(a.startswith(("--alpha=", "--phi=", "--n=")) for a in argv):
         assert code == 2  # the grid path has no angle and no truncation order
     coeffs = [a.count(";") for a in argv if a.startswith("--coeffs=")]
-    if argv[:2] == ["sop", "apply"] and coeffs and coeffs[0] > PLANE_POLY_DEGREE_MAX:
-        assert code == 2  # past the degree the plane rule resolves
+    if argv[:2] == ["sop", "apply"] and coeffs and coeffs[0] >= DERIV_ORDER_CAP:
+        assert code == 2  # past the band route's length and the plane rule's degree
     if code:
         assert err.getvalue().startswith("fockbridge: error=")
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockbridge.errors import ConfigurationError
+from fockbridge.errors import ConfigurationError, EnvelopeError
 from fockbridge import fileio
+from fockbridge.quadrature import plane_gaussian_rule
 from fockbridge.representation import FockCoeffs, HermiteCoeffs, SampledSignal
-from fockbridge.singular import gaussian_symbol, hilbert_symbol
+from fockbridge.singular import gaussian_symbol, hilbert_symbol, s_phi_apply
 
 
 class TestSignalCsv:
@@ -279,13 +280,42 @@ class TestSymbolJson:
         assert back.kind == "hilbert" and back.growth_bound == 0.5
 
     def test_file_cannot_claim_the_pv_boundary(self, tmp_path):
-        # the principal-value family is admitted at growth 1/2 by kind, so a
-        # file relabelled into it is refused before its series is rebuilt
+        # a file relabelled into the principal-value family is the polynomial
+        # of its stored series, at growth 0, which the plane rule refuses
+        pv = hilbert_symbol()
         path = tmp_path / "sym.json"
-        fileio.write_symbol_json(hilbert_symbol(), path)
+        fileio.write_symbol_json(pv, path)
         doc = json.loads(path.read_text())
         path.write_text(json.dumps({**doc, "kind": "hilbert-phase"}))
-        with pytest.raises(ConfigurationError, match="'hilbert-phase' is the principal-value family"):
+        back = fileio.read_symbol_json(path)
+        assert back.kind == "poly" and back.growth_bound == 0.0 and back.params == {"degree": 59}
+        np.testing.assert_allclose(back.taylor.coeffs, pv.taylor.coeffs, rtol=1e-15, atol=0)
+        with pytest.raises(EnvelopeError, match="degree 59"):
+            s_phi_apply(back, FockCoeffs(np.array([1.0])), 0.3, plane_gaussian_rule(8, 8))
+
+    @pytest.mark.parametrize("kind", ["from-g", "const", "taylor", None])
+    def test_any_other_file_is_its_polynomial(self, kind, tmp_path):
+        # the stored kind, growth and params are not trusted; a missing kind
+        # reads the same
+        path = tmp_path / "sym.json"
+        doc = {"params": {"re": 5.0}, "growth_bound": 0.4, "taylor": [[2.0, -1.0], [0.5, 0.0]]}
+        path.write_text(json.dumps({**doc, "kind": kind} if kind else doc))
+        back = fileio.read_symbol_json(path)
+        assert (back.kind, back.growth_bound, back.params) == ("poly", 0.0, {"degree": 1})
+        np.testing.assert_array_equal(back.monomial(), [2.0 - 1.0j, 0.5])
+
+    @pytest.mark.parametrize("kind", [1e308, 0, True, None, ["poly"], {"kind": "poly"}])
+    def test_kind_must_be_a_string(self, kind, tmp_path):
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps({"kind": kind, "taylor": [[1.0, 0.0]]}))
+        with pytest.raises(ConfigurationError, match="'kind' must be a string"):
+            fileio.read_symbol_json(path)
+
+    def test_series_past_sqrt_factorial_range_refused(self, tmp_path):
+        # sqrt(k!) overflows past 301 terms: refused, with no RuntimeWarning
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps({"kind": "poly", "taylor": [[1e-300, 0.0]] * 400}))
+        with pytest.raises(ConfigurationError, match="non-finite"):
             fileio.read_symbol_json(path)
 
     def test_generic_rebuilds_from_taylor(self, tmp_path):

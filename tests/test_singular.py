@@ -220,6 +220,16 @@ class TestDerivRoute:
         with pytest.raises(EnvelopeError):
             s_phi_apply_deriv(np.ones(41), unit_fock(0))
 
+    def test_overflow_is_an_evaluation_failure(self):
+        # a finite symbol and argument whose product passes the largest double
+        with pytest.raises(EvaluationFailureError, match="derivative route"):
+            s_phi_apply_deriv(np.array([1e3]), FockCoeffs(np.array([0.0, 1e307])))
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_nonfinite_angle_refused(self, alpha):
+        with pytest.raises(ConfigurationError, match="rotation angle must be finite"):
+            s_phi_apply_deriv(np.array([0.0, 1.0]), unit_fock(1), alpha)
+
 
 def _found_degree_39():
     """A degree-39 symbol the plane rule does not resolve: 0.6^k-scaled random
@@ -396,6 +406,18 @@ class TestMatrix:
         np.testing.assert_array_equal(
             s_phi_matrix(sym, 30, PLANE).entries,
             s_phi_matrix(sym, 30, PLANE, method="deriv").entries,
+        )
+
+    def test_auto_takes_deriv_for_any_polynomial_kind_symbol(self):
+        # the route is the kind's, whoever built the symbol: a "poly" symbol
+        # from make_symbol, degree 20, past the plane rule's degree edge
+        rng = np.random.default_rng(21)
+        mono = (rng.standard_normal(21) + 1j * rng.standard_normal(21)) * 0.6 ** np.arange(21)
+        sym = make_symbol("poly", lambda z: np.polyval(mono[::-1], z),
+                          FockCoeffs(mono * sqrt_factorials(21)), 0.0)
+        np.testing.assert_array_equal(
+            s_phi_matrix(sym, 12, PLANE).entries,
+            s_phi_matrix(sym, 12, PLANE, method="deriv").entries,
         )
 
     @pytest.mark.parametrize("sym", [phi_n_closed(2, 1.0), hilbert_symbol()], ids=["phi_2", "hilbert"])
