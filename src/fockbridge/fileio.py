@@ -178,6 +178,7 @@ def read_symbol_json(path) -> FockSymbol:
         return gaussian_symbol(_number(params, "a", path), _number(params, "b", path))
     if kind == "hilbert":
         return hilbert_symbol()
-    # past 301 terms sqrt(k!) overflows, and the symbol's series is refused
+    # a coefficient near the float64 limit overflows the symbol's cross-check,
+    # which refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         return poly_symbol(taylor.coeffs / sqrt_factorials(taylor.order))

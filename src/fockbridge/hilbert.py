@@ -63,8 +63,15 @@ def hilbert_classical_grid(s: SampledSignal) -> SampledSignal:
     inputs or long grids.  Power-of-two lengths are fastest but any length
     works.
     """
-    m = s.values.size
-    spec = np.fft.fft(s.values)
+    return SampledSignal(s.x0, s.dx, _hilbert_in_place(s.values.copy()))
+
+
+def _hilbert_in_place(values: np.ndarray) -> np.ndarray:
+    """The DFT multiplier of :func:`hilbert_classical_grid` applied to the
+    writable complex samples ``values`` in place; returns ``values``.  The
+    transforms write into the input, so no second grid-length buffer is made."""
+    m = values.size
+    spec = np.fft.fft(values, out=values)
     # -i sgn's three values (signed zeros kept) scale the bins in place
     zero, pos, neg = -1j * np.array([0.0, 1.0, -1.0])
     spec[0] *= zero
@@ -72,7 +79,7 @@ def hilbert_classical_grid(s: SampledSignal) -> SampledSignal:
     spec[m // 2 + 1 :] *= neg
     if m % 2 == 0:
         spec[m // 2] *= 0j
-    return SampledSignal(s.x0, s.dx, np.fft.ifft(spec, out=spec))
+    return np.fft.ifft(spec, out=spec)
 
 
 def _sign_matrix(n_out: int, n_in: int) -> np.ndarray:

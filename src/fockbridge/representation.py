@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -96,7 +97,7 @@ class SampledSignal:
 
     @property
     def grid(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.values.size)
+        return _grid(self.x0, self.dx, 0, self.values.size)
 
     def norm(self) -> float:
         """Discrete L^2 norm sqrt(dx * sum |v|^2)."""
@@ -168,27 +169,48 @@ class FockCoeffs(_CoeffVector):
     coeffs: np.ndarray = field(repr=False)
 
 
-def _hermite_blocks(order: int, x: np.ndarray):
-    """(slice, h_0..h_{order-1} at x[slice]) over consecutive blocks of the
-    points ``x``, each at most _GRID_BLOCK matrix entries, so memory stays
-    bounded for any number of points."""
+def _grid(x0: float, dx: float, lo: int, hi: int) -> np.ndarray:
+    """Points lo..hi-1 of the uniform grid x0 + dx*arange(m); each point has
+    the bits it has in the whole grid, so a grid is formed block by block."""
+    return x0 + dx * np.arange(lo, hi)
+
+
+def _hermite_blocks(order: int, m: int, points):
+    """(slice, h_0..h_{order-1} at points(lo, hi)) over consecutive blocks of
+    m points, each at most _GRID_BLOCK matrix entries.  A caller deletes each
+    block before asking for the next, so one block is alive at a time and
+    memory stays bounded for any number of points."""
     step = max(1, _GRID_BLOCK // order)
-    for lo in range(0, x.size, step):
-        block = slice(lo, lo + step)
-        yield block, hermite_fn_all(order - 1, x[block])
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        yield slice(lo, hi), hermite_fn_all(order - 1, points(lo, hi))
 
 
-def _hermite_project(x: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
-    """sum_j h_n(x_j) v_j for n < order: real and imaginary parts are two
-    real products per block, so the Hermite matrix is never cast to complex.
-    An overflow gives a non-finite entry, for the caller to refuse."""
+def _hermite_project(points, v: np.ndarray, order: int) -> np.ndarray:
+    """sum_j h_n(x_j) v_j for n < order, the x_j given by ``points`` (see
+    :func:`_hermite_blocks`): real and imaginary parts are two real products
+    per block, so the Hermite matrix is never cast to complex.  An overflow
+    gives a non-finite entry, for the caller to refuse."""
     re = np.zeros(order)
     im = np.zeros(order)
     with np.errstate(over="ignore", invalid="ignore"):
-        for block, hmat in _hermite_blocks(order, x):
+        for block, hmat in _hermite_blocks(order, v.size, points):
             re += hmat @ v.real[block]
             im += hmat @ v.imag[block]
+            del hmat
         return re + 1j * im
+
+
+def _hermite_expand(c: np.ndarray, m: int, points) -> np.ndarray:
+    """sum_n c_n h_n at the m ``points`` (see :func:`_hermite_blocks`), as a
+    new complex array: two real products per block, so the Hermite matrix is
+    never cast to complex."""
+    out = np.empty(m, dtype=complex)
+    for block, hmat in _hermite_blocks(c.size, m, points):
+        out.real[block] = c.real @ hmat
+        out.imag[block] = c.imag @ hmat
+        del hmat
+    return out
 
 
 def analyze(f, n_coeffs: int, rule: LineRule | None) -> HermiteCoeffs:
@@ -213,7 +235,7 @@ def analyze(f, n_coeffs: int, rule: LineRule | None) -> HermiteCoeffs:
                 f"dx*sqrt(4n+2)/pi = {r:.3f} exceeds {GRID_NYQUIST}"
             )
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = f.dx * _hermite_project(f.grid, f.values, n_coeffs)
+            coeffs = f.dx * _hermite_project(partial(_grid, f.x0, f.dx), f.values, n_coeffs)
     else:
         if rule is None:
             raise ConfigurationError("a callable needs a line rule to be projected")
@@ -225,28 +247,31 @@ def analyze(f, n_coeffs: int, rule: LineRule | None) -> HermiteCoeffs:
         with np.errstate(all="ignore"):  # non-finite values are refused below
             weighted = rule.weights_nogauss * np.asarray(f(rule.nodes), dtype=complex)
         _check_finite(weighted, rule.nodes, "analysis integrand")
-        coeffs = _hermite_project(rule.nodes, weighted, n_coeffs)
+        coeffs = _hermite_project(lambda lo, hi: rule.nodes[lo:hi], weighted, n_coeffs)
     if not np.all(np.isfinite(coeffs)):
         raise EvaluationFailureError("analysis: the rule sum overflows")
     return HermiteCoeffs(coeffs)
 
 
+def _synthesize_values(coeffs: HermiteCoeffs, x0: float, dx: float, m: int) -> np.ndarray:
+    """sum_n c_n h_n at x0 + dx*arange(m) as a new, writable complex array;
+    the grid is formed one block at a time."""
+    _check_size(m, "sample count", lo=0)
+    with np.errstate(all="ignore"):  # a non-finite grid is refused by SampledSignal
+        return _hermite_expand(coeffs.coeffs, m, partial(_grid, x0, dx))
+
+
 def synthesize(coeffs: HermiteCoeffs, x0: float, dx: float, m: int) -> SampledSignal:
     """Evaluate sum_n c_n h_n on a uniform grid."""
-    with np.errstate(all="ignore"):  # a non-finite grid is refused below
-        values = hermite_eval(coeffs, x0 + dx * np.arange(m))
-    return SampledSignal(x0, dx, values)
+    return SampledSignal(x0, dx, _synthesize_values(coeffs, x0, dx, m))
 
 
 def hermite_eval(coeffs: HermiteCoeffs, x):
     """Pointwise sum_n c_n h_n(x), scalar in, scalar out: in bounded blocks
     of the Hermite matrix and as two real products (no complex copy of it)."""
     xarr = np.asarray(x, dtype=float).ravel()
-    out = np.empty(xarr.size, dtype=complex)
-    for block, hmat in _hermite_blocks(coeffs.order, xarr):
-        out.real[block] = coeffs.coeffs.real @ hmat
-        out.imag[block] = coeffs.coeffs.imag @ hmat
-    return shaped_like(out, x)
+    values = _hermite_expand(coeffs.coeffs, xarr.size, lambda lo, hi: xarr[lo:hi])
+    return shaped_like(values, x)
 
 
 def bargmann_coeff(h: HermiteCoeffs) -> FockCoeffs:

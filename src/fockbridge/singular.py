@@ -537,6 +537,7 @@ def _poly_gaussian_symbol(
     the Gaussian's series g (:func:`_gaussian_series`, g_0 = exp(a b^2)).
     """
     poly = np.asarray(poly, dtype=complex)
+    sf = sqrt_factorials(n_taylor)  # refuses a series too long for float64 first
 
     def evaluate(z):
         u = np.ravel(np.asarray(z, dtype=complex))
@@ -544,7 +545,7 @@ def _poly_gaussian_symbol(
         return shaped_like(p if a == 0.0 else p * np.exp(a * (u - b) * (u - b)), z)
 
     g = _gaussian_series(a, b, math.exp(a * b * b), n_taylor)
-    taylor = FockCoeffs(np.convolve(poly, g)[:n_taylor] * sqrt_factorials(n_taylor))
+    taylor = FockCoeffs(np.convolve(poly, g)[:n_taylor] * sf)
     return make_symbol(kind, evaluate, taylor, a, params)
 
 

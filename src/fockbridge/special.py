@@ -34,6 +34,9 @@ SQRT_PI = math.sqrt(math.pi)
 #: Bargmann kernel.  Satisfies NORM_CONSTANT**4 == 2/pi.
 NORM_CONSTANT = (2.0 / math.pi) ** 0.25
 
+#: Most entries sqrt_factorials returns: sqrt(301!) overflows float64.
+SQRT_FACTORIAL_TERMS = 301
+
 #: Terms of Weideman's approximation of the Faddeeva function behind the erf
 #: kernel, and its scale L = sqrt(N/sqrt(2)).
 _WEIDEMAN_N = 40
@@ -107,12 +110,23 @@ def hermite_fn_all(nmax: int, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     out = np.empty((nmax + 1, x.size), dtype=float)
-    out[0] = NORM_CONSTANT * np.exp(-x * x)
+    # h_0 = NORM_CONSTANT * exp(-x * x), formed in its row
+    np.negative(x, out=out[0])
+    out[0] *= x
+    np.exp(out[0], out=out[0])
+    out[0] *= NORM_CONSTANT
     if nmax == 0:
         return out
-    out[1] = 2.0 * x * out[0]
+    two_x = 2.0 * x
+    np.multiply(two_x, out[0], out=out[1])
+    # row m+1 is (2x h_m - sqrt(m) h_{m-1}) / sqrt(m+1), in that order, in place
+    tmp = np.empty_like(out[0]) if nmax > 1 else None
     for m in range(1, nmax):
-        out[m + 1] = (2.0 * x * out[m] - math.sqrt(m) * out[m - 1]) / math.sqrt(m + 1)
+        row = out[m + 1]
+        np.multiply(two_x, out[m], out=row)
+        np.multiply(math.sqrt(m), out[m - 1], out=tmp)
+        row -= tmp
+        row /= math.sqrt(m + 1)
     return out
 
 
@@ -122,8 +136,15 @@ def sqrt_factorials(n: int) -> np.ndarray:
     float(k!) overflows from k = 171 on, so each k! is divided by an even
     power of two 4^e before the (correctly rounded) int-to-float division
     and the root is scaled back by 2^e.  Power-of-two scaling is exact, so
-    every entry equals sqrt(float(k!)) wherever float(k!) exists.
+    every entry equals sqrt(float(k!)) wherever float(k!) exists.  sqrt(k!)
+    itself overflows from k = 301 on: n above SQRT_FACTORIAL_TERMS raises
+    ConfigurationError before any arithmetic.
     """
+    if n > SQRT_FACTORIAL_TERMS:
+        raise ConfigurationError(
+            f"a series of {n} terms is past float64: sqrt(k!) is non-finite "
+            f"from k = {SQRT_FACTORIAL_TERMS} on, so at most {SQRT_FACTORIAL_TERMS} terms"
+        )
     facts = [math.factorial(k) for k in range(n)]
     halves = [max(0, f.bit_length() - 1000) // 2 for f in facts]
     scaled = np.array([f / 4**e for f, e in zip(facts, halves)], dtype=float)

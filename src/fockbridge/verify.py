@@ -19,7 +19,6 @@ import math
 import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,8 @@ from .representation import (
     PLANE_RULE_SIZES,
     FockCoeffs,
     HermiteCoeffs,
+    SampledSignal,
+    _synthesize_values,
     analyze,
     bargmann_coeff,
     bargmann_direct,
@@ -284,10 +285,10 @@ def _grid_hilbert_coeffs(n: int, order: int) -> FockCoeffs:
     rule and mapped to the Fock side."""
     m, dx = 2**17, 0.04
     x0 = -0.5 * m * dx
-    # the sampled h_n is dropped once transformed, before the projection
+    # h_n is sampled into a buffer of its own and transformed in place
     e_n = HermiteCoeffs(np.eye(1, n + 1, n)[0])
-    hsig = _hilbert.hilbert_classical_grid(synthesize(e_n, x0, dx, m))
-    return bargmann_coeff(analyze(hsig, order, None))
+    values = _hilbert._hilbert_in_place(_synthesize_values(e_n, x0, dx, m))
+    return bargmann_coeff(analyze(SampledSignal(x0, dx, values), order, None))
 
 
 def _check_hilbert_grid_consistency(cfg: VerifyConfig):
@@ -480,6 +481,9 @@ def run_suite(suite: str = "all", cfg: VerifyConfig | None = None) -> Verificati
     if threads <= 1:
         results = [_run_one(n, cfg) for n in names]
     else:
+        # loaded here, not at import: the pool pulls in logging and queue
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda n: _run_one(n, cfg), names))
     results.sort(key=lambda r: r.name)

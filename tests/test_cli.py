@@ -871,3 +871,59 @@ class TestImportHygiene:
             env=env, cwd=workdir, capture_output=True, text=True, timeout=120, check=True,
         )
         assert proc.stdout.split() == ["0", "0"]
+
+    def test_import_loads_no_thread_pool(self):
+        # concurrent.futures pulls in logging, traceback and queue; only a
+        # multi-threaded run_suite loads it, and it changes no report byte
+        env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
+        code = (
+            "import sys, fockbridge, fockbridge.cli\n"
+            "def loaded():\n"
+            "    print(' '.join(sorted(m for m in sys.modules\n"
+            "        if m.split('.')[0] in ('concurrent', 'logging'))) or '-')\n"
+            "loaded()\n"
+            "from fockbridge.verify import VerifyConfig, report_to_json, run_suite\n"
+            "one = report_to_json(run_suite('basis', VerifyConfig(threads=1)))\n"
+            "loaded()\n"
+            "two = report_to_json(run_suite('basis', VerifyConfig(threads=2)))\n"
+            "print(one == two)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        lines = proc.stdout.splitlines()
+        assert lines[:2] == ["-", "-"]
+        assert lines[2] == "True"
+
+
+class TestReproducibility:
+    """A verify report is a pure function of its seed on one numpy build and
+    CPU dispatch; another dispatch may move its bytes, never its verdicts."""
+
+    ARGV = ["verify", "--suite", "bargmann", "--seed", "42", "--compact"]
+    #: the AVX-512 dispatch targets numpy can turn off, leaving AVX2 kernels
+    AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+    def _report(self, **env):
+        env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]), **env)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fockbridge.cli", *self.ARGV],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        return proc.stdout
+
+    def test_same_bytes_twice(self):
+        assert self._report() == self._report()
+
+    def test_another_cpu_dispatch_keeps_every_verdict(self):
+        from numpy._core._multiarray_umath import __cpu_features__
+
+        if not all(__cpu_features__.get(f) for f in self.AVX512):
+            pytest.skip("this CPU has no AVX-512 dispatch to turn off")
+        first = json.loads(self._report())["checks"]
+        avx2 = json.loads(self._report(NPY_DISABLE_CPU_FEATURES=" ".join(self.AVX512)))["checks"]
+        assert [c["name"] for c in avx2] == [c["name"] for c in first]
+        for a, b in zip(first, avx2):
+            assert b["passed"], b
+            assert a["max_error"] / 10 <= b["max_error"] <= 10 * a["max_error"], (a, b)

@@ -97,6 +97,20 @@ class TestClassicalGrid:
             got = hilbert_classical_grid(SampledSignal(-1.0, 0.5, v)).values
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("m", [2, 7, 64, 1001])
+    def test_copies_then_transforms_in_place(self, m):
+        # one multiplier: the public transform is a copy through the in-place
+        # one, bit for bit, and leaves its input untouched; m = 2 has only the
+        # zero and Nyquist bins, both scaled by signed zeros
+        rng = np.random.default_rng(m)
+        sig = SampledSignal(-1.0, 0.5, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        before = sig.values.tobytes()
+        got = hilbert_classical_grid(sig).values
+        assert sig.values.tobytes() == before
+        buf = sig.values.copy()
+        assert hilbert._hilbert_in_place(buf) is buf
+        assert got.tobytes() == buf.tobytes()
+
     def test_memory_bounded(self, traced_peak):
         # the spectrum once, transformed in place: 2 MiB of complex at 2^17
         # samples, not a multiplier, a product and an inverse beside it
@@ -358,7 +372,9 @@ class TestVerifyOracles:
         assert abs(_pv_oracle(z) - ref) <= 1e-12
 
     def test_grid_coeffs_memory_bounded(self, traced_peak):
-        # one complex row of 2^17 samples, synthesized in bounded blocks and
-        # dropped once transformed, not the (n+1) x 2^17 Hermite matrix cast
-        # to complex (18 MiB traced when it was); 7.8 MiB
-        assert traced_peak(lambda: _grid_hilbert_coeffs(4, 24)) <= 8.5 * 2**20
+        # one complex row of 2^17 samples, synthesized one Hermite block at a
+        # time and transformed in its own buffer: 4.4-6.0 MiB for n <= 4
+        # (7.3-8.0 MiB with two blocks alive and the FFT beside its input;
+        # 18 MiB with the Hermite matrix cast to complex)
+        for n in range(5):
+            assert traced_peak(lambda: _grid_hilbert_coeffs(n, 24)) <= 6.5 * 2**20

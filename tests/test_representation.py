@@ -255,6 +255,47 @@ class TestGridProjection:
         assert traced_peak(lambda: analyze(sig, 256, RULE)) <= 16 * 2**20
 
 
+class TestLongGrid:
+    """A grid's points are formed block by block and one Hermite block is
+    alive at a time: the bits of the materialized grid, in bounded memory."""
+
+    M = 2**17 + 3  # three grid blocks at order 5, the last one short
+    X0, DX = -13.1, 26.3 / 2**17
+    H = HermiteCoeffs(np.random.default_rng(17).standard_normal(5) * (0.8 - 0.3j))
+
+    def test_synthesize_has_the_materialized_grid_bits(self):
+        got = synthesize(self.H, self.X0, self.DX, self.M).values
+        want = hermite_eval(self.H, self.X0 + self.DX * np.arange(self.M))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [5, 24])
+    def test_analyze_has_the_materialized_grid_bits(self, order):
+        sig = synthesize(self.H, self.X0, self.DX, self.M)
+        grid = self.X0 + self.DX * np.arange(self.M)
+        np.testing.assert_array_equal(sig.grid, grid)
+        want = sig.dx * representation._hermite_project(
+            lambda lo, hi: grid[lo:hi], sig.values, order
+        )
+        assert analyze(sig, order, None).coeffs.tobytes() == want.tobytes()
+
+    def test_synthesize_memory(self, traced_peak):
+        # e_4 on 2^17 points: the 2 MiB result, one 2 MiB Hermite block and
+        # its points (5.2 MiB); 7.8 MiB with two blocks and the whole grid
+        e4 = unit_hermite(4)
+        assert traced_peak(lambda: synthesize(e4, -2621.44, 0.04, 2**17)) <= 6 * 2**20
+
+    def test_analyze_memory(self, traced_peak):
+        # order 24 on 2^17 points: one 2 MiB Hermite block (2.25 MiB);
+        # 5.25 MiB with two blocks and the whole grid
+        sig = synthesize(unit_hermite(4), -2621.44, 0.04, 2**17)
+        assert traced_peak(lambda: analyze(sig, 24, None)) <= 3 * 2**20
+
+    @pytest.mark.parametrize("m", [-1, 2.0**17])
+    def test_sample_count_is_an_integer(self, m):
+        with pytest.raises(ConfigurationError, match="sample count"):
+            synthesize(self.H, 0.0, 0.1, m)
+
+
 class TestOffGrid:
     """Between its grid points a sampled signal is the polynomial through its
     STENCIL nearest samples, and 0 outside its grid."""

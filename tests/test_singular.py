@@ -36,7 +36,12 @@ from fockbridge.singular import (
     wavelet_fock_apply,
     wavelet_transform,
 )
-from fockbridge.special import NORM_CONSTANT, hermite_fn_all, sqrt_factorials
+from fockbridge.special import (
+    NORM_CONSTANT,
+    SQRT_FACTORIAL_TERMS,
+    hermite_fn_all,
+    sqrt_factorials,
+)
 
 PLANE = plane_gaussian_rule(64, 256)
 LINE = gauss_hermite_rule(200)
@@ -945,6 +950,13 @@ class TestClosedFormBuilder:
         # exp(a b^2) overflows at 50; at 1e160 a b^2 itself does
         with pytest.raises(EnvelopeError, match="overflows"):
             gaussian_symbol(0.4, b)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_series_past_sqrt_factorial_range_refused(self):
+        # 301 coefficients are the most sqrt(k!) can scale in float64
+        assert poly_symbol([1e-3] * SQRT_FACTORIAL_TERMS).taylor.order == SQRT_FACTORIAL_TERMS
+        with pytest.raises(ConfigurationError, match="at most 301 terms"):
+            poly_symbol([1.0] * 400)
 
     @pytest.mark.parametrize("b", [math.nan, math.inf])
     def test_non_finite_shift_refused(self, b):

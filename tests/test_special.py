@@ -12,6 +12,7 @@ import fockbridge as fb
 from fockbridge.errors import ConfigurationError
 from fockbridge.special import (
     NORM_CONSTANT,
+    SQRT_FACTORIAL_TERMS,
     A_eval,
     A_phi_eval,
     _check_size,
@@ -92,6 +93,20 @@ class TestHermitePoly:
             hermite_poly(-1, 0.0)
 
 
+def hermite_fn_all_reference(nmax: int, x) -> np.ndarray:
+    """The expression form of hermite_fn_all's recurrence, one new array per
+    operation: the reference its in-place rows must equal bit for bit."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((nmax + 1, x.size), dtype=float)
+    out[0] = NORM_CONSTANT * np.exp(-x * x)
+    if nmax == 0:
+        return out
+    out[1] = 2.0 * x * out[0]
+    for m in range(1, nmax):
+        out[m + 1] = (2.0 * x * out[m] - math.sqrt(m) * out[m - 1]) / math.sqrt(m + 1)
+    return out
+
+
 class TestHermiteFn:
     def test_h0_at_zero(self):
         assert hermite_fn(0, 0.0) == pytest.approx(NORM_CONSTANT, abs=1e-15)
@@ -132,6 +147,25 @@ class TestHermiteFn:
             n / (n + 1)
         ) * hermite_fn(n - 1, x)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+    #: out to |x| = 40, where every h_n underflows to zero; signed zeros included
+    POINTS = np.concatenate((
+        np.linspace(-40.0, 40.0, 1601),
+        np.random.default_rng(7).uniform(-12.0, 12.0, 400),
+        [0.0, -0.0, 1e-300, -1e-300, 26.5, -26.6],
+    ))
+
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 40, 256])
+    def test_all_equals_expression_form_bit_for_bit(self, nmax):
+        got = hermite_fn_all(nmax, self.POINTS)
+        assert got.tobytes() == hermite_fn_all_reference(nmax, self.POINTS).tobytes()
+
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 40, 256])
+    def test_all_at_a_0d_point_equals_expression_form(self, nmax):
+        for x in (-40.0, -3.7, -0.0, 0.0, 0.8, 12.5, 40.0):
+            got = hermite_fn_all(nmax, np.float64(x))
+            assert got.shape == (nmax + 1, 1)
+            assert got.tobytes() == hermite_fn_all_reference(nmax, np.float64(x)).tobytes()
 
     def test_all_matches_scalar(self):
         xs = np.array([-3.0, -0.5, 0.0, 1.2, 2.8])
@@ -177,6 +211,14 @@ class TestSqrtFactorials:
 
     def test_empty(self):
         assert sqrt_factorials(0).shape == (0,)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_past_float64_refused_before_any_arithmetic(self):
+        # sqrt(300!) = 1.75e307 is the last finite entry; sqrt(301!) overflows
+        assert np.isfinite(sqrt_factorials(SQRT_FACTORIAL_TERMS)[-1])
+        for n in (SQRT_FACTORIAL_TERMS + 1, 400):
+            with pytest.raises(ConfigurationError, match="non-finite"):
+                sqrt_factorials(n)
 
 
 class TestGaussianIntegralClosed:
