@@ -79,6 +79,9 @@ MATRIX_RADIUS = 1.5
 _FROM_G_TAYLOR = 40
 _HILBERT_TAYLOR = 60
 
+#: Plane nodes whose kernel is formed at once (64 KiB of complex).
+_KERNEL_BLOCK = 2**12
+
 #: Elements of a wavelet symbol's u × nodes exponential formed at once (1 MiB).
 _INNER_BLOCK = 2**16
 
@@ -222,12 +225,27 @@ def s_phi_alpha_apply(phi: FockSymbol, alpha: float, F: FockCoeffs, z, rule: Pla
     _check_admitted(phi, plane=True)
     ea = cmath.exp(1j * finite_param(alpha, "rotation angle"))
     check_envelope(F.order, z)
-    wbar = np.conj(rule.nodes)
     fw = fock_eval(F, rule.nodes)
-    return rule_sum_per_point(
-        lambda zk: ((rule.weights * np.exp(zk * wbar)) * fw, phi.evaluate(ea * zk - wbar / ea)),
-        z, rule.nodes, "plane-operator integrand",
-    )
+
+    def weights_values(zk):
+        weights, values = _plane_kernel(phi, ea, zk, rule)
+        return weights * fw, values
+
+    return rule_sum_per_point(weights_values, z, rule.nodes, "plane-operator integrand")
+
+
+def _plane_kernel(phi: FockSymbol, ea: complex, zk: complex, rule: PlaneRule):
+    """The plane kernel at one point, and the only place it is formed:
+    weights * e^{zk conj(w)} and phi(ea zk - conj(w)/ea) on the rule, built
+    _KERNEL_BLOCK nodes at a time so no symbol evaluation sees the whole rule."""
+    weights = np.empty(rule.size, dtype=complex)
+    values = np.empty(rule.size, dtype=complex)
+    for lo in range(0, rule.size, _KERNEL_BLOCK):
+        blk = slice(lo, lo + _KERNEL_BLOCK)
+        wbar = np.conj(rule.nodes[blk])
+        weights[blk] = rule.weights[blk] * np.exp(zk * wbar)
+        values[blk] = phi.evaluate(ea * zk - wbar / ea)
+    return weights, values
 
 
 def _deriv_matrix(a: np.ndarray, rows: int, cols: int, alpha: float) -> np.ndarray:
@@ -299,8 +317,9 @@ def s_phi_matrix(
 
     method "deriv" is :func:`_deriv_matrix` on the symbol's first 2n - 1
     Taylor coefficients, the only ones the block reads; "quadrature"
-    samples S e_m on the circle |z| = MATRIX_RADIUS and reads the Taylor
-    coefficients off a discrete Fourier transform; "auto" takes "deriv"
+    samples every S e_m from one plane-kernel pass per point of the circle
+    |z| = MATRIX_RADIUS and reads the Taylor coefficients off a discrete
+    Fourier transform; "auto" takes "deriv"
     where :func:`_band_route` admits the call, and "quadrature" for the
     series symbols, whose alternating sums lose digits as n grows.  Either route
     admits the symbol as the plane operators do (the degree on "quadrature"
@@ -327,12 +346,18 @@ def s_phi_matrix(
     n_circle = max(2 * n, 32)
     circle = MATRIX_RADIUS * np.exp(2j * math.pi * np.arange(n_circle) / n_circle)
     scale = MATRIX_RADIUS ** np.arange(n) / sqrt_factorials(n)
-    entries = np.zeros((n, n), dtype=complex)
-    for m in range(n):
-        unit = FockCoeffs(np.eye(1, m + 1, m, dtype=complex)[0])
-        vals = s_phi_alpha_apply(phi, alpha, unit, circle, rule)
-        entries[:, m] = np.fft.fft(vals)[:n] / n_circle / scale
-    return OperatorMatrix(entries)
+    ea = cmath.exp(1j * alpha)
+    samples = np.empty((n_circle, n), dtype=complex)
+    for k, zk in enumerate(circle.tolist()):
+        weights, values = _plane_kernel(phi, ea, zk, rule)
+        # e_m on the nodes by fock_eval's own recurrence, one column at a time
+        term = np.ones(rule.size, dtype=complex)
+        for m in range(n):
+            if m:
+                term = term * rule.nodes / math.sqrt(m)
+            samples[k, m] = rule_sum(weights * term, values, rule.nodes, "plane-operator integrand")
+        del weights, values, term  # the next point's kernel is formed without them
+    return OperatorMatrix(np.fft.fft(samples, axis=0)[:n] / n_circle / scale[:, None])
 
 
 def operator_norm_estimate(mat: OperatorMatrix) -> float:
@@ -426,6 +451,7 @@ def phi_from_g(spec: WaveletSpec, rule: LineRule) -> FockSymbol:
             np.exp(block, out=block)
             block *= gw
             out[lo : lo + rows] = block.sum(axis=-1)
+            del block
         return shaped_like(pref * out, z)
 
     j = np.arange(_FROM_G_TAYLOR)
@@ -542,7 +568,9 @@ def _poly_gaussian_symbol(
     def evaluate(z):
         u = np.ravel(np.asarray(z, dtype=complex))
         p = np.polyval(poly[::-1], u)
-        return shaped_like(p if a == 0.0 else p * np.exp(a * (u - b) * (u - b)), z)
+        # np.multiply, not *: numpy reuses a large exp temporary for p * exp
+        # with the operands swapped, which rounds complex products differently
+        return shaped_like(p if a == 0.0 else np.multiply(p, np.exp(a * (u - b) * (u - b))), z)
 
     g = _gaussian_series(a, b, math.exp(a * b * b), n_taylor)
     taylor = FockCoeffs(np.convolve(poly, g)[:n_taylor] * sf)

@@ -223,7 +223,8 @@ def _erf(z) -> np.ndarray:
     out = np.empty_like(s)
     small = np.abs(s) < 1.0
     u = s[small]
-    out[small] = u * np.polyval(maclaurin, u * u)
+    # np.multiply keeps u first, as in _poly_gaussian_symbol's evaluator
+    out[small] = np.multiply(u, np.polyval(maclaurin, u * u))
     u = s[~small]
     with np.errstate(over="ignore", invalid="ignore"):
         d = _WEIDEMAN_L + u

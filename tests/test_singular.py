@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from fockbridge.errors import ConfigurationError, EnvelopeError, EvaluationFailureError
-from fockbridge.hilbert import hilbert_fock_S_apply
-from fockbridge.quadrature import gauss_hermite_rule, plane_gaussian_rule
+from fockbridge.hilbert import HilbertParams, hilbert_fock_S_apply
+from fockbridge.quadrature import gauss_hermite_rule, plane_gaussian_rule, rule_sum
 from fockbridge.representation import (
     FockCoeffs,
     HermiteCoeffs,
@@ -17,7 +18,7 @@ from fockbridge.representation import (
     hermite_eval,
     inverse_bargmann_coeff,
 )
-from fockbridge import singular, verify
+from fockbridge import hilbert, singular, verify
 from fockbridge.singular import (
     OperatorMatrix,
     WaveletSpec,
@@ -434,9 +435,9 @@ class TestMatrix:
 
     def test_quadrature_refuses_before_first_apply(self, monkeypatch):
         def no_apply(*args, **kwargs):
-            raise AssertionError("plane apply ran before the envelope check")
+            raise AssertionError("a plane kernel was formed before the envelope check")
 
-        monkeypatch.setattr(singular, "s_phi_alpha_apply", no_apply)
+        monkeypatch.setattr(singular, "_plane_kernel", no_apply)
         with pytest.raises(EnvelopeError):
             s_phi_matrix(gaussian_symbol(0.25, 0.0), 25, PLANE, method="quadrature")
         with pytest.raises(EnvelopeError):
@@ -447,7 +448,7 @@ class TestMatrix:
         def no_apply(*args, **kwargs):
             raise AssertionError("a column was computed before the growth check")
 
-        monkeypatch.setattr(singular, "s_phi_alpha_apply", no_apply)
+        monkeypatch.setattr(singular, "_plane_kernel", no_apply)
         monkeypatch.setattr(singular, "_deriv_matrix", no_apply)
         # phi_0 at s = 3 grows like exp((9/22) |z|^2), past GROWTH_CAP; its
         # stored series covers the derivative route's 4 x 4 block
@@ -458,7 +459,7 @@ class TestMatrix:
         def no_apply(*args, **kwargs):
             raise AssertionError("a column was computed before the degree check")
 
-        monkeypatch.setattr(singular, "s_phi_alpha_apply", no_apply)
+        monkeypatch.setattr(singular, "_plane_kernel", no_apply)
         sym = poly_symbol(0.6 ** np.arange(singular.PLANE_POLY_DEGREE_MAX + 2))
         with pytest.raises(EnvelopeError, match="degree"):
             s_phi_matrix(sym, 4, PLANE, method="quadrature")
@@ -997,3 +998,159 @@ class TestHilbertSymbol:
 
     def test_growth_bound_at_pv_boundary(self):
         assert hilbert_symbol().growth_bound == 0.5
+
+
+def _phase_symbol(monkeypatch):
+    """The phase symbol cos(phi) + sin(phi) pv that hilbert_fock_kernel_apply
+    builds and hands the plane engine."""
+    seen = {}
+    monkeypatch.setattr(hilbert, "s_phi_alpha_apply", lambda chi, *args: seen.setdefault("chi", chi))
+    hilbert.hilbert_fock_kernel_apply(unit_fock(0), HilbertParams(0.6, 0.9), 0.5, PLANE)
+    return seen["chi"]
+
+
+#: One member of each symbol family the plane engine sees, built from the
+#: monkeypatch fixture (which only the phase symbol needs).
+FAMILIES = {
+    "const": lambda _: const_symbol(1.7 - 0.4j),
+    "poly": lambda _: poly_symbol([0.2, -1j, 0.4, 0.1 + 0.05j]),
+    "gauss": lambda _: gaussian_symbol(0.3, 0.2),
+    "phi_n": lambda _: phi_n_closed(3, 1.3),
+    "hilbert": lambda _: hilbert_symbol(),
+    "from-g": lambda _: phi_from_g(WaveletSpec(lambda t: t * np.exp(-t * t), 1.0), gauss_hermite_rule(60)),
+    "hilbert-phase": _phase_symbol,
+}
+
+
+class TestCallSizeBits:
+    """A symbol value's bits do not depend on how many points are evaluated
+    together: numpy reuses a temporary of 16384 complex points (256 KiB) for
+    a product with the operands swapped, unless the evaluator fixes the order."""
+
+    @pytest.mark.parametrize("radius", [1.3, 6.0])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_one_call_chunks_and_scalars_agree(self, family, radius, monkeypatch):
+        sym = FAMILIES[family](monkeypatch)
+        rng = np.random.default_rng(28)
+        u = rng.uniform(0, 1, (2, 16384))
+        z = radius * np.sqrt(u[0]) * np.exp(2j * np.pi * u[1])
+        whole = np.asarray(sym.evaluate(z))
+        chunks = np.concatenate([np.asarray(sym.evaluate(z[lo : lo + 1000])) for lo in range(0, 16384, 1000)])
+        np.testing.assert_array_equal(_bits(chunks), _bits(whole))
+        # every 8th point as a scalar keeps the test fast
+        scalars = np.array([complex(sym.evaluate(p)) for p in z[::8].tolist()])
+        np.testing.assert_array_equal(_bits(scalars), _bits(whole[::8]))
+
+
+class TestSharedKernel:
+    """s_phi_matrix forms each circle point's plane kernel once and reduces
+    every column against it, with the bits of one engine call per column; the
+    engine's blocked kernel has the bits of the whole-array formula."""
+
+    # 5000 nodes: one full 4096-node block and a 904-node tail
+    RULE = plane_gaussian_rule(20, 250)
+
+    @staticmethod
+    def per_column(phi, n, alpha, rule):
+        n_circle = max(2 * n, 32)
+        circle = singular.MATRIX_RADIUS * np.exp(2j * math.pi * np.arange(n_circle) / n_circle)
+        scale = singular.MATRIX_RADIUS ** np.arange(n) / sqrt_factorials(n)
+        return np.stack([
+            np.fft.fft(s_phi_alpha_apply(phi, alpha, unit_fock(m), circle, rule))[:n] / n_circle / scale
+            for m in range(n)
+        ], axis=1)
+
+    @pytest.mark.parametrize("family", ["gauss", "poly", "phi_n", "hilbert", "from-g"])
+    def test_matrix_matches_per_column_engine(self, family, monkeypatch):
+        phi = FAMILIES[family](monkeypatch)
+        assert self.RULE.size % singular._KERNEL_BLOCK == 904
+        got = s_phi_matrix(phi, 6, self.RULE, alpha=0.7, method="quadrature").entries
+        np.testing.assert_array_equal(got, self.per_column(phi, 6, 0.7, self.RULE))
+
+    def test_matrix_matches_per_column_engine_on_the_cli_rule(self):
+        phi = gaussian_symbol(0.25, 0.3)
+        got = s_phi_matrix(phi, 8, PLANE, alpha=-1.1, method="quadrature").entries
+        np.testing.assert_array_equal(got, self.per_column(phi, 8, -1.1, PLANE))
+
+    @pytest.mark.parametrize("rule", [RULE, PLANE], ids=["5000", "16384"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_engine_matches_whole_array_formula(self, family, rule, monkeypatch):
+        phi = FAMILIES[family](monkeypatch)
+        alpha, z = 0.7, np.array([0.4 - 1.1j, -1.6 + 0.3j])
+        ea, wbar = cmath.exp(1j * alpha), np.conj(rule.nodes)
+        fw = fock_eval(_F, rule.nodes)
+        want = [
+            rule_sum((rule.weights * np.exp(zk * wbar)) * fw, phi.evaluate(ea * zk - wbar / ea),
+                     rule.nodes, "plane-operator integrand")
+            for zk in z.tolist()
+        ]
+        np.testing.assert_array_equal(s_phi_alpha_apply(phi, alpha, _F, z, rule), want)
+
+
+class TestKernelRefusals:
+    """A non-finite symbol value in a later 4096-node block is refused with
+    the node index counted over the whole rule, and the value check still
+    runs before the check of the weighted terms."""
+
+    R_INF, R_HUGE = 7.0, 2.5
+
+    def holey(self):
+        # 1 on |u| <= 2.5, where the construction check looks; huge but
+        # finite out to 7, whose terms overflow against a large F; inf past it
+        def evaluate(u):
+            a = np.abs(np.asarray(u, dtype=complex))
+            return np.where(a > self.R_INF, np.inf, np.where(a > self.R_HUGE, 1e308, 1.0)) + 0j
+
+        return make_symbol("holey", evaluate, FockCoeffs(np.array([1.0 + 0j])), 0.0)
+
+    def expected(self, alpha, zk):
+        ea = cmath.exp(1j * alpha)
+        u = np.abs(ea * zk - np.conj(PLANE.nodes) / ea)
+        i = int(np.flatnonzero(u > self.R_INF)[0])
+        assert i >= singular._KERNEL_BLOCK and np.flatnonzero(u > self.R_HUGE)[0] < i
+        node = PLANE.nodes[i]
+        return i, f"plane-operator integrand produced a non-finite value at node index {i} (node {node})"
+
+    @pytest.mark.filterwarnings("error")
+    def test_apply_names_the_rule_node(self):
+        i, msg = self.expected(0.0, 0.5 + 0.2j)
+        with pytest.raises(EvaluationFailureError) as err:
+            s_phi_apply(self.holey(), FockCoeffs(np.array([1e10 + 0j])), 0.5 + 0.2j, PLANE)
+        assert str(err.value) == msg and err.value.node_index == i
+
+    @pytest.mark.filterwarnings("error")
+    def test_matrix_names_the_rule_node(self):
+        i, msg = self.expected(0.4, singular.MATRIX_RADIUS + 0j)
+        with pytest.raises(EvaluationFailureError) as err:
+            s_phi_matrix(self.holey(), 4, PLANE, alpha=0.4, method="quadrature")
+        assert str(err.value) == msg and err.value.node_index == i
+
+
+class TestPlaneKernelMemory:
+    """The plane kernel is formed in 4096-node blocks, so no symbol evaluation
+    makes a 16384-node temporary: one apply at ten points peaked at 3.4 MiB
+    traced for hilbert when the kernel was one whole-rule pass, and about
+    1.5 MiB blocked.  A wavelet symbol adds its own 1 MiB inner block."""
+
+    POINTS = np.linspace(0.2, 1.9, 10) * np.exp(2j * np.pi * np.arange(10) / 10)
+    #: MiB; the whole-rule kernel peaked at 1.5-1.75 for the closed forms,
+    #: 3.4 for the principal-value family and 3.5 for a wavelet symbol
+    BOUND = {"hilbert": 2.0, "hilbert-phase": 2.0, "from-g": 2.5}
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_apply_bounded(self, family, monkeypatch, traced_peak):
+        phi = FAMILIES[family](monkeypatch)
+        s_phi_apply(phi, _F, 0.5, PLANE)  # first-use caches stay out of the peak
+        peak = traced_peak(lambda: s_phi_apply(phi, _F, self.POINTS, PLANE))
+        assert peak <= self.BOUND.get(family, 1.4) * 2**20
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matrix_bounded(self, family, monkeypatch, traced_peak):
+        # the reducer allocates its weighted terms as rule_sum does but sums
+        # them without fsum, whose ~10^7 scalar reads tracemalloc would trace
+        # one by one (9 s for one build); the whole-rule kernel peaked at
+        # 1.5-1.76 MiB for the closed forms and 3.4 MiB for the others
+        monkeypatch.setattr(singular, "rule_sum", lambda w, v, nodes, what: complex((w * v).sum()))
+        phi = FAMILIES[family](monkeypatch)
+        peak = traced_peak(lambda: s_phi_matrix(phi, 8, PLANE, alpha=0.4, method="quadrature"))
+        assert peak <= self.BOUND.get(family, 1.4) * 2**20
