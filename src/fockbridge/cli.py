@@ -64,10 +64,9 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="fockbridge", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_data_args(sp, needs_out=True):
+    def add_data_args(sp):
         sp.add_argument("--in", dest="infile", required=True, help="input CSV signal or coefficient JSON")
-        if needs_out:
-            sp.add_argument("--out", dest="outfile", required=True, help="output path")
+        sp.add_argument("--out", dest="outfile", required=True, help="output path")
         sp.add_argument("--n", type=int, help="truncation order for signal inputs (default 64, <= 256)")
         sp.add_argument("--format", choices=("json", "csv"), help="force input format (default: by extension)")
         sp.add_argument("--dump-grid", dest="dump_grid", help="also write the result sampled on a grid as CSV")

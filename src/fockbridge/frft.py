@@ -133,7 +133,8 @@ def _stage_values(fvals: np.ndarray, a: FrftAngle, x: np.ndarray, rule: LineRule
     weighted = rule.weights_nogauss * fvals * np.exp(1j * cot * t * t)
     kernel = np.multiply(np.outer(x, t), -2j * csc)
     np.exp(kernel, out=kernel)
-    return cp * np.exp(1j * cot * x * x) * (kernel @ weighted)
+    # np.multiply, not *: numpy reuses a large exp temporary with the operands swapped
+    return np.multiply(cp, np.exp(1j * cot * x * x)) * (kernel @ weighted)
 
 
 def frft_integral(f, alpha, x, rule: LineRule):

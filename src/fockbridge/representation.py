@@ -220,7 +220,7 @@ def analyze(f, n_coeffs: int, rule: LineRule | None) -> HermiteCoeffs:
     (spectrally accurate for smooth signals decayed at both grid ends) and
     ``rule`` is unused (it may be None); a grid too coarse for h_{n-1}
     (dx*sqrt(4n + 2)/pi > GRID_NYQUIST) raises EnvelopeError before any
-    work.  A callable is projected with
+    work.  A callable, vectorized or scalar-only, is projected with
     ``rule``, which must have at least twice as many nodes as requested
     coefficients: the projection integrands have polynomial degree about 2n
     against the Gaussian weight.  A non-finite value or sum raises
@@ -245,7 +245,7 @@ def analyze(f, n_coeffs: int, rule: LineRule | None) -> HermiteCoeffs:
                 f"need at least {2 * n_coeffs} nodes"
             )
         with np.errstate(all="ignore"):  # non-finite values are refused below
-            weighted = rule.weights_nogauss * np.asarray(f(rule.nodes), dtype=complex)
+            weighted = rule.weights_nogauss * _evaluate(f, rule.nodes, "analysis integrand")
         _check_finite(weighted, rule.nodes, "analysis integrand")
         coeffs = _hermite_project(lambda lo, hi: rule.nodes[lo:hi], weighted, n_coeffs)
     if not np.all(np.isfinite(coeffs)):
@@ -284,17 +284,20 @@ def inverse_bargmann_coeff(F: FockCoeffs) -> HermiteCoeffs:
     return HermiteCoeffs(F.coeffs)
 
 
-def fock_eval(F: FockCoeffs, z):
-    """Evaluate sum_n c_n z^n/sqrt(n!) with a stable term recurrence.
+def _fock_basis(z: np.ndarray, n: int):
+    """e_m = z^m/sqrt(m!), m < n, as new arrays at 1-d complex z: the one e_m recurrence."""
+    for m in range(n):
+        term = term * z / math.sqrt(m) if m else np.ones_like(z)
+        yield term
 
-    Accepts a scalar or ndarray ``z``; the recurrence runs on it as a 1-d
-    array either way, so a scalar gets the bits it has in an array."""
-    zarr = np.asarray(z, dtype=complex).ravel()
-    term = np.ones_like(zarr)
-    acc = F.coeffs[0] * term
-    for k in range(1, F.order):
-        term = term * zarr / math.sqrt(k)
-        acc = acc + F.coeffs[k] * term
+
+def fock_eval(F: FockCoeffs, z):
+    """Evaluate sum_n c_n z^n/sqrt(n!) at a scalar or ndarray ``z`` by :func:`_fock_basis`,
+    on a 1-d array either way, so a scalar gets the bits it has in an array."""
+    basis = _fock_basis(np.asarray(z, dtype=complex).ravel(), F.order)
+    acc = F.coeffs[0] * next(basis)
+    for c, term in zip(F.coeffs[1:], basis):
+        acc = acc + c * term
     return shaped_like(acc, z)
 
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import ConfigurationError, EnvelopeError
 from .quadrature import LineRule, PlaneRule, _check_finite, _evaluate, gauss_hermite_rule
-from .quadrature import rule_sum, rule_sum_per_point
-from .representation import FockCoeffs, check_envelope, fock_eval
+from .quadrature import rule_sum
+from .representation import FockCoeffs, _fock_basis, check_envelope, fock_eval
 from .special import A_eval, SQRT_PI, _check_size, finite_param, finite_points
 from .special import shaped_like, sqrt_factorials
 
@@ -226,26 +226,29 @@ def s_phi_alpha_apply(phi: FockSymbol, alpha: float, F: FockCoeffs, z, rule: Pla
     ea = cmath.exp(1j * finite_param(alpha, "rotation angle"))
     check_envelope(F.order, z)
     fw = fock_eval(F, rule.nodes)
-
-    def weights_values(zk):
-        weights, values = _plane_kernel(phi, ea, zk, rule)
-        return weights * fw, values
-
-    return rule_sum_per_point(weights_values, z, rule.nodes, "plane-operator integrand")
+    points = np.asarray(z, dtype=complex).ravel().tolist()
+    sums = _plane_sums(phi, ea, points, lambda k: (np.multiply(k, fw, out=k),), rule)
+    return shaped_like([row[0] for row in sums], z)
 
 
-def _plane_kernel(phi: FockSymbol, ea: complex, zk: complex, rule: PlaneRule):
-    """The plane kernel at one point, and the only place it is formed:
-    weights * e^{zk conj(w)} and phi(ea zk - conj(w)/ea) on the rule, built
-    _KERNEL_BLOCK nodes at a time so no symbol evaluation sees the whole rule."""
-    weights = np.empty(rule.size, dtype=complex)
-    values = np.empty(rule.size, dtype=complex)
-    for lo in range(0, rule.size, _KERNEL_BLOCK):
-        blk = slice(lo, lo + _KERNEL_BLOCK)
-        wbar = np.conj(rule.nodes[blk])
-        weights[blk] = rule.weights[blk] * np.exp(zk * wbar)
-        values[blk] = phi.evaluate(ea * zk - wbar / ea)
-    return weights, values
+def _plane_sums(phi: FockSymbol, ea: complex, z: list, columns, rule: PlaneRule):
+    """The one plane engine: at each point zk of z, the rule sums of c * phi(ea zk - conj(w)/ea),
+    one per column c = k * f(w) that ``columns(k)`` yields from the kernel weights
+    k = weights * e^{zk conj(w)}, which ``columns`` may scale in place for its last.  The kernel
+    is formed in _KERNEL_BLOCK-node blocks, so no symbol evaluation sees the whole rule."""
+    for zk in z:
+        weights = np.empty(rule.size, dtype=complex)
+        values = np.empty(rule.size, dtype=complex)
+        for lo in range(0, rule.size, _KERNEL_BLOCK):
+            blk = slice(lo, lo + _KERNEL_BLOCK)
+            wbar = np.conj(rule.nodes[blk])
+            weights[blk] = rule.weights[blk] * np.exp(zk * wbar)
+            values[blk] = phi.evaluate(ea * zk - wbar / ea)
+        del wbar  # no node block outlives the kernel's formation
+        sums = [rule_sum(c, values, rule.nodes, "plane-operator integrand")
+                for c in columns(weights)]
+        del weights, values  # the next point's kernel is formed without them
+        yield sums
 
 
 def _deriv_matrix(a: np.ndarray, rows: int, cols: int, alpha: float) -> np.ndarray:
@@ -348,15 +351,10 @@ def s_phi_matrix(
     scale = MATRIX_RADIUS ** np.arange(n) / sqrt_factorials(n)
     ea = cmath.exp(1j * alpha)
     samples = np.empty((n_circle, n), dtype=complex)
-    for k, zk in enumerate(circle.tolist()):
-        weights, values = _plane_kernel(phi, ea, zk, rule)
-        # e_m on the nodes by fock_eval's own recurrence, one column at a time
-        term = np.ones(rule.size, dtype=complex)
-        for m in range(n):
-            if m:
-                term = term * rule.nodes / math.sqrt(m)
-            samples[k, m] = rule_sum(weights * term, values, rule.nodes, "plane-operator integrand")
-        del weights, values, term  # the next point's kernel is formed without them
+    columns = lambda k: (k * e for e in _fock_basis(rule.nodes, n))
+    rows = _plane_sums(phi, ea, circle.tolist(), columns, rule)
+    for i, row in enumerate(rows):
+        samples[i] = row
     return OperatorMatrix(np.fft.fft(samples, axis=0)[:n] / n_circle / scale[:, None])
 
 
@@ -388,7 +386,8 @@ def wavelet_transform(f, spec: WaveletSpec, x, rule: LineRule):
         args = ((t - points[lo : lo + rows, None]) / spec.s).ravel()
         gvals = _evaluate(spec.g, args, "wavelet").reshape(-1, t.size)
         sums += [rule_sum(rule.weights_nogauss, ft * g, t, "wavelet integrand") for g in gvals]
-    return shaped_like(sums, x) / math.sqrt(abs(spec.s) * math.pi)
+    # divided as an array, so a scalar gets the bits it has in an array
+    return shaped_like(np.divide(sums, math.sqrt(abs(spec.s) * math.pi)), x)
 
 
 def wavelet_fock_apply(F: FockCoeffs, spec: WaveletSpec, z, plane: PlaneRule, line: LineRule):

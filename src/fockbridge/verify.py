@@ -33,6 +33,7 @@ from .representation import (
     FockCoeffs,
     HermiteCoeffs,
     SampledSignal,
+    _fock_basis,
     _synthesize_values,
     analyze,
     bargmann_coeff,
@@ -105,12 +106,8 @@ def _check_basis_orthonormality(cfg: VerifyConfig):
     gram = (h * rule.weights_nogauss) @ h.T
     e_line = float(np.abs(gram - np.eye(31)).max())
     plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
-    e_plane = 0.0
-    term = np.ones_like(plane.nodes)
-    for n in range(31):
-        if n > 0:
-            term = term * plane.nodes / math.sqrt(n)
-        e_plane = max(e_plane, abs(float(np.sum(plane.weights * np.abs(term) ** 2)) - 1.0))
+    basis = _fock_basis(plane.nodes, 31)
+    e_plane = max(abs(float(np.sum(plane.weights * np.abs(e) ** 2)) - 1.0) for e in basis)
     return _normalized([(e_line, 1e-9), (e_plane, 1e-10)])
 
 

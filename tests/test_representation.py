@@ -23,6 +23,8 @@ from fockbridge.representation import (
     inverse_bargmann_direct,
     synthesize,
 )
+from fockbridge.frft import frft_integral
+from fockbridge.singular import WaveletSpec, wavelet_transform
 from fockbridge.special import hermite_fn, hermite_fn_all
 
 RULE = gauss_hermite_rule(200)
@@ -156,6 +158,12 @@ class TestAnalyze:
         for part in (np.real, np.imag):
             exact = np.array([math.fsum(row) for row in part(terms)])
             assert np.all(np.abs(part(got) - exact) <= bound * np.abs(part(terms)).sum(axis=1))
+
+    def test_scalar_only_callable(self):
+        # math.exp takes one float at a time; the callable is evaluated node by node
+        got = analyze(lambda t: math.exp(-t * t), 4, RULE)
+        want = analyze(lambda x: np.array([math.exp(-t * t) for t in x]), 4, RULE)
+        np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
     def test_parseval(self):
         rng = np.random.default_rng(3)
@@ -569,3 +577,59 @@ def test_parseval_property(data):
     h = HermiteCoeffs(np.array(re) + 1j * np.array(im))
     back = analyze(lambda x: hermite_eval(h, x), n, gauss_hermite_rule(200))
     assert abs(back.norm() - h.norm()) <= 1e-8 * max(1.0, h.norm())
+
+
+def _bits(values):
+    """The bit patterns of a complex array, so that a comparison sees signed
+    zeros and last-place differences."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
+_LINE = gauss_hermite_rule(40)
+_f = lambda t: (1.0 + 0.5j * t) * np.exp(-0.5 * t * t)
+_WAVELET = WaveletSpec(lambda t: t * np.exp(-t * t), 1.5)
+_HERMITE = HermiteCoeffs(np.random.default_rng(29).standard_normal(12) * (1.0 - 0.3j))
+_FOCK = FockCoeffs(np.random.default_rng(30).standard_normal(12) * (0.4 + 1.1j))
+
+#: The line routes, each with its points: real ones in [-3, 3], complex ones
+#: in the disc |z| <= 2.5.
+LINE_ROUTES = {
+    "frft_one_pass": (lambda x: frft_integral(_f, 0.7, x, _LINE), False),
+    "frft_two_pass": (lambda x: frft_integral(_f, 0.3, x, _LINE), False),
+    "wavelet_transform": (lambda x: wavelet_transform(_f, _WAVELET, x, _LINE), False),
+    "bargmann_direct": (lambda z: bargmann_direct(_f, z, _LINE), True),
+    "hermite_eval": (lambda x: hermite_eval(_HERMITE, x), False),
+    "fock_eval": (lambda z: fock_eval(_FOCK, z), True),
+}
+
+
+#: Routes that reduce through a BLAS product, whose summation order follows
+#: the number of points: one point takes a dot kernel, and rows past a
+#: multiple of 4 a remainder kernel.  Their 1000-point chunks keep the bits,
+#: and a scalar agrees with its array value to rounding only.
+_BLAS_ROUTES = ("frft_one_pass", "frft_two_pass", "hermite_eval")
+
+
+class TestLineCallSizeBits:
+    """A point's value on the line routes does not depend on how many points
+    share the call: numpy reuses a temporary of 16384 complex points (256 KiB)
+    for a product with the operands swapped unless the code fixes the order,
+    and a Python complex divides otherwise than a complex array."""
+
+    @pytest.mark.parametrize("route", sorted(LINE_ROUTES))
+    def test_one_call_chunks_and_scalars_agree(self, route):
+        apply, complex_points = LINE_ROUTES[route]
+        u = np.random.default_rng(31).uniform(0, 1, (2, 16384))
+        if complex_points:
+            x = 2.5 * np.sqrt(u[0]) * np.exp(2j * np.pi * u[1])
+        else:
+            x = 6.0 * u[0] - 3.0
+        whole = np.asarray(apply(x))
+        chunks = np.concatenate([np.asarray(apply(x[lo : lo + 1000])) for lo in range(0, x.size, 1000)])
+        np.testing.assert_array_equal(_bits(chunks), _bits(whole))
+        scalars = np.array([apply(p) for p in x[::64].tolist()])
+        assert all(type(v) is complex for v in scalars.tolist())
+        if route in _BLAS_ROUTES:
+            np.testing.assert_allclose(scalars, whole[::64], rtol=0, atol=1e-14 * np.abs(whole).max())
+        else:
+            np.testing.assert_array_equal(_bits(scalars), _bits(whole[::64]))
