@@ -46,7 +46,7 @@ from .singular import (
     wavelet_transform,
     _routed_apply,
 )
-from .verify import VerifyConfig, default_threads, report_to_json, run_suite, SUITES
+from .verify import VerifyConfig, report_to_json, run_suite, SUITES
 
 MAX_CLI_ORDER = 256
 
@@ -122,8 +122,6 @@ def _build_parser() -> _Parser:
                     help="record wall times (breaks byte determinism)")
     sp.add_argument("--compact", action="store_const", const=True, default=None,
                     help="compact JSON")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads (capped by FOCKBRIDGE_THREADS)")
     sp.add_argument("--out", dest="outfile", default=None,
                     help="write the report here instead of stdout")
     return p
@@ -299,7 +297,6 @@ _VERIFY_CONFIG = {
     "seed": (42, (int,)),
     "timings": (False, (bool,)),
     "compact": (False, (bool,)),
-    "threads": (None, (int, type(None))),
     "out": (None, (str, type(None))),
 }
 
@@ -322,12 +319,7 @@ def _verify_settings(args) -> dict:
 
 def _cmd_verify(args) -> int:
     opts = _verify_settings(args)
-    if opts["threads"] is not None and opts["threads"] < 1:
-        raise UsageError(f"threads must be at least 1, got {opts['threads']}")
-    cap = default_threads()
-    want = opts["threads"] or cap or 1
-    threads = min(want, cap) if cap else want
-    cfg = VerifyConfig(seed=opts["seed"], timings=bool(opts["timings"]), threads=threads)
+    cfg = VerifyConfig(seed=opts["seed"], timings=bool(opts["timings"]))
     report = run_suite(opts["suite"], cfg)
     text = report_to_json(report, compact=bool(opts["compact"]))
     if opts["out"]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 import zlib
 from dataclasses import dataclass
@@ -44,7 +43,7 @@ from .representation import (
     inverse_bargmann_direct,
     synthesize,
 )
-from .special import gaussian_integral_closed, hermite_fn, hermite_fn_all
+from .special import _check_size, gaussian_integral_closed, hermite_fn, hermite_fn_all
 
 __all__ = [
     "VerifyConfig",
@@ -60,9 +59,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VerifyConfig:
+    """The seed every check draws from, and whether to record wall times.
+    The checks run in order in one thread, so ``threads`` admits 1 only."""
+
     seed: int = 42
     timings: bool = False
     threads: int = 1
+
+    def __post_init__(self):
+        _check_size(self.seed, "verify seed", lo=0)
+        if self.threads != 1:
+            raise ConfigurationError(f"verify runs in one thread; got threads={self.threads!r}")
 
 
 @dataclass(frozen=True)
@@ -473,27 +480,7 @@ def _run_one(name: str, cfg: VerifyConfig) -> CheckResult:
 
 def run_suite(suite: str = "all", cfg: VerifyConfig | None = None) -> VerificationReport:
     cfg = cfg or VerifyConfig()
-    names = suite_names(suite)
-    threads = cfg.threads
-    if threads <= 1:
-        results = [_run_one(n, cfg) for n in names]
-    else:
-        # loaded here, not at import: the pool pulls in logging and queue
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda n: _run_one(n, cfg), names))
-    results.sort(key=lambda r: r.name)
-    return VerificationReport(cfg, tuple(results))
-
-
-def default_threads() -> int | None:
-    """The worker-thread cap set by FOCKBRIDGE_THREADS (at least 1), or None
-    when it is unset or not an integer; the one reader of the variable."""
-    try:
-        return max(1, int(os.environ["FOCKBRIDGE_THREADS"]))
-    except (KeyError, ValueError):
-        return None
+    return VerificationReport(cfg, tuple(_run_one(n, cfg) for n in suite_names(suite)))
 
 
 def report_to_json(report: VerificationReport, compact: bool = False) -> str:

@@ -10,21 +10,14 @@ POINTS = np.linspace(0.2, 1.9, 10) * np.exp(2j * np.pi * np.arange(10) / 10)
 @pytest.fixture
 def array_contract():
     """Check that ``apply`` on an array of points returns the per-point values
-    in the input's shape, and a Python complex for a 0-d input.
-
-    Values must agree bit for bit, or within ``max_ulp`` units in the last
-    place on each of the real and imaginary parts.
+    in the input's shape, bit for bit, and a Python complex for a 0-d input.
     """
 
-    def check(apply, points=POINTS, max_ulp=0):
+    def check(apply, points=POINTS):
         got = apply(points)
         assert got.shape == points.shape
         each = np.array([apply(p) for p in points.tolist()])
-        if max_ulp:
-            np.testing.assert_array_max_ulp(got.real, each.real, maxulp=max_ulp)
-            np.testing.assert_array_max_ulp(got.imag, each.imag, maxulp=max_ulp)
-        else:
-            np.testing.assert_array_equal(got, each)
+        np.testing.assert_array_equal(got, each)
         np.testing.assert_array_equal(apply(points.reshape(2, 5)), got.reshape(2, 5))
         assert type(apply(points[3])) is complex
         assert type(apply(np.asarray(points[3]))) is complex

@@ -10,8 +10,9 @@ import pytest
 
 import fockbridge
 
-from fockbridge import fileio
+from fockbridge import fileio, verify
 from fockbridge.cli import run_command
+from fockbridge.errors import ConfigurationError
 from fockbridge.frft import fock_rotation, frft_coeffs
 from fockbridge.hilbert import HilbertParams, fractional_hilbert
 from fockbridge.quadrature import gauss_hermite_rule, plane_gaussian_rule
@@ -37,7 +38,7 @@ from fockbridge.singular import (
     wavelet_transform,
 )
 from fockbridge.special import NORM_CONSTANT
-from fockbridge.verify import default_threads
+from fockbridge.verify import VerifyConfig
 
 
 @pytest.fixture()
@@ -532,20 +533,6 @@ class TestVerifyCommand:
     def test_unknown_suite_usage_error(self, workdir):
         assert run_command(["verify", "--suite", "nonsense"]) == 2
 
-    def test_thread_env_cap(self, workdir, monkeypatch):
-        monkeypatch.setenv("FOCKBRIDGE_THREADS", "2")
-        assert run_command(["verify", "--suite", "basis", "--threads", "8"]) == 0
-
-    @pytest.mark.parametrize(
-        "raw, cap", [(None, None), ("2", 2), (" 2", 2), ("0", 1), ("many", None)]
-    )
-    def test_thread_env_reader(self, monkeypatch, raw, cap):
-        if raw is None:
-            monkeypatch.delenv("FOCKBRIDGE_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("FOCKBRIDGE_THREADS", raw)
-        assert default_threads() == cap
-
     def test_config_file_with_flag_override(self, workdir, capsys):
         (workdir / "cfg.json").write_text('{"suite": "basis", "seed": 11, "compact": true}')
         assert run_command(["verify", "--config", "cfg.json"]) == 0
@@ -557,14 +544,15 @@ class TestVerifyCommand:
         assert doc["config"]["seed"] == 5
 
     def test_config_file_rejects_unknown_keys(self, workdir):
-        # the rule sizes and the coefficient order are pinned, not configurable
-        for key in ("zeal", "order", "line_size", "plane_radial", "plane_angular"):
+        # the rule sizes, the coefficient order and the thread count are
+        # pinned, not configurable
+        for key in ("zeal", "order", "line_size", "plane_radial", "plane_angular", "threads"):
             (workdir / "cfg.json").write_text(json.dumps({"suite": "basis", key: 9}))
             assert run_command(["verify", "--config", "cfg.json"]) == 2
 
     @pytest.mark.parametrize(
         "doc",
-        ['{"suite": "basis", "threads": "2"}', '{"suite": "basis", "out": 5}',
+        ['{"suite": "basis", "compact": 1}', '{"suite": "basis", "out": 5}',
          '{"suite": "basis", "seed": 1.5}', '{"suite": "basis", "seed": true}', "[5]"],
     )
     def test_config_file_refuses_ill_typed_values(self, doc, workdir, capsys):
@@ -578,13 +566,35 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "flag, value",
         [("--order", "64"), ("--line-size", "100"), ("--plane-radial", "32"),
-         ("--plane-angular", "128")],
+         ("--plane-angular", "128"), ("--threads", "2")],
     )
     def test_rule_and_order_flags_are_gone(self, flag, value, workdir, capsys):
         assert run_command(["verify", "--suite", "basis", flag, value]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("fockbridge: error=") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_refused_before_any_check(self, source, workdir, capsys, monkeypatch):
+        ran = []
+        for name, (_, suites) in verify.CHECKS.items():
+            monkeypatch.setitem(verify.CHECKS, name, (lambda cfg, name=name: ran.append(name), suites))
+        if source == "flag":
+            argv = ["verify", "--suite", "all", "--seed", "-1"]
+        else:
+            (workdir / "cfg.json").write_text('{"suite": "all", "seed": -3}')
+            argv = ["verify", "--config", "cfg.json"]
+        assert run_command(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and ran == []
+        assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
+        assert "verify seed" in err and ("-1" if source == "flag" else "-3") in err
+
+    def test_config_refusals(self):
+        VerifyConfig(seed=1, threads=1, timings=True)
+        for kwargs in ({"seed": -1}, {"seed": 2.0}, {"threads": 0}):
+            with pytest.raises(ConfigurationError):
+                VerifyConfig(**kwargs)
 
 
 class TestUsageErrors:
@@ -597,26 +607,6 @@ class TestUsageErrors:
 
     def test_bad_n(self, workdir):
         assert run_command(["frft", "--alpha", "1", "--in", "sig.csv", "--out", "x.csv", "--n", "400"]) == 2
-
-    @pytest.mark.parametrize("count, rc", [(-2, 2), (0, 2), (1, 0)])
-    def test_thread_count_flag(self, count, rc, workdir, capsys):
-        assert run_command(["verify", "--suite", "basis", "--threads", str(count)]) == rc
-        err = capsys.readouterr().err
-        if rc:
-            assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
-        else:
-            assert err == ""
-
-    @pytest.mark.parametrize("count, rc", [(-2, 2), (0, 2), (1, 0)])
-    def test_thread_count_config_key(self, count, rc, workdir, capsys):
-        (workdir / "cfg.json").write_text(json.dumps({"suite": "basis", "threads": count}))
-        assert run_command(["verify", "--config", "cfg.json"]) == rc
-        out, err = capsys.readouterr()
-        if rc:
-            assert out == ""
-            assert err.startswith("fockbridge: error=usage") and err.count("\n") == 1
-        else:
-            assert json.loads(out)["passed"] is True
 
 
 #: Non-finite values where they enter: each must be refused, not written out.
@@ -873,8 +863,8 @@ class TestImportHygiene:
         assert proc.stdout.split() == ["0", "0"]
 
     def test_import_loads_no_thread_pool(self):
-        # concurrent.futures pulls in logging, traceback and queue; only a
-        # multi-threaded run_suite loads it, and it changes no report byte
+        # concurrent.futures pulls in logging, traceback and queue; neither
+        # the import nor a run of the checks, one after another, loads them
         env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
         code = (
             "import sys, fockbridge, fockbridge.cli\n"
@@ -882,19 +872,17 @@ class TestImportHygiene:
             "    print(' '.join(sorted(m for m in sys.modules\n"
             "        if m.split('.')[0] in ('concurrent', 'logging'))) or '-')\n"
             "loaded()\n"
-            "from fockbridge.verify import VerifyConfig, report_to_json, run_suite\n"
-            "one = report_to_json(run_suite('basis', VerifyConfig(threads=1)))\n"
+            "from fockbridge.verify import run_suite\n"
+            "assert run_suite('basis').passed\n"
             "loaded()\n"
-            "two = report_to_json(run_suite('basis', VerifyConfig(threads=2)))\n"
-            "print(one == two)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        lines = proc.stdout.splitlines()
-        assert lines[:2] == ["-", "-"]
-        assert lines[2] == "True"
+        assert proc.stdout.splitlines() == ["-", "-"]
+        with pytest.raises(ConfigurationError, match="threads=2"):
+            VerifyConfig(threads=2)
 
 
 class TestReproducibility:

@@ -5,6 +5,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockbridge.errors import ConfigurationError, EnvelopeError, EvaluationFailureError
 from fockbridge.hilbert import HilbertParams, hilbert_fock_S_apply
@@ -493,6 +495,41 @@ class TestMatrix:
         n16 = operator_norm_estimate(s_phi_matrix(sym, 16, PLANE))
         n24 = operator_norm_estimate(s_phi_matrix(sym, 24, PLANE))
         assert abs(n24 - n16) <= 0.02 * n16
+
+
+class TestAdjoint:
+    """S_phi* = S_{phi*} with phi*(u) = conj(phi(-conj(u))), on the truncated
+    matrices: the adjoint of exp(a (z - b)^2) is the shift -b, of phi_n the
+    sign (-1)^n, and of a polynomial p the coefficients (-1)^k conj(p_k)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        a=st.floats(min_value=0.05, max_value=0.4),
+        b=st.floats(min_value=-2.0, max_value=2.0),
+        n=st.integers(min_value=1, max_value=20),
+    )
+    def test_gaussian_shift_flips(self, a, b, n):
+        m = s_phi_matrix(gaussian_symbol(a, b), n, PLANE, method="deriv").entries
+        flipped = s_phi_matrix(gaussian_symbol(a, -b), n, PLANE, method="deriv").entries
+        np.testing.assert_array_equal(m.conj().T, flipped)
+
+    @pytest.mark.parametrize("s", [1.0, -1.0, 2.0])
+    @pytest.mark.parametrize("k", range(7))
+    def test_phi_n_is_self_adjoint_up_to_its_parity(self, k, s):
+        m = s_phi_matrix(phi_n_closed(k, s), 12, PLANE, method="deriv").entries
+        np.testing.assert_array_equal(m.conj().T, (-1) ** k * m)
+
+    def test_polynomial_coefficients_flip(self):
+        rng = np.random.default_rng(13)
+        p = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        m = s_phi_matrix(poly_symbol(p), 8, PLANE, method="deriv").entries
+        adjoint = poly_symbol((-1.0) ** np.arange(6) * p.conj())
+        np.testing.assert_array_equal(m.conj().T, s_phi_matrix(adjoint, 8, PLANE, method="deriv").entries)
+
+    def test_quadrature_route(self):
+        m = s_phi_matrix(gaussian_symbol(0.25, 0.3), 8, PLANE, method="quadrature").entries
+        flipped = s_phi_matrix(gaussian_symbol(0.25, -0.3), 8, PLANE, method="quadrature").entries
+        assert np.abs(m.conj().T - flipped).max() <= 1e-12 * np.abs(m).max()
 
 
 class TestWavelet:
