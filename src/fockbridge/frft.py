@@ -165,7 +165,7 @@ def frft_integral(f, alpha, x, rule: LineRule):
         # cover the outer rule's node span, so it runs on a larger rule, and
         # anything beyond its trusted radius is clipped to zero (the true
         # values there are Gaussian-negligible).
-        inner_rule = gauss_hermite_rule(min(MAX_LINE_SIZE, max(rule.size, 2 * rule.size)))
+        inner_rule = gauss_hermite_rule(min(MAX_LINE_SIZE, 2 * rule.size))
         inner = FrftAngle(math.pi / 2.0)
         outer = FrftAngle(a.alpha - math.pi / 2.0)
         fvals = _evaluate(f, inner_rule.nodes, "FrFT integrand")

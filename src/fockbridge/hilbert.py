@@ -6,8 +6,8 @@ through the exact Hermite-basis matrix of sgn(x), rotate back.  The
 plane-kernel realization is the validated alternative; the two are compared,
 not assumed equal.  On the Fock side the classical transform is S_phi of
 the principal-value symbol pv (``singular.hilbert_symbol``), and the
-fractional one is the rotated S_phi of cos(phi) + sin(phi) pv at angle
-alpha - pi/2; the operators admit this family alone at pv's growth 1/2.
+fractional one is cos(phi) F + sin(phi) S(pv), S(pv) the rotated S_phi of pv
+at angle alpha - pi/2; the operators admit pv alone at growth 1/2.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import EnvelopeError
 from .quadrature import PlaneRule
-from .representation import FockCoeffs, HermiteCoeffs, SampledSignal
-from .singular import hilbert_symbol, make_symbol, s_phi_alpha_apply, s_phi_apply
+from .representation import FockCoeffs, HermiteCoeffs, SampledSignal, fock_eval
+from .singular import hilbert_symbol, s_phi_alpha_apply, s_phi_apply
 from .special import finite_param, hermite_fn_all
 from .frft import FrftAngle, _phases
 
@@ -122,20 +122,17 @@ def fractional_hilbert(h: HermiteCoeffs, params: HilbertParams) -> HermiteCoeffs
 
 def hilbert_fock_kernel_apply(F: FockCoeffs, params: HilbertParams, z, rule: PlaneRule):
     """Plane-kernel form of the fractional Hilbert transform, at a point or
-    an array of points: the rotated S_phi at alpha - pi/2 of the symbol
-    chi(u) = cos(phi) + sin(phi) pv(u), pv the principal-value symbol.
+    an array of points: cos(phi) F(z) + sin(phi) S(pv) F(z), with S(pv) the
+    rotated S_phi at alpha - pi/2 of the principal-value symbol pv.
 
-    Since erf(y) = i erfi(-i y), chi(e^{i(alpha-pi/2)} z - e^{-i(alpha-pi/2)} conj(w))
-    is the kernel (1/sqrt(pi)) A_phi((e^{i alpha} z + e^{-i alpha} conj(w)) / sqrt(2)).
-    chi grows like pv (0 when sin(phi) vanishes); built here, it is admitted at 1/2.
+    The identity is S_phi of the constant symbol 1 (the reproducing
+    property), so this is the rotated S_phi of cos(phi) + sin(phi) pv; since
+    erf(y) = i erfi(-i y), its kernel is
+    (1/sqrt(pi)) A_phi((e^{i alpha} z + e^{-i alpha} conj(w)) / sqrt(2)).
+    The plane call comes first, so its refusals precede any work.
     """
-    pv = hilbert_symbol()
-    c, s = math.cos(params.phi), math.sin(params.phi)
-    taylor = s * pv.taylor.coeffs
-    taylor[0] += c
-    chi = make_symbol("hilbert-phase", lambda u: c + s * pv.evaluate(u), FockCoeffs(taylor),
-                      0.5 if s != 0.0 else 0.0, {"phi": params.phi})
-    return s_phi_alpha_apply(chi, params.alpha - math.pi / 2, F, z, rule)
+    spv = s_phi_alpha_apply(hilbert_symbol(), params.alpha - math.pi / 2, F, z, rule)
+    return math.sin(params.phi) * spv + math.cos(params.phi) * fock_eval(F, z)
 
 
 def hilbert_fock_S_apply(F: FockCoeffs, z, rule: PlaneRule):
@@ -143,6 +140,6 @@ def hilbert_fock_S_apply(F: FockCoeffs, z, rule: PlaneRule):
 
     S_phi of the principal-value symbol phi(u) = (2/sqrt(pi)) A(u/sqrt(2)),
     with A the antiderivative of e^{u^2} vanishing at 0; its growth 1/2 is
-    admitted for the principal-value family alone.
+    admitted for this symbol alone.
     """
     return s_phi_apply(hilbert_symbol(), F, z, rule)

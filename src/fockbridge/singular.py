@@ -6,8 +6,8 @@ e^{i alpha} z - e^{-i alpha} conj(w) and is the package's one plane-operator
 engine (:func:`s_phi_alpha_apply`), which checks the plane envelope before
 any work.  The Fock-side wavelet operator is S_phi of the wavelet's symbol
 (:func:`phi_from_g`); the classical Hilbert transform is S_phi of the
-principal-value symbol (:func:`hilbert_symbol`), the fractional one a
-rotated S_phi of a phase mix of it.
+principal-value symbol (:func:`hilbert_symbol`), and the fractional one
+cos(phi) times the identity plus sin(phi) times a rotated S_phi of it.
 Symbols phi are carried as a :class:`FockSymbol`: a closed-form evaluator
 plus its truncated coefficient vector, checked against each other at
 construction so the two can never drift apart silently.
@@ -53,10 +53,9 @@ __all__ = [
     "hilbert_symbol",
 ]
 
-#: Validated symbol growth for the operators; the principal-value family
+#: Validated symbol growth for the operators; the principal-value symbol
 #: alone is admitted at its boundedness boundary 1/2.
 GROWTH_CAP = 0.4
-_PV_KINDS = ("hilbert", "hilbert-phase")
 _POLY_KINDS = ("poly", "const")
 
 #: Largest polynomial degree the PLANE_RULE_SIZES rule resolves: within 2e-11 of
@@ -99,7 +98,7 @@ class FockSymbol:
     z^n/sqrt(n!); ``monomial()`` converts to plain Taylor coefficients.
     ``growth_bound`` is a constant a with |phi(z)| <= C exp(a |z|^2); the
     operators admit a <= GROWTH_CAP, and 0.5 for the principal-value
-    family (kinds "hilbert" and "hilbert-phase") alone; no file sets ``kind``.
+    symbol (kind "hilbert") alone; no file sets ``kind``.
     """
 
     kind: str
@@ -196,8 +195,8 @@ class OperatorMatrix:
 
 def _check_admitted(phi: FockSymbol, plane: bool) -> None:
     """The symbol's admission, before any work: growth <= GROWTH_CAP, or 1/2 for
-    the principal-value family; on the plane route a resolvable polynomial."""
-    cap = 0.5 if phi.kind in _PV_KINDS else GROWTH_CAP
+    the principal-value symbol; on the plane route a resolvable polynomial."""
+    cap = 0.5 if phi.kind == "hilbert" else GROWTH_CAP
     if not phi.growth_bound <= cap:
         raise EnvelopeError(
             f"symbol '{phi.kind}' has growth bound {phi.growth_bound}, outside the "
@@ -403,8 +402,8 @@ def phi_from_g(spec: WaveletSpec, rule: LineRule) -> FockSymbol:
 
     The coefficient vector comes from the moment expansion
     a_j = sqrt(|s|/pi) (-s)^j mu_j / j!, mu_j = integral of g(t) t^j
-    exp(-s^2 t^2/2) dt.  Wavelets outside L^1 & L^2 are rejected by a
-    refinement-stability proxy on the quadrature norms.  ``g`` is evaluated
+    exp(-s^2 t^2/2) dt, stored as a_j sqrt(j!).  Wavelets outside L^1 & L^2
+    are rejected by a refinement-stability proxy on the quadrature norms.  ``g`` is evaluated
     on the rule once, here, as :func:`wavelet_transform` evaluates it: a
     scalar-only callable is accepted, and a non-finite value raises
     EvaluationFailureError naming the node.  The evaluator forms its
@@ -455,9 +454,7 @@ def phi_from_g(spec: WaveletSpec, rule: LineRule) -> FockSymbol:
 
     j = np.arange(_FROM_G_TAYLOR)
     mu = np.power.outer(t, j).T @ (gw * np.exp(gauss))
-    fact = np.array([math.factorial(int(i)) for i in j], dtype=float)
-    mono = pref * (-s) ** j * mu / fact
-    taylor = FockCoeffs(mono * sqrt_factorials(_FROM_G_TAYLOR))
+    taylor = FockCoeffs(pref * (-s) ** j * mu / sqrt_factorials(_FROM_G_TAYLOR))
 
     # growth estimate from two circles; polynomial factors bias it upward a
     # little, which is the safe direction for the envelope guard
@@ -579,21 +576,18 @@ def _poly_gaussian_symbol(
 def hilbert_symbol() -> FockSymbol:
     """The principal-value symbol (2/sqrt(pi)) A(z/sqrt(2)).
 
-    Odd entire function with phi(0) = 0 and phi'(z) = sqrt(2/pi) e^{z^2/2};
-    square-summable against the normalized monomials, and its growth sits
-    exactly on the 1/2 boundary, where the operators admit this family
-    (kinds "hilbert" and "hilbert-phase") and no other symbol.
+    Odd entire function with phi(0) = 0 and phi'(z) = sqrt(2/pi) e^{z^2/2},
+    so its Taylor coefficients are the Gaussian series of phi' integrated
+    term by term; square-summable against the normalized monomials, and its
+    growth sits exactly on the 1/2 boundary, where the operators admit this
+    symbol and no other.
     """
 
     def evaluate(z):
         zarr = np.asarray(z, dtype=complex)
         return 2.0 / SQRT_PI * A_eval(zarr / math.sqrt(2.0))
 
-    mono = np.zeros(_HILBERT_TAYLOR, dtype=complex)
-    for k in range(_HILBERT_TAYLOR // 2):
-        j = 2 * k + 1
-        mono[j] = (2.0 / SQRT_PI) * (0.5**k / math.sqrt(2.0)) / (
-            math.factorial(k) * j
-        )
+    g = _gaussian_series(0.5, 0.0, math.sqrt(2.0 / math.pi), _HILBERT_TAYLOR - 1)
+    mono = np.concatenate(([0.0], g / np.arange(1, _HILBERT_TAYLOR)))
     taylor = FockCoeffs(mono * sqrt_factorials(_HILBERT_TAYLOR))
     return make_symbol("hilbert", evaluate, taylor, 0.5, {})

@@ -74,9 +74,9 @@ def finite_points(x, what: str) -> np.ndarray:
 
 def _check_size(k, what: str, hi: int | None = None, lo: int = 1) -> None:
     """A size or order is an integer in lo..hi (no upper bound without
-    ``hi``); anything else, a float such as 64.0 included, raises
+    ``hi``); anything else, a float such as 64.0 or a bool included, raises
     ConfigurationError before any work."""
-    if not isinstance(k, (int, np.integer)) or k < lo or (hi is not None and k > hi):
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < lo or (hi is not None and k > hi):
         bound = f"an integer >= {lo}" if hi is None else f"an integer in {lo}..{hi}"
         raise ConfigurationError(f"{what} must be {bound}, got {k!r}")
 

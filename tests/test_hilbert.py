@@ -259,7 +259,7 @@ class TestKernelApply:
 
     def test_matches_multiplier_chain(self):
         zs = (0.5 + 0.5j, -1.2 + 0.1j, 1.4 - 0.6j)
-        for alpha, phi in ((0.7, 1.1), (2.3, 0.4)):
+        for alpha, phi in ((0.7, 1.1), (2.3, 0.4), (1.2, 0.0), (0.3, math.pi / 2)):
             params = HilbertParams(alpha, phi)
             for n in (0, 2, 5):
                 F = unit_fock(n)
@@ -268,7 +268,7 @@ class TestKernelApply:
                 )
                 for z in zs:
                     got = hilbert_fock_kernel_apply(F, params, z, PLANE)
-                    assert got == pytest.approx(fock_eval(chain, z), abs=1e-5)
+                    assert got == pytest.approx(fock_eval(chain, z), abs=1e-13)
 
     def test_phi_linearity(self):
         F = unit_fock(3)

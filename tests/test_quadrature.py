@@ -478,12 +478,13 @@ class TestRuleSizes:
             (gauss_hermite_rule, (2.5,)),
             (gauss_hermite_rule, (64.0,)),
             (gauss_hermite_rule, ("64",)),
+            (gauss_hermite_rule, (True,)),
             (plane_gaussian_rule, (64.0, 256)),
             (plane_gaussian_rule, (64, 256.0)),
             (split_line_rule, (240.5,)),
             (split_line_rule, (240.0,)),
         ],
-        ids=["line-2.5", "line-64.0", "line-str", "radial-64.0", "angular-256.0",
+        ids=["line-2.5", "line-64.0", "line-str", "line-bool", "radial-64.0", "angular-256.0",
              "panel-240.5", "panel-240.0"],
     )
     def test_non_integral_size_refused(self, build, args, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockbridge.errors import ConfigurationError, EnvelopeError, EvaluationFailureError
-from fockbridge.hilbert import HilbertParams, hilbert_fock_S_apply
+from fockbridge.hilbert import hilbert_fock_S_apply
 from fockbridge.quadrature import gauss_hermite_rule, plane_gaussian_rule, rule_sum
 from fockbridge.representation import (
     FockCoeffs,
@@ -469,6 +469,18 @@ class TestMatrix:
         np.testing.assert_array_equal(
             s_phi_matrix(sym, 4, PLANE).entries, s_phi_matrix(sym, 4, PLANE, method="deriv").entries
         )
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    def test_pv_quadrature_matches_sign_matrix(self, alpha):
+        # B^-1 S(pv) B is -i sgn after the Fourier transform, F h_n = (-i)^n h_n,
+        # so entries[n, m] = i^n (-i)^m (-i) S[n, m] with S the Hermite matrix
+        # of sgn; the rotation conjugates it by d = e^{-i alpha k}
+        k = np.arange(8)
+        d = np.exp(-1j * alpha * k)
+        base = (1j**k)[:, None] * ((-1j) ** k)[None, :] * (-1j) * hilbert._sign_matrix(8, 8)
+        want = np.conj(d)[:, None] * base * d[None, :]
+        got = s_phi_matrix(hilbert_symbol(), 8, PLANE, alpha=alpha, method="quadrature").entries
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_raised_cap_reaches_the_quadrature(self):
         # the principal-value symbol is admitted at its growth 1/2 by kind
@@ -1033,25 +1045,14 @@ class TestHilbertSymbol:
         assert hilbert_symbol().growth_bound == 0.5
 
 
-def _phase_symbol(monkeypatch):
-    """The phase symbol cos(phi) + sin(phi) pv that hilbert_fock_kernel_apply
-    builds and hands the plane engine."""
-    seen = {}
-    monkeypatch.setattr(hilbert, "s_phi_alpha_apply", lambda chi, *args: seen.setdefault("chi", chi))
-    hilbert.hilbert_fock_kernel_apply(unit_fock(0), HilbertParams(0.6, 0.9), 0.5, PLANE)
-    return seen["chi"]
-
-
-#: One member of each symbol family the plane engine sees, built from the
-#: monkeypatch fixture (which only the phase symbol needs).
+#: One member of each symbol family the plane engine sees.
 FAMILIES = {
-    "const": lambda _: const_symbol(1.7 - 0.4j),
-    "poly": lambda _: poly_symbol([0.2, -1j, 0.4, 0.1 + 0.05j]),
-    "gauss": lambda _: gaussian_symbol(0.3, 0.2),
-    "phi_n": lambda _: phi_n_closed(3, 1.3),
-    "hilbert": lambda _: hilbert_symbol(),
-    "from-g": lambda _: phi_from_g(WaveletSpec(lambda t: t * np.exp(-t * t), 1.0), gauss_hermite_rule(60)),
-    "hilbert-phase": _phase_symbol,
+    "const": lambda: const_symbol(1.7 - 0.4j),
+    "poly": lambda: poly_symbol([0.2, -1j, 0.4, 0.1 + 0.05j]),
+    "gauss": lambda: gaussian_symbol(0.3, 0.2),
+    "phi_n": lambda: phi_n_closed(3, 1.3),
+    "hilbert": lambda: hilbert_symbol(),
+    "from-g": lambda: phi_from_g(WaveletSpec(lambda t: t * np.exp(-t * t), 1.0), gauss_hermite_rule(60)),
 }
 
 
@@ -1062,8 +1063,8 @@ class TestCallSizeBits:
 
     @pytest.mark.parametrize("radius", [1.3, 6.0])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_one_call_chunks_and_scalars_agree(self, family, radius, monkeypatch):
-        sym = FAMILIES[family](monkeypatch)
+    def test_one_call_chunks_and_scalars_agree(self, family, radius):
+        sym = FAMILIES[family]()
         rng = np.random.default_rng(28)
         u = rng.uniform(0, 1, (2, 16384))
         z = radius * np.sqrt(u[0]) * np.exp(2j * np.pi * u[1])
@@ -1094,8 +1095,8 @@ class TestSharedKernel:
         ], axis=1)
 
     @pytest.mark.parametrize("family", ["gauss", "poly", "phi_n", "hilbert", "from-g"])
-    def test_matrix_matches_per_column_engine(self, family, monkeypatch):
-        phi = FAMILIES[family](monkeypatch)
+    def test_matrix_matches_per_column_engine(self, family):
+        phi = FAMILIES[family]()
         assert self.RULE.size % singular._KERNEL_BLOCK == 904
         got = s_phi_matrix(phi, 6, self.RULE, alpha=0.7, method="quadrature").entries
         np.testing.assert_array_equal(got, self.per_column(phi, 6, 0.7, self.RULE))
@@ -1107,8 +1108,8 @@ class TestSharedKernel:
 
     @pytest.mark.parametrize("rule", [RULE, PLANE], ids=["5000", "16384"])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_engine_matches_whole_array_formula(self, family, rule, monkeypatch):
-        phi = FAMILIES[family](monkeypatch)
+    def test_engine_matches_whole_array_formula(self, family, rule):
+        phi = FAMILIES[family]()
         alpha, z = 0.7, np.array([0.4 - 1.1j, -1.6 + 0.3j])
         ea, wbar = cmath.exp(1j * alpha), np.conj(rule.nodes)
         fw = fock_eval(_F, rule.nodes)
@@ -1167,12 +1168,12 @@ class TestPlaneKernelMemory:
 
     POINTS = np.linspace(0.2, 1.9, 10) * np.exp(2j * np.pi * np.arange(10) / 10)
     #: MiB; the whole-rule kernel peaked at 1.5-1.75 for the closed forms,
-    #: 3.4 for the principal-value family and 3.5 for a wavelet symbol
-    BOUND = {"hilbert": 2.0, "hilbert-phase": 2.0, "from-g": 2.5}
+    #: 3.4 for the principal-value symbol and 3.5 for a wavelet symbol
+    BOUND = {"hilbert": 2.0, "from-g": 2.5}
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_apply_bounded(self, family, monkeypatch, traced_peak):
-        phi = FAMILIES[family](monkeypatch)
+    def test_apply_bounded(self, family, traced_peak):
+        phi = FAMILIES[family]()
         s_phi_apply(phi, _F, 0.5, PLANE)  # first-use caches stay out of the peak
         peak = traced_peak(lambda: s_phi_apply(phi, _F, self.POINTS, PLANE))
         assert peak <= self.BOUND.get(family, 1.4) * 2**20
@@ -1184,6 +1185,6 @@ class TestPlaneKernelMemory:
         # one by one (9 s for one build); the whole-rule kernel peaked at
         # 1.5-1.76 MiB for the closed forms and 3.4 MiB for the others
         monkeypatch.setattr(singular, "rule_sum", lambda w, v, nodes, what: complex((w * v).sum()))
-        phi = FAMILIES[family](monkeypatch)
+        phi = FAMILIES[family]()
         peak = traced_peak(lambda: s_phi_matrix(phi, 8, PLANE, alpha=0.4, method="quadrature"))
         assert peak <= self.BOUND.get(family, 1.4) * 2**20

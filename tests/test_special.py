@@ -419,7 +419,8 @@ class TestSizeGuard:
     @pytest.mark.parametrize(
         "k, hi, lo, ok",
         [(1, None, 1, True), (np.int64(7), 7, 1, True), (0, 5, 0, True), (0, None, 1, False),
-         (8, 7, 1, False), (-1, 5, 0, False), (4.0, None, 1, False), ("4", None, 1, False)],
+         (8, 7, 1, False), (-1, 5, 0, False), (4.0, None, 1, False), ("4", None, 1, False),
+         (True, None, 1, False), (False, None, 0, False), (np.bool_(True), None, 1, False)],
     )
     def test_bounds_and_type(self, k, hi, lo, ok):
         if ok:
@@ -447,11 +448,16 @@ class TestSizeGuard:
         [
             lambda: fb.hermite_fn(-1, 0.5),
             lambda: fb.hermite_fn(2.0, 0.5),
+            lambda: fb.hermite_fn(True, 0.3),
             lambda: fb.verify.suite_names("x"),
+            lambda: fb.VerifyConfig(seed=True),
+            lambda: fb.s_phi_matrix(fb.gaussian_symbol(0.2, 0.0), True, fb.plane_gaussian_rule(8, 16)),
         ],
-        ids=["hermite-order", "hermite-float-order", "suite"],
+        ids=["hermite-order", "hermite-float-order", "hermite-bool-order", "suite", "verify-bool-seed",
+             "matrix-bool-size"],
     )
     def test_refusal_is_typed(self, call):
-        # each of these raised a bare ValueError or TypeError once
+        # each of these raised a bare ValueError or TypeError once, or ran
+        # with a bool taken for the integer 1
         with pytest.raises(ConfigurationError):
             call()
