@@ -61,7 +61,7 @@ def main() -> int:
         via_grid = bargmann_coeff(analyze(hilbert_classical_grid(sig), 24, line))
         F = FockCoeffs(np.eye(1, n + 1, n, dtype=complex)[0])
         for z in (0.5 + 0.5j, -0.9 + 0.3j, 1.2j):
-            # the operators admit this family alone at its growth 1/2
+            # the operators admit this symbol alone at its growth 1/2
             lhs = s_phi_apply(sym, F, z, plane)
             rhs = fock_eval(via_grid, z)
             worst = max(worst, abs(lhs - rhs))

@@ -9,8 +9,9 @@ any work.  The Fock-side wavelet operator is S_phi of the wavelet's symbol
 principal-value symbol (:func:`hilbert_symbol`), and the fractional one
 cos(phi) times the identity plus sin(phi) times a rotated S_phi of it.
 Symbols phi are carried as a :class:`FockSymbol`: a closed-form evaluator
-plus its truncated coefficient vector, checked against each other at
-construction so the two can never drift apart silently.
+plus its truncated coefficient vector, which the type checks against each
+other however it is built; the operators admit growth <= GROWTH_CAP, and 1/2
+for the one object :func:`hilbert_symbol` returns.
 
 For polynomial data there is a second, quadrature-free route
 (:func:`s_phi_apply_deriv`) built on the differentiated reproducing
@@ -20,6 +21,7 @@ identity; it serves as the high-precision oracle for the quadrature path.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -97,8 +99,10 @@ class FockSymbol:
     ``taylor`` holds coefficients against the normalized monomials
     z^n/sqrt(n!); ``monomial()`` converts to plain Taylor coefficients.
     ``growth_bound`` is a constant a with |phi(z)| <= C exp(a |z|^2); the
-    operators admit a <= GROWTH_CAP, and 0.5 for the principal-value
-    symbol (kind "hilbert") alone; no file sets ``kind``.
+    operators admit a <= GROWTH_CAP, and 0.5 for the object
+    :func:`hilbert_symbol` returns alone.  Construction refuses, with
+    ConfigurationError, a growth bound outside [0, 0.5] and an evaluator
+    that disagrees with the coefficients on |z| <= 2.
     """
 
     kind: str
@@ -112,20 +116,20 @@ class FockSymbol:
             raise ConfigurationError(
                 f"growth bound must lie in [0, 0.5], got {self.growth_bound}"
             )
+        # evaluator against series on circles |z| <= 2, relative where the symbol is
+        # large (family members reach ~1e11 there); not finite where either side is not
+        z = np.concatenate([r * _CHECK_RING for r in (0.5, 1.0, 1.5, 2.0)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(self.evaluate(z))
+            resid = (np.abs(vals - fock_eval(self.taylor, z)) / np.maximum(1.0, np.abs(vals))).max()
+        if not resid <= _SYMBOL_CHECK_TOL:
+            raise ConfigurationError(
+                f"symbol '{self.kind}': stored coefficients disagree with the evaluator "
+                f"by {resid:.2e} on |z| <= 2 (tolerance {_SYMBOL_CHECK_TOL:.0e})"
+            )
 
     def monomial(self) -> np.ndarray:
         return self.taylor.coeffs / sqrt_factorials(self.taylor.order)
-
-
-def _taylor_check(evaluate, taylor: FockCoeffs) -> float:
-    """Worst evaluator-vs-coefficients disagreement on circles |z| <= 2,
-    relative where the symbol is large (family members reach ~1e11 there);
-    NaN or inf when either side is non-finite anywhere."""
-    z = np.concatenate([r * _CHECK_RING for r in (0.5, 1.0, 1.5, 2.0)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(evaluate(z))
-        resid = np.abs(vals - fock_eval(taylor, z)) / np.maximum(1.0, np.abs(vals))
-    return float(resid.max())
 
 
 def make_symbol(
@@ -135,15 +139,8 @@ def make_symbol(
     growth_bound: float,
     params: dict | None = None,
 ) -> FockSymbol:
-    """Build a symbol, refusing silently inconsistent evaluator/coefficients."""
-    sym = FockSymbol(kind, evaluate, taylor, growth_bound, params or {})
-    resid = _taylor_check(evaluate, taylor)
-    if not resid <= _SYMBOL_CHECK_TOL:
-        raise ConfigurationError(
-            f"symbol '{kind}': stored coefficients disagree with the evaluator "
-            f"by {resid:.2e} on |z| <= 2 (tolerance {_SYMBOL_CHECK_TOL:.0e})"
-        )
-    return sym
+    """Build a symbol; the type refuses inconsistent evaluator/coefficients."""
+    return FockSymbol(kind, evaluate, taylor, growth_bound, params or {})
 
 
 def poly_symbol(mono) -> FockSymbol:
@@ -194,13 +191,12 @@ class OperatorMatrix:
 
 
 def _check_admitted(phi: FockSymbol, plane: bool) -> None:
-    """The symbol's admission, before any work: growth <= GROWTH_CAP, or 1/2 for
-    the principal-value symbol; on the plane route a resolvable polynomial."""
-    cap = 0.5 if phi.kind == "hilbert" else GROWTH_CAP
-    if not phi.growth_bound <= cap:
+    """The symbol's admission, before any work: growth <= GROWTH_CAP, or the
+    principal-value symbol itself, at 1/2; on the plane route a resolvable polynomial."""
+    if not (phi.growth_bound <= GROWTH_CAP or phi is hilbert_symbol()):
         raise EnvelopeError(
             f"symbol '{phi.kind}' has growth bound {phi.growth_bound}, outside the "
-            f"validated envelope (<= {cap}); operators with faster-growing "
+            f"validated envelope (<= {GROWTH_CAP}); operators with faster-growing "
             "symbols may be unbounded and their quadrature is not trusted here"
         )
     if plane and phi.kind in _POLY_KINDS and phi.taylor.order > PLANE_POLY_DEGREE_MAX + 1:
@@ -573,14 +569,15 @@ def _poly_gaussian_symbol(
     return make_symbol(kind, evaluate, taylor, a, params)
 
 
+@functools.cache
 def hilbert_symbol() -> FockSymbol:
-    """The principal-value symbol (2/sqrt(pi)) A(z/sqrt(2)).
+    """The principal-value symbol (2/sqrt(pi)) A(z/sqrt(2)), built once.
 
     Odd entire function with phi(0) = 0 and phi'(z) = sqrt(2/pi) e^{z^2/2},
     so its Taylor coefficients are the Gaussian series of phi' integrated
     term by term; square-summable against the normalized monomials, and its
     growth sits exactly on the 1/2 boundary, where the operators admit this
-    symbol and no other.
+    object and no other, whatever its label.
     """
 
     def evaluate(z):

@@ -93,7 +93,6 @@ def hermite_fn(n: int, x: float) -> float:
 
     h_n(x) = (2/pi)^{1/4} / sqrt(2^n n!) * exp(-x^2) * H_n(sqrt(2) x).
     """
-    _check_size(n, "Hermite order", lo=0)
     return float(hermite_fn_all(n, np.array([x], dtype=float))[n, 0])
 
 
@@ -108,6 +107,7 @@ def hermite_fn_all(nmax: int, x: np.ndarray) -> np.ndarray:
     keeps every intermediate bounded and is stable up to n of a few
     hundred.  No factorials or gamma functions are formed.
     """
+    _check_size(nmax, "Hermite order", lo=0)
     x = np.asarray(x, dtype=float)
     out = np.empty((nmax + 1, x.size), dtype=float)
     # h_0 = NORM_CONSTANT * exp(-x * x), formed in its row
@@ -137,9 +137,10 @@ def sqrt_factorials(n: int) -> np.ndarray:
     power of two 4^e before the (correctly rounded) int-to-float division
     and the root is scaled back by 2^e.  Power-of-two scaling is exact, so
     every entry equals sqrt(float(k!)) wherever float(k!) exists.  sqrt(k!)
-    itself overflows from k = 301 on: n above SQRT_FACTORIAL_TERMS raises
-    ConfigurationError before any arithmetic.
+    itself overflows from k = 301 on: n above SQRT_FACTORIAL_TERMS, or not
+    an integer >= 0, raises ConfigurationError before any arithmetic.
     """
+    _check_size(n, "sqrt-factorial count", lo=0)
     if n > SQRT_FACTORIAL_TERMS:
         raise ConfigurationError(
             f"a series of {n} terms is past float64: sqrt(k!) is non-finite "

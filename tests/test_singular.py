@@ -20,8 +20,9 @@ from fockbridge.representation import (
     hermite_eval,
     inverse_bargmann_coeff,
 )
-from fockbridge import hilbert, singular, verify
+from fockbridge import fileio, hilbert, singular, verify
 from fockbridge.singular import (
+    FockSymbol,
     OperatorMatrix,
     WaveletSpec,
     const_symbol,
@@ -107,6 +108,17 @@ class TestFockSymbol:
                 0.7,
             )
 
+    def test_directly_built_inconsistent_symbol_rejected(self):
+        # the type checks itself: built without make_symbol, a zero evaluator
+        # over the series 1 + 2z once gave band diagonal 1 and plane apply 0
+        with pytest.raises(ConfigurationError, match="disagree with the evaluator"):
+            FockSymbol(
+                "poly",
+                lambda z: np.zeros(np.shape(z), dtype=complex),
+                FockCoeffs(np.array([1.0, 2.0 + 0j])),
+                0.0,
+            )
+
     def test_monomial_conversion(self):
         sym = poly_symbol([0.0, 2.0])
         np.testing.assert_allclose(sym.monomial(), [0.0, 2.0], atol=1e-15)
@@ -187,10 +199,54 @@ class TestSPhiApply:
 
     def test_pv_symbol_matches_dedicated_kernel_behind_raised_cap(self):
         # the classical Hilbert operator is S_phi of the PV symbol, admitted
-        # at its growth 1/2 by kind: the same call, so the same bits
+        # at its growth 1/2 as hilbert_symbol() itself: the same call, so the
+        # same bits
         z = np.array([0.4 - 0.7j, 1.2 + 0.3j])
         lhs = s_phi_apply(hilbert_symbol(), unit_fock(2), z, PLANE)
         np.testing.assert_array_equal(lhs, hilbert_fock_S_apply(unit_fock(2), z, PLANE))
+
+
+class TestPVAdmission:
+    """Growth 1/2 is admitted for the object hilbert_symbol() returns, and
+    for no other symbol, whatever its label."""
+
+    def test_hilbert_symbol_is_one_object(self):
+        assert hilbert_symbol() is hilbert_symbol()
+
+    def test_hilbert_label_does_not_admit(self, monkeypatch):
+        # S_phi of e^{z^2/2} is unbounded (a Gaussian symbol's operator is
+        # bounded for growth < 1/2 only); labelled "hilbert" it was admitted
+        # at growth 1/2, and S_phi e_0 at 0.5 returned 1.133
+        mono = np.zeros(60)
+        mono[::2] = [0.5**k / math.factorial(k) for k in range(30)]
+        sym = make_symbol(
+            "hilbert",
+            lambda z: np.exp(0.5 * np.asarray(z, dtype=complex) ** 2),
+            FockCoeffs(mono * sqrt_factorials(60)),
+            0.5,
+        )
+
+        def no_apply(*args, **kwargs):
+            raise AssertionError("an operator ran before the admission")
+
+        refuse_node_eval(monkeypatch, "the admission")
+        monkeypatch.setattr(singular, "_plane_sums", no_apply)
+        monkeypatch.setattr(singular, "_deriv_matrix", no_apply)
+        with pytest.raises(EnvelopeError, match="growth bound"):
+            s_phi_apply(sym, unit_fock(0), 0.5, _SMALL)
+        for method in ("auto", "deriv", "quadrature"):
+            with pytest.raises(EnvelopeError, match="growth bound"):
+                s_phi_matrix(sym, 3, PLANE, method=method)
+
+    def test_symbol_file_reads_back_as_the_admitted_object(self, tmp_path):
+        path = tmp_path / "pv.json"
+        fileio.write_symbol_json(hilbert_symbol(), path)
+        sym = fileio.read_symbol_json(path)
+        assert sym is hilbert_symbol()
+        z = np.array([0.4 - 0.7j, 1.2 + 0.3j])
+        np.testing.assert_array_equal(
+            s_phi_apply(sym, unit_fock(2), z, PLANE), hilbert_fock_S_apply(unit_fock(2), z, PLANE)
+        )
 
 
 class TestDerivRoute:
@@ -483,7 +539,8 @@ class TestMatrix:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_raised_cap_reaches_the_quadrature(self):
-        # the principal-value symbol is admitted at its growth 1/2 by kind
+        # the principal-value symbol is admitted at its growth 1/2 as the
+        # object hilbert_symbol() returns
         m = s_phi_matrix(hilbert_symbol(), 3, PLANE)
         # S_phi for the odd principal-value symbol is antisymmetric on e_0, e_1
         assert m.entries[1, 0] == pytest.approx(-m.entries[0, 1], abs=1e-12)

@@ -220,6 +220,12 @@ class TestSqrtFactorials:
             with pytest.raises(ConfigurationError, match="non-finite"):
                 sqrt_factorials(n)
 
+    @pytest.mark.parametrize("n", [True, -1, 2.0, np.float64(3.0)], ids=["bool", "negative", "float", "np-float"])
+    def test_size_refused_before_any_arithmetic(self, n):
+        # True returned [1.], -1 an empty array, and 2.0 raised a bare TypeError
+        with pytest.raises(ConfigurationError, match="sqrt-factorial count must be an integer >= 0"):
+            sqrt_factorials(n)
+
 
 class TestGaussianIntegralClosed:
     def test_real_case(self):
@@ -461,3 +467,10 @@ class TestSizeGuard:
         # with a bool taken for the integer 1
         with pytest.raises(ConfigurationError):
             call()
+
+    @pytest.mark.parametrize("nmax", [True, -1, 2.0], ids=["bool", "negative", "float"])
+    def test_hermite_fn_all_refuses_its_order(self, nmax):
+        # True returned h_0 and h_1, -1 raised a bare IndexError and 2.0 a bare TypeError
+        with pytest.raises(ConfigurationError, match="Hermite order must be an integer >= 0"):
+            hermite_fn_all(nmax, np.array([0.3, -1.1]))
+        assert hermite_fn_all(np.int64(2), np.array([0.3])).shape == (3, 1)
