@@ -300,13 +300,15 @@ def rule_sum(weights, values: np.ndarray, nodes: np.ndarray, what: str) -> compl
     """The one rule reduction: the exactly rounded sum of weights * values
     in node order.  A non-finite value (checked before weighting, which would
     turn inf into NaN with a numpy warning), an overflowing term or an
-    overflowing sum raises EvaluationFailureError."""
+    overflowing sum raises EvaluationFailureError.  Each part reaches fsum as
+    a buffer view, which yields floats without boxing a numpy scalar per term
+    or copying the strided part."""
     _check_finite(values, nodes, what)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = weights * values
     _check_finite(terms, nodes, what)
     try:
-        return complex(math.fsum(terms.real), math.fsum(terms.imag))
+        return complex(math.fsum(memoryview(terms.real)), math.fsum(memoryview(terms.imag)))
     except OverflowError as exc:
         raise EvaluationFailureError(f"{what}: the rule sum overflows") from exc
 

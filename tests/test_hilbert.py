@@ -33,7 +33,14 @@ from fockbridge.representation import (
     synthesize,
 )
 from fockbridge.special import SQRT_PI, A_phi_eval, hermite_fn
-from fockbridge.verify import _grid_hilbert_coeffs, _pv_oracle
+from fockbridge.verify import (
+    VerifyConfig,
+    _check_hilbert_grid_consistency,
+    _grid_hilbert_coeffs,
+    _involution_baskets,
+    _involution_residual,
+    _pv_oracle,
+)
 
 PLANE = plane_gaussian_rule(64, 256)
 
@@ -378,3 +385,20 @@ class TestVerifyOracles:
         # 18 MiB with the Hermite matrix cast to complex)
         for n in range(5):
             assert traced_peak(lambda: _grid_hilbert_coeffs(n, 24)) <= 6.5 * 2**20
+
+    def test_grid_check_memory_bounded(self, traced_peak):
+        # warmed up (plane rule cached), the whole check peaks in its
+        # 2^17-point projection at 6.0 MiB traced; the involution holds one
+        # signal and one transformed copy, 2 MiB at 2^16 points (6.5 MiB
+        # with the previous basket's two signals alive beside a new one)
+        _check_hilbert_grid_consistency(VerifyConfig())
+        peak = traced_peak(lambda: _check_hilbert_grid_consistency(VerifyConfig()))
+        assert peak <= 6.25 * 2**20
+
+    def test_involution_residual_is_the_public_route(self):
+        # the check's one-buffer H(Hf) + f, bit for bit the public route's
+        m, dx = 2**12, 0.05
+        for coeffs in _involution_baskets():
+            sig = synthesize(coeffs, -0.5 * m * dx, dx, m)
+            ref = hilbert_classical_grid(hilbert_classical_grid(sig)).values + sig.values
+            assert _involution_residual(sig.values).tobytes() == ref.tobytes()

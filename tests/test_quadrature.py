@@ -1,8 +1,11 @@
 import math
+import struct
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import fockbridge as fb
@@ -158,13 +161,55 @@ class TestIntegrateLine:
         with pytest.raises(EvaluationFailureError) as exc:
             rule_sum(np.array([1.0, 4.0, 1.0]), np.array([1.0, 1e308, 1.0]), nodes, "terms")
         assert exc.value.node_index == 1
-        with pytest.raises(EvaluationFailureError):
-            rule_sum(np.ones(3), np.array([1e308, 1e308, 1.0]), nodes, "partial sums")
+        for values in ([1e308, 1e308, 1.0], [1j, -1e308j, -1e308j]):
+            with pytest.raises(EvaluationFailureError, match="rule sum overflows"):
+                rule_sum(np.ones(3), np.array(values), nodes, "partial sums")
 
     def test_bit_reproducible(self):
         r = gauss_hermite_rule(128)
         f = lambda x: np.exp(1j * x - x * x) * (1 + x * x)
         assert integrate_line(r, f) == integrate_line(r, f)
+
+
+class TestRuleSumIsFsumOfTheTerms:
+    """rule_sum hands each part of its terms to fsum as a buffer view; the
+    value must be, bit for bit, fsum of the same terms as a list of floats."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 2**14),
+        seed=st.integers(0, 2**32 - 1),
+        span=st.integers(0, 300),
+        cancel=st.booleans(),
+        signed_zeros=st.booleans(),
+        complex_weights=st.booleans(),
+        real_values=st.booleans(),
+    )
+    def test_bits_match_fsum_of_lists(
+        self, n, seed, span, cancel, signed_zeros, complex_weights, real_values
+    ):
+        rng = np.random.default_rng(seed)
+        # magnitudes 10^-span .. 10^span, random signs; the sum stays finite
+        mag = lambda: rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-span, span, n)
+        values = mag() if real_values else mag() + 1j * mag()
+        weights = rng.uniform(0.5, 2.0, n)
+        if complex_weights:
+            weights = weights * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+        if cancel:  # the second half undoes the first, in shuffled order
+            h = n // 2
+            perm = rng.permutation(h)
+            values[h : 2 * h] = -values[:h][perm]
+            weights[h : 2 * h] = weights[:h][perm]
+        if signed_zeros:
+            at = rng.random(n) < 0.25
+            zeros = rng.choice([-0.0, 0.0], n)
+            values.real[at] = zeros[at]
+            if not real_values:
+                values.imag[at] = zeros[::-1][at]
+        terms = weights * values
+        ref = (math.fsum(list(terms.real)), math.fsum(list(terms.imag)))
+        got = rule_sum(weights, values, np.arange(float(n)), "terms")
+        assert struct.pack("<2d", got.real, got.imag) == struct.pack("<2d", *ref)
 
 
 def _inf_outside_10(t):
