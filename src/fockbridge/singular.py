@@ -101,8 +101,10 @@ class FockSymbol:
     ``growth_bound`` is a constant a with |phi(z)| <= C exp(a |z|^2); the
     operators admit a <= GROWTH_CAP, and 0.5 for the object
     :func:`hilbert_symbol` returns alone.  Construction refuses, with
-    ConfigurationError, a growth bound outside [0, 0.5] and an evaluator
-    that disagrees with the coefficients on |z| <= 2.
+    ConfigurationError, a growth bound outside [0, 0.5], a ``poly`` or
+    ``const`` kind whose growth bound is not 0 (the band route reads such a
+    symbol's series as the whole symbol), and an evaluator that disagrees
+    with the coefficients on |z| <= 2.
     """
 
     kind: str
@@ -115,6 +117,11 @@ class FockSymbol:
         if not 0.0 <= self.growth_bound <= 0.5:
             raise ConfigurationError(
                 f"growth bound must lie in [0, 0.5], got {self.growth_bound}"
+            )
+        if self.kind in _POLY_KINDS and self.growth_bound != 0.0:
+            raise ConfigurationError(
+                f"a '{self.kind}' symbol is a polynomial, of growth bound 0; "
+                f"got {self.growth_bound}"
             )
         # evaluator against series on circles |z| <= 2, relative where the symbol is
         # large (family members reach ~1e11 there); not finite where either side is not

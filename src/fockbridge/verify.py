@@ -3,9 +3,13 @@
 Each check compares two independently computed paths (closed form vs
 quadrature, coefficient route vs integral route, kernel route vs multiplier
 route) at a pinned tolerance and reports the worst error observed.  Checks
-are deterministic: random data comes from a generator seeded by the global
-seed plus a stable per-check offset, so a report is a pure function of its
-configuration.
+are deterministic: each check draws its data from the standard library's
+``random.Random``, seeded by the global seed and the CRC-32 of the check's
+name.  Python keeps ``Random.random()`` the same sequence for the same
+integer seed across versions, and every uniform, normal and integer draw is
+a function of it alone, so a report is a pure function of its configuration
+and no longer depends on numpy's ``Generator`` streams (nor loads
+``numpy.random``).
 
 Where a check covers several sub-identities with different tolerances, the
 reported ``max_error`` is the worst error normalized by its own tolerance
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import time
 import zlib
 from dataclasses import dataclass
@@ -91,12 +96,29 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-def _rng(cfg: VerifyConfig, name: str) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed, zlib.crc32(name.encode())])
+def _rng(cfg: VerifyConfig, name: str) -> random.Random:
+    return random.Random((cfg.seed << 32) | zlib.crc32(name.encode()))
 
 
-def _random_points(rng, n, radius) -> np.ndarray:
-    return radius * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) / math.sqrt(2)
+def _uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return lo + (hi - lo) * rng.random()
+
+
+def _complex_normals(rng: random.Random, k: int) -> np.ndarray:
+    """k complex values whose real and imaginary parts are independent
+    standard normals: Box-Muller, one radius and one angle per value."""
+    values = []
+    for _ in range(k):
+        r = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+        t = 2.0 * math.pi * rng.random()
+        values.append(complex(r * math.cos(t), r * math.sin(t)))
+    return np.array(values)
+
+
+def _random_points(rng: random.Random, n: int, radius: float) -> np.ndarray:
+    re = np.array([_uniform(rng, -1.0, 1.0) for _ in range(n)])
+    im = np.array([_uniform(rng, -1.0, 1.0) for _ in range(n)])
+    return radius * (re + 1j * im) / math.sqrt(2)
 
 
 def _normalized(parts: list[tuple[float, float]]) -> tuple[float, float]:
@@ -123,15 +145,15 @@ def _check_gaussian_shift_invariance(cfg: VerifyConfig):
     rule = gauss_hermite_rule(512)
     worst = 0.0
     for _ in range(10):
-        a = rng.uniform(0.5, 3.0)
-        b = rng.uniform(-3.0, 3.0)
+        a = _uniform(rng, 0.5, 3.0)
+        b = _uniform(rng, -3.0, 3.0)
         # An imaginary shift t multiplies the integrand's peak by
         # exp(t^2 (a + b^2/a)) and chirps it at frequency ~2 b^2 t / a, both
         # of which the shift-invariance cancels exactly but double precision
         # cannot: cap |Im z| so the peak stays ~3e3 and the chirp resolvable.
         t_cap = min(1.4, math.sqrt(8.0 / (a + b * b / a)), 6.0 * a / max(b * b, 1e-9))
         shifts = [0.0 + 0.0j] + [
-            complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0) * t_cap)
+            complex(_uniform(rng, -2.0, 2.0), _uniform(rng, -1.0, 1.0) * t_cap)
             for _ in range(5)
         ]
         closed = gaussian_integral_closed(a, b)
@@ -167,7 +189,7 @@ def _check_frft_fock_rotation(cfg: VerifyConfig):
     zs = _random_points(rng, 10, 1.5)
     parts = []
     for alpha in (0.3, math.pi / 2, 2.1):
-        coeffs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        coeffs = _complex_normals(rng, 9)
         F = FockCoeffs(coeffs / np.linalg.norm(coeffs))
         # frft_integral samples g on its whole 240- or 480-node rule, inside
         # the inverse integral's measured |x| <= 32
@@ -176,7 +198,7 @@ def _check_frft_fock_rotation(cfg: VerifyConfig):
         rhs = fock_eval(F, np.exp(-1j * alpha) * zs)
         parts.append((float(np.abs(lhs - rhs).max()), 1e-7))
     # coefficient-level intertwining
-    h = HermiteCoeffs(rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    h = HermiteCoeffs(_complex_normals(rng, 12))
     for alpha in (0.3, math.pi / 2, 2.1):
         lhs = fock_eval(bargmann_coeff(_frft.frft_coeffs(h, alpha)), zs)
         rhs = fock_eval(bargmann_coeff(h), np.exp(-1j * alpha) * zs)
@@ -187,7 +209,7 @@ def _check_frft_fock_rotation(cfg: VerifyConfig):
 def _check_frft_unitarity(cfg: VerifyConfig):
     rng = _rng(cfg, "frft.unitarity_inversion")
     parts = []
-    h = HermiteCoeffs(rng.standard_normal(20) + 1j * rng.standard_normal(20))
+    h = HermiteCoeffs(_complex_normals(rng, 20))
     for alpha in (0.3, 1.2, -2.5, math.pi):
         parts.append((abs(_frft.frft_coeffs(h, alpha).norm() - h.norm()), 1e-12))
         back = _frft.frft_coeffs(_frft.frft_coeffs(h, alpha), -alpha)
@@ -195,7 +217,7 @@ def _check_frft_unitarity(cfg: VerifyConfig):
     # integral-path Plancherel down to |sin alpha| = 0.1
     rule = gauss_hermite_rule(240)
     norm_rule = gauss_hermite_rule(64)
-    hsmall = HermiteCoeffs((rng.standard_normal(13) + 1j * rng.standard_normal(13)) / 3.0)
+    hsmall = HermiteCoeffs(_complex_normals(rng, 13) / 3.0)
     f = lambda t: hermite_eval(hsmall, t)
     for alpha in (0.1003, 1.2, 2.9):
         g = _frft.frft_integral(f, alpha, norm_rule.nodes, rule)
@@ -206,10 +228,11 @@ def _check_frft_unitarity(cfg: VerifyConfig):
 
 def _check_frft_group_law(cfg: VerifyConfig):
     rng = _rng(cfg, "frft.group_law")
-    h = HermiteCoeffs(rng.standard_normal(24) + 1j * rng.standard_normal(24))
+    h = HermiteCoeffs(_complex_normals(rng, 24))
     worst = 0.0
     for _ in range(5):
-        a, b = rng.uniform(-math.pi, math.pi, 2)
+        a = _uniform(rng, -math.pi, math.pi)
+        b = _uniform(rng, -math.pi, math.pi)
         lhs = _frft.frft_coeffs(_frft.frft_coeffs(h, a), b)
         rhs = _frft.frft_coeffs(h, a + b)
         worst = max(worst, float(np.abs(lhs.coeffs - rhs.coeffs).max()))
@@ -233,7 +256,7 @@ def _check_frft_eigenvalues(cfg: VerifyConfig):
 
 def _check_frft_spectral_projection(cfg: VerifyConfig):
     rng = _rng(cfg, "frft.spectral_projection")
-    h = HermiteCoeffs(rng.standard_normal(17) + 1j * rng.standard_normal(17))
+    h = HermiteCoeffs(_complex_normals(rng, 17))
     via_projections = sum(
         (-1j) ** k * _frft.spectral_projection(k, h).coeffs for k in range(4)
     )
@@ -270,10 +293,10 @@ def _check_hilbert_kernel_vs_chain(cfg: VerifyConfig):
 def _check_hilbert_phase_decomposition(cfg: VerifyConfig):
     rng = _rng(cfg, "hilbert.phase_decomposition")
     worst = 0.0
-    h = HermiteCoeffs(rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    h = HermiteCoeffs(_complex_normals(rng, 12))
     for _ in range(5):
-        alpha = rng.uniform(-math.pi, math.pi)
-        phi = rng.uniform(-math.pi, math.pi)
+        alpha = _uniform(rng, -math.pi, math.pi)
+        phi = _uniform(rng, -math.pi, math.pi)
         full = _hilbert.fractional_hilbert(h, _hilbert.HilbertParams(alpha, phi))
         quarter = _hilbert.fractional_hilbert(
             h, _hilbert.HilbertParams(alpha, math.pi / 2)
@@ -438,12 +461,10 @@ def _check_sop_oracle(cfg: VerifyConfig):
     plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
     worst = 0.0
     for deg in (0, 2, 5, 8):
-        mono = (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)) * (
-            0.6 ** np.arange(deg + 1)
-        )
+        mono = _complex_normals(rng, deg + 1) * 0.6 ** np.arange(deg + 1)
         sym = _singular.poly_symbol(mono)
-        fdeg = rng.integers(0, 9)
-        fc = rng.standard_normal(fdeg + 1) + 1j * rng.standard_normal(fdeg + 1)
+        fdeg = int(9 * rng.random())
+        fc = _complex_normals(rng, fdeg + 1)
         F = FockCoeffs(fc / np.linalg.norm(fc))
         exact = _singular.s_phi_apply_deriv(mono, F)
         zs = _random_points(rng, 10, 1.5)

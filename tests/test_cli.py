@@ -884,6 +884,26 @@ class TestImportHygiene:
         with pytest.raises(ConfigurationError, match="threads=2"):
             VerifyConfig(threads=2)
 
+    def test_checks_that_draw_load_no_numpy_random(self):
+        # numpy.random brings mtrand, five bit generators and hashlib/OpenSSL;
+        # the checks draw from the standard library's generator instead
+        env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
+        code = (
+            "import sys, fockbridge, fockbridge.cli\n"
+            "from fockbridge.verify import CHECKS, VerifyConfig\n"
+            "for name in ('frft.group_law', 'frft.unitarity_inversion',\n"
+            "             'hilbert.phase_decomposition', 'gaussian.shift_invariance',\n"
+            "             'sop.deriv_oracle'):\n"
+            "    err, tol = CHECKS[name][0](VerifyConfig())\n"
+            "    assert err <= tol, name\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stdout.split() == ["False"]
+
 
 class TestReproducibility:
     """A verify report is a pure function of its seed on one numpy build and

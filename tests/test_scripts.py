@@ -55,3 +55,24 @@ def test_pv_symbol_demo_runs():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "worst disagreement" in proc.stdout
+
+
+def test_check_memory_reports_one_row_per_check():
+    from fockbridge.verify import suite_names
+
+    env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
+    script = next(p for p in SCRIPTS if p.name == "check_memory.py")
+    proc = subprocess.run(
+        [sys.executable, "-B", str(script), "bargmann", "3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    header, after_import, *rows = proc.stdout.splitlines()
+    assert header.split() == [
+        "check", "traced", "peak", "MiB", "max", "RSS", "MB", "after", "modules", "loaded",
+    ]
+    assert after_import.startswith("(after import)")
+    assert [r.split()[0] for r in rows] == suite_names("bargmann")
+    for row in rows:
+        peak, rss, *loaded = row.split()[1:]
+        assert float(peak) >= 0.0 and float(rss) > 0.0 and loaded

@@ -119,6 +119,15 @@ class TestFockSymbol:
                 0.0,
             )
 
+    @pytest.mark.parametrize("kind", ["poly", "const"])
+    def test_polynomial_kind_with_growth_refused(self, kind):
+        # exp(0.4 u^2) with its 40-term series passes the series check; under a
+        # polynomial label it once took the band route, 8% off at e_23
+        g = gaussian_symbol(0.4, 0.0)
+        assert make_symbol("series", g.evaluate, g.taylor, 0.4).growth_bound == 0.4
+        with pytest.raises(ConfigurationError, match="growth bound 0; got 0.4"):
+            make_symbol(kind, g.evaluate, g.taylor, 0.4)
+
     def test_monomial_conversion(self):
         sym = poly_symbol([0.0, 2.0])
         np.testing.assert_allclose(sym.monomial(), [0.0, 2.0], atol=1e-15)
