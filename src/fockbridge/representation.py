@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EnvelopeError, EvaluationFailureError
 from .quadrature import LineRule, PlaneRule, _check_finite, _evaluate, rule_sum_per_point
-from .special import NORM_CONSTANT, _check_size, finite_param, hermite_fn_all, shaped_like
+from .special import NORM_CONSTANT, _check_size, finite_param, finite_points, hermite_fn_all, shaped_like
 
 __all__ = [
     "SampledSignal",
@@ -268,8 +268,9 @@ def synthesize(coeffs: HermiteCoeffs, x0: float, dx: float, m: int) -> SampledSi
 
 def hermite_eval(coeffs: HermiteCoeffs, x):
     """Pointwise sum_n c_n h_n(x), scalar in, scalar out: in bounded blocks
-    of the Hermite matrix and as two real products (no complex copy of it)."""
-    xarr = np.asarray(x, dtype=float).ravel()
+    of the Hermite matrix and as two real products (no complex copy of it).
+    A non-finite point raises ConfigurationError before any work."""
+    xarr = finite_points(x, "evaluation point").ravel()
     values = _hermite_expand(coeffs.coeffs, xarr.size, lambda lo, hi: xarr[lo:hi])
     return shaped_like(values, x)
 

@@ -153,6 +153,8 @@ def make_symbol(
 def poly_symbol(mono) -> FockSymbol:
     """Polynomial symbol from its plain monomial coefficients a_0, a_1, ..."""
     mono = np.asarray(mono, dtype=complex)
+    if mono.ndim != 1 or mono.size == 0:
+        raise ConfigurationError(f"mono must be a nonempty 1-d vector, got shape {mono.shape}")
     return _poly_gaussian_symbol("poly", mono, 0.0, 0.0, mono.size, {"degree": mono.size - 1})
 
 
@@ -285,6 +287,8 @@ def s_phi_apply_deriv(phi_monomial: np.ndarray, F: FockCoeffs, alpha: float = 0.
     polynomial inputs; caps at degree 40; overflow raises EvaluationFailureError.
     """
     a = np.asarray(phi_monomial, dtype=complex)
+    if a.ndim != 1 or a.size == 0:
+        raise ConfigurationError(f"phi_monomial must be a nonempty 1-d vector, got shape {a.shape}")
     if a.size > DERIV_ORDER_CAP or F.order > DERIV_ORDER_CAP:
         raise EnvelopeError(
             f"polynomial route caps at degree {DERIV_ORDER_CAP}; "
@@ -477,7 +481,7 @@ def phi_n_closed(n: int, s: float) -> FockSymbol:
     sqrt(2|s|/(s^2+2)) * (-s)^n / (s^2+2)^n, nonzero for every n.
     """
     _check_size(n, "family index", _PHI_N_MAX, lo=0)
-    if s == 0.0:
+    if finite_param(s, "dilation") == 0.0:
         raise ConfigurationError("dilation must be nonzero")
     d = s * s + 2.0
     c0 = math.sqrt(2.0 * abs(s) / d)

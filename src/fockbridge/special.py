@@ -157,8 +157,9 @@ def gaussian_integral_closed(a: float, b: float) -> complex:
 
     Returns sqrt(pi)/sqrt(a+ib), the value of the integral of
     exp(-(a+ib)(x+z)^2) over the real line, which is independent of the
-    complex shift z.  Requires a > 0.
+    complex shift z.  Requires finite a > 0 and finite b.
     """
+    a, b = finite_param(a, "Gaussian real part a"), finite_param(b, "Gaussian imaginary part b")
     if not a > 0.0:
         raise ConfigurationError(f"requires a > 0, got a={a}")
     return SQRT_PI / branch_sqrt(complex(a, b))

@@ -1,29 +1,34 @@
 """Named verification checks cross-validating every operator identity.
 
-Each check compares two independently computed paths (closed form vs
-quadrature, coefficient route vs integral route, kernel route vs multiplier
-route) at a pinned tolerance and reports the worst error observed.  Checks
-are deterministic: each check draws its data from the standard library's
-``random.Random``, seeded by the global seed and the CRC-32 of the check's
-name.  Python keeps ``Random.random()`` the same sequence for the same
-integer seed across versions, and every uniform, normal and integer draw is
-a function of it alone, so a report is a pure function of its configuration
-and no longer depends on numpy's ``Generator`` streams (nor loads
-``numpy.random``).
+Each check computes each side of its identities along its own route
+(closed form vs quadrature, coefficient route vs integral route, kernel
+route vs multiplier route) and compares the routes through one helper,
+:class:`_Comparisons`, under an identity label with a pinned tolerance.
+Checks are deterministic: each check draws its data beforehand from the
+standard library's ``random.Random``, seeded by the global seed and the
+CRC-32 of the check's name.  Python keeps ``Random.random()`` the same
+sequence for the same integer seed across versions, and every uniform,
+normal and integer draw is a function of it alone, so a report is a pure
+function of its configuration.
 
-Where a check covers several sub-identities with different tolerances, the
-reported ``max_error`` is the worst error normalized by its own tolerance
-and the reported ``tolerance`` is 1.0.
+A comparison's error is the largest error between any two of its routes,
+and a label's error the largest over its comparisons.  A check with one
+label reports that error as ``max_error`` and the label's tolerance as
+``tolerance``.  A check with several labels, whatever their tolerances,
+reports the largest of each label's error divided by its tolerance, and
+``tolerance`` 1.0.  Dividing the largest error by a positive tolerance
+gives the largest quotient bit for bit, since rounding is monotone.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -121,29 +126,86 @@ def _random_points(rng: random.Random, n: int, radius: float) -> np.ndarray:
     return radius * (re + 1j * im) / math.sqrt(2)
 
 
-def _normalized(parts: list[tuple[float, float]]) -> tuple[float, float]:
-    """Fold (error, tolerance) pairs into a single normalized margin."""
-    return max(e / t for e, t in parts), 1.0
+def _max_abs(a, b) -> float:
+    return float(np.max(np.abs(np.subtract(a, b))))
+
+
+def _norm2(a, b) -> float:
+    return float(np.linalg.norm(a - b))
+
+
+def _exact(a, b) -> float:
+    return 0.0 if a == b else math.inf
+
+
+class _Comparisons(dict):
+    """The comparisons of one check, as (label, tolerance) -> their errors;
+    every check compares its routes here.
+
+    Calling it compares one identity: each route is a zero-argument callable
+    that computes one side from data the check drew beforehand, and no
+    route draws.  The routes run once each, in order, and the largest
+    ``metric`` error between any two of their values is recorded under
+    ``label`` with ``tol``.  Routes built inside a loop read the loop's
+    variables without default-argument binding, since they run here, before
+    the loop moves on.  :meth:`fold` is the check's ``(error, tolerance)``.
+    """
+
+    def __call__(self, label: str, tol: float, *routes, metric=_max_abs) -> None:
+        sides = []
+        for route in routes:  # not a comprehension: scripts/route_audit.py finds routes by caller
+            sides.append(route())
+        pairs = [metric(a, b) for a, b in itertools.combinations(sides, 2)]
+        self.setdefault((label, tol), []).append(float(np.max(pairs)))
+
+    def fold(self) -> tuple[float, float]:
+        """One label: its largest error and its tolerance.  Several: the
+        largest of each label's largest error over its tolerance, and 1.0.
+        A NaN error stays NaN, so the check fails."""
+        largest = [(float(np.max(errs)), tol) for (_, tol), errs in self.items()]
+        if len(largest) == 1:
+            return largest[0]
+        return float(np.max([err / tol for err, tol in largest])), 1.0
+
+
+#: name -> (check, the suites it belongs to); check(cfg) returns (error, tolerance).
+CHECKS: dict = {}
+
+
+def _check(name: str, *suites: str):
+    """Register ``func(rng, compare)`` as the check ``name`` of ``suites`` and "all".
+    The registered check takes a VerifyConfig, hands ``func`` the check's
+    own stream and a fresh :class:`_Comparisons`, and returns their fold."""
+
+    def register(func):
+        def check(cfg: VerifyConfig) -> tuple[float, float]:
+            compare = _Comparisons()
+            func(_rng(cfg, name), compare)
+            return compare.fold()
+
+        CHECKS[name] = (check, ("all", *suites))
+        return check
+
+    return register
 
 
 # --- individual checks ------------------------------------------------------
 
 
-def _check_basis_orthonormality(cfg: VerifyConfig):
+@_check("basis.orthonormality", "basis", "bargmann")
+def _check_basis_orthonormality(rng: random.Random, compare: _Comparisons):
     rule = gauss_hermite_rule(200)
-    h = hermite_fn_all(30, rule.nodes)
-    gram = (h * rule.weights_nogauss) @ h.T
-    e_line = float(np.abs(gram - np.eye(31)).max())
+    gram = lambda: ((h := hermite_fn_all(30, rule.nodes)) * rule.weights_nogauss) @ h.T
+    compare("line_gram", 1e-9, gram, lambda: np.eye(31))
     plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
-    basis = _fock_basis(plane.nodes, 31)
-    e_plane = max(abs(float(np.sum(plane.weights * np.abs(e) ** 2)) - 1.0) for e in basis)
-    return _normalized([(e_line, 1e-9), (e_plane, 1e-10)])
+    basis = lambda: _fock_basis(plane.nodes, 31)
+    norms = lambda: [float(np.sum(plane.weights * np.abs(e) ** 2)) for e in basis()]
+    compare("plane_norms", 1e-10, norms, lambda: 1.0)
 
 
-def _check_gaussian_shift_invariance(cfg: VerifyConfig):
-    rng = _rng(cfg, "gaussian.shift_invariance")
+@_check("gaussian.shift_invariance", "basis", "bargmann")
+def _check_gaussian_shift_invariance(rng: random.Random, compare: _Comparisons):
     rule = gauss_hermite_rule(512)
-    worst = 0.0
     for _ in range(10):
         a = _uniform(rng, 0.5, 3.0)
         b = _uniform(rng, -3.0, 3.0)
@@ -152,158 +214,136 @@ def _check_gaussian_shift_invariance(cfg: VerifyConfig):
         # of which the shift-invariance cancels exactly but double precision
         # cannot: cap |Im z| so the peak stays ~3e3 and the chirp resolvable.
         t_cap = min(1.4, math.sqrt(8.0 / (a + b * b / a)), 6.0 * a / max(b * b, 1e-9))
-        shifts = [0.0 + 0.0j] + [
+        shifts = [
             complex(_uniform(rng, -2.0, 2.0), _uniform(rng, -1.0, 1.0) * t_cap)
             for _ in range(5)
         ]
-        closed = gaussian_integral_closed(a, b)
         s = complex(a, b)
-        vals = np.array(
-            [
-                complex(np.sum(rule.weights_nogauss * np.exp(-s * (rule.nodes + z) ** 2)))
-                for z in shifts
-            ]
-        )
-        worst = max(worst, float(np.abs(vals - closed).max()))
-        worst = max(worst, float(np.abs(vals - vals[0]).max()))
-    return worst, 1e-9
+
+        def rule_sums(zs):  # one rule, at shift 0 and at the drawn shifts
+            terms = [rule.weights_nogauss * np.exp(-s * (rule.nodes + z) ** 2) for z in zs]
+            return np.array([complex(np.sum(t)) for t in terms])
+
+        compare("shift_invariance", 1e-9, lambda: gaussian_integral_closed(a, b),
+                lambda: rule_sums([0j]), lambda: rule_sums(shifts))
 
 
-def _check_bargmann_hermite(cfg: VerifyConfig):
+@_check("bargmann.hermite_to_monomial", "bargmann")
+def _check_bargmann_hermite(rng: random.Random, compare: _Comparisons):
     rule = gauss_hermite_rule(200)
     side = np.linspace(-1.5, 1.5, 5)
     zs = (side[:, None] + 1j * side[None, :]).ravel()
-    worst = 0.0
     for n in range(16):
-        f = lambda x, n=n: hermite_fn_all(n, np.atleast_1d(x))[n]
-        en = fock_eval(FockCoeffs(np.eye(1, n + 1, n, dtype=complex)[0]), zs)
-        worst = max(worst, float(np.abs(bargmann_direct(f, zs, rule) - en).max()))
-    return worst, 1e-8
+        f = lambda x: hermite_fn_all(n, np.atleast_1d(x))[n]
+        compare("hermite_to_monomial", 1e-8,
+                lambda: fock_eval(FockCoeffs(np.eye(1, n + 1, n, dtype=complex)[0]), zs),
+                lambda: bargmann_direct(f, zs, rule))
 
 
-def _check_frft_fock_rotation(cfg: VerifyConfig):
-    rng = _rng(cfg, "frft.fock_rotation")
+@_check("frft.fock_rotation", "frft")
+def _check_frft_fock_rotation(rng: random.Random, compare: _Comparisons):
     plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
     line = gauss_hermite_rule(240)
     brule = gauss_hermite_rule(200)
     zs = _random_points(rng, 10, 1.5)
-    parts = []
     for alpha in (0.3, math.pi / 2, 2.1):
         coeffs = _complex_normals(rng, 9)
         F = FockCoeffs(coeffs / np.linalg.norm(coeffs))
         # frft_integral samples g on its whole 240- or 480-node rule, inside
         # the inverse integral's measured |x| <= 32
         g = lambda x: inverse_bargmann_direct(F, x, plane)
-        lhs = bargmann_direct(lambda x: _frft.frft_integral(g, alpha, x, line), zs, brule)
-        rhs = fock_eval(F, np.exp(-1j * alpha) * zs)
-        parts.append((float(np.abs(lhs - rhs).max()), 1e-7))
+        g_alpha = lambda x: _frft.frft_integral(g, alpha, x, line)
+        compare("integral_rotation", 1e-7, lambda: bargmann_direct(g_alpha, zs, brule),
+                lambda: fock_eval(F, np.exp(-1j * alpha) * zs))
     # coefficient-level intertwining
     h = HermiteCoeffs(_complex_normals(rng, 12))
     for alpha in (0.3, math.pi / 2, 2.1):
-        lhs = fock_eval(bargmann_coeff(_frft.frft_coeffs(h, alpha)), zs)
-        rhs = fock_eval(bargmann_coeff(h), np.exp(-1j * alpha) * zs)
-        parts.append((float(np.abs(lhs - rhs).max()), 1e-12))
-    return _normalized(parts)
+        compare("coeff_rotation", 1e-12,
+                lambda: fock_eval(bargmann_coeff(_frft.frft_coeffs(h, alpha)), zs),
+                lambda: fock_eval(bargmann_coeff(h), np.exp(-1j * alpha) * zs))
 
 
-def _check_frft_unitarity(cfg: VerifyConfig):
-    rng = _rng(cfg, "frft.unitarity_inversion")
-    parts = []
+@_check("frft.unitarity_inversion", "frft")
+def _check_frft_unitarity(rng: random.Random, compare: _Comparisons):
     h = HermiteCoeffs(_complex_normals(rng, 20))
     for alpha in (0.3, 1.2, -2.5, math.pi):
-        parts.append((abs(_frft.frft_coeffs(h, alpha).norm() - h.norm()), 1e-12))
-        back = _frft.frft_coeffs(_frft.frft_coeffs(h, alpha), -alpha)
-        parts.append((float(np.abs(back.coeffs - h.coeffs).max()), 1e-13))
+        compare("coeff_plancherel", 1e-12,
+                lambda: _frft.frft_coeffs(h, alpha).norm(), lambda: h.norm())
+        back = lambda: _frft.frft_coeffs(_frft.frft_coeffs(h, alpha), -alpha).coeffs
+        compare("coeff_inversion", 1e-13, back, lambda: h.coeffs)
     # integral-path Plancherel down to |sin alpha| = 0.1
     rule = gauss_hermite_rule(240)
     norm_rule = gauss_hermite_rule(64)
     hsmall = HermiteCoeffs(_complex_normals(rng, 13) / 3.0)
     f = lambda t: hermite_eval(hsmall, t)
     for alpha in (0.1003, 1.2, 2.9):
-        g = _frft.frft_integral(f, alpha, norm_rule.nodes, rule)
-        norm = math.sqrt(float(np.sum(norm_rule.weights_nogauss * np.abs(g) ** 2)))
-        parts.append((abs(norm - hsmall.norm()), 1e-6))
-    return _normalized(parts)
+        g = lambda: _frft.frft_integral(f, alpha, norm_rule.nodes, rule)
+        norm = lambda: math.sqrt(float(np.sum(norm_rule.weights_nogauss * np.abs(g()) ** 2)))
+        compare("integral_plancherel", 1e-6, norm, lambda: hsmall.norm())
 
 
-def _check_frft_group_law(cfg: VerifyConfig):
-    rng = _rng(cfg, "frft.group_law")
+@_check("frft.group_law", "frft")
+def _check_frft_group_law(rng: random.Random, compare: _Comparisons):
     h = HermiteCoeffs(_complex_normals(rng, 24))
-    worst = 0.0
     for _ in range(5):
         a = _uniform(rng, -math.pi, math.pi)
         b = _uniform(rng, -math.pi, math.pi)
-        lhs = _frft.frft_coeffs(_frft.frft_coeffs(h, a), b)
-        rhs = _frft.frft_coeffs(h, a + b)
-        worst = max(worst, float(np.abs(lhs.coeffs - rhs.coeffs).max()))
-    return worst, 1e-13
+        compare("group_law", 1e-13,
+                lambda: _frft.frft_coeffs(_frft.frft_coeffs(h, a), b).coeffs,
+                lambda: _frft.frft_coeffs(h, a + b).coeffs)
 
 
-def _check_frft_eigenvalues(cfg: VerifyConfig):
+@_check("frft.hermite_eigenvalues", "frft")
+def _check_frft_eigenvalues(rng: random.Random, compare: _Comparisons):
     rule = gauss_hermite_rule(240)
     xs = np.linspace(-3.0, 3.0, 13)
     hx = hermite_fn_all(12, xs)
-    worst = 0.0
     for alpha in (0.7, math.pi / 2, 2.1, 0.3, 2.9):
         for n in range(13):
-            f = lambda t, n=n: hermite_fn_all(n, np.atleast_1d(t))[n]
-            vals = _frft.frft_integral(f, alpha, xs, rule)
-            worst = max(
-                worst, float(np.abs(vals - np.exp(-1j * n * alpha) * hx[n]).max())
-            )
-    return worst, 1e-7
+            f = lambda t: hermite_fn_all(n, np.atleast_1d(t))[n]
+            compare("hermite_eigenvalues", 1e-7, lambda: _frft.frft_integral(f, alpha, xs, rule),
+                    lambda: np.exp(-1j * n * alpha) * hx[n])
 
 
-def _check_frft_spectral_projection(cfg: VerifyConfig):
-    rng = _rng(cfg, "frft.spectral_projection")
+@_check("frft.spectral_projection", "frft")
+def _check_frft_spectral_projection(rng: random.Random, compare: _Comparisons):
     h = HermiteCoeffs(_complex_normals(rng, 17))
-    via_projections = sum(
-        (-1j) ** k * _frft.spectral_projection(k, h).coeffs for k in range(4)
-    )
-    direct = _frft.frft_coeffs(h, math.pi / 2)
-    e_proj = float(np.abs(direct.coeffs - via_projections).max())
+    compare("projections", 1e-14,
+            lambda: sum((-1j) ** k * _frft.spectral_projection(k, h).coeffs for k in range(4)),
+            lambda: _frft.frft_coeffs(h, math.pi / 2).coeffs)
     # fixed point of the quarter turn through the integral path
-    combo = np.zeros(9, dtype=complex)
-    combo[0], combo[4], combo[8] = 1.0, 1.0, 0.3
-    hc = HermiteCoeffs(combo)
+    hc = HermiteCoeffs(np.array([1.0, 0, 0, 0, 1.0, 0, 0, 0, 0.3], dtype=complex))
     rule = gauss_hermite_rule(240)
     xs = np.linspace(-3.0, 3.0, 13)
-    vals = _frft.frft_integral(lambda t: hermite_eval(hc, t), math.pi / 2, xs, rule)
-    e_fixed = float(np.abs(vals - hermite_eval(hc, xs)).max())
-    return _normalized([(e_proj, 1e-14), (e_fixed, 1e-9)])
+    compare("integral_fixed_point", 1e-9,
+            lambda: _frft.frft_integral(lambda t: hermite_eval(hc, t), math.pi / 2, xs, rule),
+            lambda: hermite_eval(hc, xs))
 
 
-def _check_hilbert_kernel_vs_chain(cfg: VerifyConfig):
-    rng = _rng(cfg, "hilbert.kernel_vs_chain")
+@_check("hilbert.kernel_vs_chain", "hilbert")
+def _check_hilbert_kernel_vs_chain(rng: random.Random, compare: _Comparisons):
     plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
     zs = _random_points(rng, 10, 1.5)
-    worst = 0.0
     for alpha, phi in ((math.pi / 2, math.pi / 2), (0.7, 1.1), (2.3, 0.4)):
         params = _hilbert.HilbertParams(alpha, phi)
         for n in range(7):
             F = FockCoeffs(np.eye(1, n + 1, n, dtype=complex)[0])
-            chain = bargmann_coeff(
-                _hilbert.fractional_hilbert(inverse_bargmann_coeff(F), params)
-            )
-            kern = _hilbert.hilbert_fock_kernel_apply(F, params, zs, plane)
-            worst = max(worst, float(np.abs(kern - fock_eval(chain, zs)).max()))
-    return worst, 1e-5
+            chain = lambda: _hilbert.fractional_hilbert(inverse_bargmann_coeff(F), params)
+            compare("kernel_vs_chain", 1e-5, lambda: fock_eval(bargmann_coeff(chain()), zs),
+                    lambda: _hilbert.hilbert_fock_kernel_apply(F, params, zs, plane))
 
 
-def _check_hilbert_phase_decomposition(cfg: VerifyConfig):
-    rng = _rng(cfg, "hilbert.phase_decomposition")
-    worst = 0.0
+@_check("hilbert.phase_decomposition", "hilbert")
+def _check_hilbert_phase_decomposition(rng: random.Random, compare: _Comparisons):
     h = HermiteCoeffs(_complex_normals(rng, 12))
     for _ in range(5):
         alpha = _uniform(rng, -math.pi, math.pi)
         phi = _uniform(rng, -math.pi, math.pi)
-        full = _hilbert.fractional_hilbert(h, _hilbert.HilbertParams(alpha, phi))
-        quarter = _hilbert.fractional_hilbert(
-            h, _hilbert.HilbertParams(alpha, math.pi / 2)
-        )
-        combo = math.cos(phi) * h.padded(full.order) + math.sin(phi) * quarter.coeffs
-        worst = max(worst, float(np.linalg.norm(full.coeffs - combo)))
-    return worst, 1e-6
+        full = lambda: _hilbert.fractional_hilbert(h, _hilbert.HilbertParams(alpha, phi)).coeffs
+        quarter = lambda: _hilbert.fractional_hilbert(h, _hilbert.HilbertParams(alpha, math.pi / 2))
+        # the chain's order does not depend on the phase: the quarter turn has full's order
+        mixed = lambda q: math.cos(phi) * h.padded(q.order) + math.sin(phi) * q.coeffs
+        compare("phase_decomposition", 1e-6, full, lambda: mixed(quarter()), metric=_norm2)
 
 
 def _grid_hilbert_coeffs(n: int, order: int) -> FockCoeffs:
@@ -318,23 +358,19 @@ def _grid_hilbert_coeffs(n: int, order: int) -> FockCoeffs:
     return bargmann_coeff(analyze(SampledSignal(x0, dx, values), order, None))
 
 
-def _check_hilbert_grid_consistency(cfg: VerifyConfig):
-    rng = _rng(cfg, "hilbert.grid_consistency")
+@_check("hilbert.grid_consistency", "hilbert")
+def _check_hilbert_grid_consistency(rng: random.Random, compare: _Comparisons):
     plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
     zs = _random_points(rng, 10, 1.5)
-    parts = []
     for n in range(5):
         F = FockCoeffs(np.eye(1, n + 1, n, dtype=complex)[0])
-        via_grid = _grid_hilbert_coeffs(n, 24)
-        kern = _hilbert.hilbert_fock_S_apply(F, zs, plane)
-        parts.append((float(np.abs(kern - fock_eval(via_grid, zs)).max()), 1e-5))
-    # involution H(Hf) = -f on mean-free signals
+        compare("kernel_vs_grid", 1e-5, lambda: fock_eval(_grid_hilbert_coeffs(n, 24), zs),
+                lambda: _hilbert.hilbert_fock_S_apply(F, zs, plane))
+    # involution H(Hf) = -f on mean-free signals: |one residual buffer| against 0
     m, dx = 2**16, 0.05
     for coeffs in _involution_baskets():
-        residual = _involution_residual(synthesize(coeffs, -0.5 * m * dx, dx, m).values)
-        parts.append((float(np.abs(residual).max()), 1e-6))
-        del residual  # before the next basket is synthesized
-    return _normalized(parts)
+        residual = lambda: _involution_residual(synthesize(coeffs, -0.5 * m * dx, dx, m).values)
+        compare("grid_involution", 1e-6, lambda: np.abs(residual()), lambda: 0.0)
 
 
 def _involution_baskets() -> list[HermiteCoeffs]:
@@ -356,76 +392,65 @@ def _involution_residual(samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_wavelet_three_path(cfg: VerifyConfig):
-    rng = _rng(cfg, "wavelet.three_path")
+@_check("wavelet.three_path", "wavelet", "sop")
+def _check_wavelet_three_path(rng: random.Random, compare: _Comparisons):
     plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
     line = gauss_hermite_rule(200)
     brule = gauss_hermite_rule(160)
     zs = _random_points(rng, 4, 1.5)
-    worst = 0.0
     for s in (1.0, -1.0, 2.0):
         spec = _singular.WaveletSpec(lambda t: np.exp(-t * t), s)
+        # the plane and band routes share this symbol as input; only the
+        # direct route tests phi_from_g
         sym = _singular.phi_from_g(spec, line)
         for n in (0, 1, 3):
             F = FockCoeffs(np.eye(1, n + 1, n, dtype=complex)[0])
             h = inverse_bargmann_coeff(F)
-            fx = lambda t, h=h: hermite_eval(h, t)
-            wf = lambda t, fx=fx, spec=spec: _singular.wavelet_transform(fx, spec, t, line)
-            # wavelet_fock_apply's own route, on the symbol built above
-            p1 = _singular.s_phi_apply(sym, F, zs, plane)
-            p2 = bargmann_direct(wf, zs, brule)
-            p3 = fock_eval(_singular.s_phi_apply_deriv(sym.monomial(), F), zs)
-            worst = max(worst, float(np.abs([p1 - p2, p1 - p3, p2 - p3]).max()))
-    return worst, 1e-5
+            wf = lambda t: _singular.wavelet_transform(lambda x: hermite_eval(h, x), spec, t, line)
+            compare("three_path", 1e-5,
+                    # wavelet_fock_apply's own route, on the symbol built above
+                    lambda: _singular.s_phi_apply(sym, F, zs, plane),
+                    lambda: bargmann_direct(wf, zs, brule),
+                    lambda: fock_eval(_singular.s_phi_apply_deriv(sym.monomial(), F), zs))
 
 
-def _check_symbol_family(cfg: VerifyConfig):
+@_check("symbols.family_closed_forms", "sop")
+def _check_symbol_family(rng: random.Random, compare: _Comparisons):
     line = gauss_hermite_rule(200)
     zs = np.concatenate(
         [r * np.exp(2j * math.pi * np.arange(8) / 8) for r in (0.5, 1.3, 2.0)]
     )
-    parts = []
     for s in (1.0, -1.0, 2.0):
         for n in range(7):
-            spec = _singular.WaveletSpec(lambda t, n=n: t**n * np.exp(-t * t), s)
-            sym_g = _singular.phi_from_g(spec, line)
+            spec = _singular.WaveletSpec(lambda t: t**n * np.exp(-t * t), s)
             sym_c = _singular.phi_n_closed(n, s)
-            err = float(
-                np.abs(
-                    np.asarray(sym_g.evaluate(zs)) - np.asarray(sym_c.evaluate(zs))
-                ).max()
-            )
-            parts.append((err, 1e-8))
+            sym_g = lambda: _singular.phi_from_g(spec, line)
+            compare("from_g_vs_closed", 1e-8, lambda: sym_g().evaluate(zs),
+                    lambda: sym_c.evaluate(zs))
             d = s * s + 2.0
-            lead_ref = math.sqrt(2.0 * abs(s) / d) * (-s) ** n / d**n
-            parts.append((abs(sym_c.params["leading"] - lead_ref), 1e-10))
+            compare("leading_coefficient", 1e-10, lambda: sym_c.params["leading"],
+                    lambda: math.sqrt(2.0 * abs(s) / d) * (-s) ** n / d**n)
     for eps, b in ((0.5, 0.0), (1.0, 1.2), (2.0, -0.7)):
-        spec = _singular.WaveletSpec(
-            lambda t, e=eps, b=b: np.exp(-0.5 * e * t * t + b * t), 1.0
-        )
-        sym = _singular.phi_from_g(spec, line)
-        ref = math.sqrt(2.0 / (1.0 + eps)) * np.exp((zs - b) ** 2 / (2.0 * (1.0 + eps)))
-        err = float(np.abs(np.asarray(sym.evaluate(zs)) - ref).max())
-        parts.append((err, 1e-8))
-    return _normalized(parts)
+        spec = _singular.WaveletSpec(lambda t: np.exp(-0.5 * eps * t * t + b * t), 1.0)
+        sym = lambda: _singular.phi_from_g(spec, line)
+        compare("gaussian_from_g", 1e-8, lambda: sym().evaluate(zs),
+                lambda: math.sqrt(2.0 / (1.0 + eps)) * np.exp((zs - b) ** 2 / (2.0 * (1.0 + eps))))
 
 
-def _check_sop_conjugation(cfg: VerifyConfig):
+@_check("sop.rotation_conjugation", "sop")
+def _check_sop_conjugation(rng: random.Random, compare: _Comparisons):
     # the unrotated matrix comes from the derivative identity, the rotated
     # one from plane quadrature: two independent routes for both symbols
     plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
     n = 16
-    parts = []
-    for sym, alpha in (
-        (_singular.gaussian_symbol(0.25, 0.3), 0.8),
-        (_singular.poly_symbol([0.2, 0.5 - 0.1j, 0.0, 0.3j]), -1.1),
+    for label, sym, alpha in (
+        ("gaussian_symbol", _singular.gaussian_symbol(0.25, 0.3), 0.8),
+        ("poly_symbol", _singular.poly_symbol([0.2, 0.5 - 0.1j, 0.0, 0.3j]), -1.1),
     ):
-        m0 = _singular.s_phi_matrix(sym, n, plane, method="deriv")
-        ma = _singular.s_phi_matrix(sym, n, plane, alpha=alpha, method="quadrature")
         d = np.exp(-1j * alpha * np.arange(n))
-        lhs = (np.conj(d)[:, None] * m0.entries) * d[None, :]
-        parts.append((float(np.abs(lhs - ma.entries).max()), 1e-6))
-    return _normalized(parts)
+        m0 = lambda: _singular.s_phi_matrix(sym, n, plane, method="deriv").entries
+        ma = lambda: _singular.s_phi_matrix(sym, n, plane, alpha, method="quadrature").entries
+        compare(label, 1e-6, lambda: (np.conj(d)[:, None] * m0()) * d[None, :], ma)
 
 
 def _pv_oracle(z: complex) -> complex:
@@ -438,66 +463,42 @@ def _pv_oracle(z: complex) -> complex:
     return rule_sum(rule.weights, vals, t, "PV oracle integrand") / math.pi
 
 
-def _check_pv_symbol(cfg: VerifyConfig):
+@_check("symbols.pv_hilbert", "sop")
+def _check_pv_symbol(rng: random.Random, compare: _Comparisons):
     sym = _singular.hilbert_symbol()
     # the value at 0 must be exactly zero, not merely small
-    at_zero = complex(sym.evaluate(0.0))
-    parts = [(0.0 if at_zero == 0.0 else math.inf, 1.0)]
+    compare("zero_at_origin", 1.0, lambda: complex(sym.evaluate(0.0)), lambda: 0.0, metric=_exact)
     # derivative identity by the Cauchy integral on a circle of radius 0.5;
     # the trapezoid rule on 32 points is exact to rounding for an entire symbol
     ring = np.exp(2j * math.pi * np.arange(32) / 32)
     for z in (0.5, -0.8, 0.3 + 0.4j, 1.1 - 0.2j, 1.4):
         z = complex(z)
-        d = np.sum(sym.evaluate(z + 0.5 * ring) / ring) / (32 * 0.5)
-        parts.append((abs(d - math.sqrt(2.0 / math.pi) * np.exp(0.5 * z * z)), 1e-6))
+        cauchy = lambda: np.sum(sym.evaluate(z + 0.5 * ring) / ring) / (32 * 0.5)
+        compare("derivative_law", 1e-6, cauchy,
+                lambda: math.sqrt(2.0 / math.pi) * np.exp(0.5 * z * z))
     # principal-value rewrite as an ordinary integral
     for z in (0.4 + 0j, 1.0 + 0.5j, -1.3 + 0.2j):
-        parts.append((abs(_pv_oracle(z) - complex(sym.evaluate(z))), 1e-6))
-    return _normalized(parts)
+        compare("pv_rewrite", 1e-6, lambda: _pv_oracle(z), lambda: complex(sym.evaluate(z)))
 
 
-def _check_sop_oracle(cfg: VerifyConfig):
-    rng = _rng(cfg, "sop.deriv_oracle")
+@_check("sop.deriv_oracle", "sop")
+def _check_sop_oracle(rng: random.Random, compare: _Comparisons):
     plane = plane_gaussian_rule(*PLANE_RULE_SIZES)
-    worst = 0.0
     for deg in (0, 2, 5, 8):
         mono = _complex_normals(rng, deg + 1) * 0.6 ** np.arange(deg + 1)
         sym = _singular.poly_symbol(mono)
         fdeg = int(9 * rng.random())
         fc = _complex_normals(rng, fdeg + 1)
         F = FockCoeffs(fc / np.linalg.norm(fc))
-        exact = _singular.s_phi_apply_deriv(mono, F)
         zs = _random_points(rng, 10, 1.5)
-        q = _singular.s_phi_apply(sym, F, zs, plane)
-        worst = max(worst, float(np.abs(q - fock_eval(exact, zs)).max()))
-    return worst, 1e-6
+        compare("deriv_oracle", 1e-6, lambda: fock_eval(_singular.s_phi_apply_deriv(mono, F), zs),
+                lambda: _singular.s_phi_apply(sym, F, zs, plane))
 
-
-CHECKS = {
-    "basis.orthonormality": (_check_basis_orthonormality, ("basis", "bargmann")),
-    "gaussian.shift_invariance": (_check_gaussian_shift_invariance, ("basis", "bargmann")),
-    "bargmann.hermite_to_monomial": (_check_bargmann_hermite, ("bargmann",)),
-    "frft.fock_rotation": (_check_frft_fock_rotation, ("frft",)),
-    "frft.unitarity_inversion": (_check_frft_unitarity, ("frft",)),
-    "frft.group_law": (_check_frft_group_law, ("frft",)),
-    "frft.hermite_eigenvalues": (_check_frft_eigenvalues, ("frft",)),
-    "frft.spectral_projection": (_check_frft_spectral_projection, ("frft",)),
-    "hilbert.kernel_vs_chain": (_check_hilbert_kernel_vs_chain, ("hilbert",)),
-    "hilbert.phase_decomposition": (_check_hilbert_phase_decomposition, ("hilbert",)),
-    "hilbert.grid_consistency": (_check_hilbert_grid_consistency, ("hilbert",)),
-    "wavelet.three_path": (_check_wavelet_three_path, ("wavelet", "sop")),
-    "symbols.family_closed_forms": (_check_symbol_family, ("sop",)),
-    "sop.rotation_conjugation": (_check_sop_conjugation, ("sop",)),
-    "symbols.pv_hilbert": (_check_pv_symbol, ("sop",)),
-    "sop.deriv_oracle": (_check_sop_oracle, ("sop",)),
-}
 
 SUITES = ("all", "basis", "bargmann", "frft", "hilbert", "wavelet", "sop")
 
 
 def suite_names(suite: str) -> list[str]:
-    if suite == "all":
-        return sorted(CHECKS)
     if suite not in SUITES:
         raise ConfigurationError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     return sorted(name for name, (_, suites) in CHECKS.items() if suite in suites)
@@ -519,16 +520,7 @@ def run_suite(suite: str = "all", cfg: VerifyConfig | None = None) -> Verificati
 def report_to_json(report: VerificationReport, compact: bool = False) -> str:
     doc = {
         "config": {"seed": report.config.seed},
-        "checks": [
-            {
-                "name": c.name,
-                "max_error": c.max_error,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-                "wall_time": c.wall_time,
-            }
-            for c in report.checks
-        ],
+        "checks": [asdict(c) for c in report.checks],
         "passed": report.passed,
         "n_checks": len(report.checks),
     }

@@ -363,6 +363,12 @@ class TestHermiteEval:
         one = hermite_eval(self.H, float(x[2]))
         assert isinstance(one, complex) and one == pytest.approx(flat[2], rel=1e-14)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, [0.5, np.nan, 1.0]])
+    def test_nonfinite_points_refused(self, x):
+        # nan returned nan+nanj, and inf raised a bare RuntimeWarning
+        with pytest.raises(ConfigurationError, match="evaluation point must be finite"):
+            hermite_eval(self.H, x)
+
     def test_memory_bounded(self, traced_peak):
         x = np.linspace(-10.0, 10.0, 2**16)
         # a complex copy of the 64 x 2^16 Hermite matrix traces 97 MiB

@@ -76,3 +76,25 @@ def test_check_memory_reports_one_row_per_check():
     for row in rows:
         peak, rss, *loaded = row.split()[1:]
         assert float(peak) >= 0.0 and float(rss) > 0.0 and loaded
+
+
+def test_route_audit_reports_one_row_per_identity():
+    env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
+    script = next(p for p in SCRIPTS if p.name == "route_audit.py")
+    proc = subprocess.run(
+        [sys.executable, "-B", str(script), "basis", "3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    header, *rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert header[:3] == ["check", "identity", "shared by two routes"]
+    assert [row[:2] for row in rows] == [
+        ["basis.orthonormality", "line_gram"],
+        ["basis.orthonormality", "plane_norms"],
+        ["gaussian.shift_invariance", "shift_invariance"],
+    ]
+    # the closed form, the unshifted and the shifted rule sums
+    assert len(rows[2]) == 3 + 3
+    assert rows[2][2] == "verify._check_gaussian_shift_invariance.<locals>.rule_sums"
+    assert "special.gaussian_integral_closed" in rows[2][3].split()
+    assert "special.hermite_fn_all" in rows[0][3].split()

@@ -293,6 +293,12 @@ class TestDerivRoute:
         with pytest.raises(EnvelopeError):
             s_phi_apply_deriv(np.ones(41), unit_fock(0))
 
+    @pytest.mark.parametrize("mono", [np.ones((2, 2)), np.array([]), np.array(1.0)])
+    def test_symbol_must_be_a_coefficient_vector(self, mono):
+        # a 2 x 2 array raised numpy's "non-broadcastable output operand"
+        with pytest.raises(ConfigurationError, match="phi_monomial must be a nonempty 1-d"):
+            s_phi_apply_deriv(mono, unit_fock(1))
+
     def test_overflow_is_an_evaluation_failure(self):
         # a finite symbol and argument whose product passes the largest double
         with pytest.raises(EvaluationFailureError, match="derivative route"):
@@ -879,6 +885,12 @@ class TestPhiNClosed:
         with pytest.raises(ConfigurationError):
             phi_n_closed(31, 1.0)
 
+    @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_dilation_refused(self, s):
+        # inf was refused only by the coefficient vector, naming no input
+        with pytest.raises(ConfigurationError, match="dilation must be finite"):
+            phi_n_closed(2, s)
+
 
 class TestGaussianSymbol:
     def test_closed_form(self):
@@ -999,6 +1011,12 @@ class TestClosedFormBuilder:
         mono = np.array([0.2, 0.5 - 0.1j, 0.0, 0.3j, -1.1 + 0.4j])
         want = np.polynomial.polynomial.polyval(self.Z, mono)
         np.testing.assert_array_equal(_bits(poly_symbol(mono).evaluate(self.Z)), _bits(want))
+
+    @pytest.mark.parametrize("mono", [[], [[1.0, 2.0], [3.0, 4.0]], 1.0])
+    def test_poly_needs_a_coefficient_vector(self, mono):
+        # [] raised numpy's "a cannot be empty"
+        with pytest.raises(ConfigurationError, match="mono must be a nonempty 1-d"):
+            poly_symbol(mono)
 
     @pytest.mark.parametrize("kappa", [1.7 - 0.4j, 2.0, 1j])
     def test_const_evaluator_is_kappa(self, kappa):

@@ -250,6 +250,17 @@ class TestGaussianIntegralClosed:
         with pytest.raises(ConfigurationError):
             gaussian_integral_closed(-1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "a, b, what",
+        [(math.inf, 0.0, "real part a"), (math.nan, 0.0, "real part a"),
+         (1.0, math.nan, "imaginary part b"), (1.0, math.inf, "imaginary part b"),
+         (1.0, -math.inf, "imaginary part b")],
+    )
+    def test_rejects_nonfinite_arguments(self, a, b, what):
+        # (inf, 0) returned 0j, and a non-finite b returned nan+nanj
+        with pytest.raises(ConfigurationError, match=f"Gaussian {what} must be finite"):
+            gaussian_integral_closed(a, b)
+
     @settings(max_examples=30, deadline=None)
     @given(
         a=st.floats(min_value=0.5, max_value=3.0),
