@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .representation import FockCoeffs, HermiteCoeffs, SampledSignal
 from .singular import FockSymbol, gaussian_symbol, hilbert_symbol, poly_symbol
-from .special import sqrt_factorials
+from .special import _blocks, sqrt_factorials
 
 __all__ = [
     "read_signal_csv",
@@ -41,11 +41,10 @@ def write_signal_csv(signal: SampledSignal, path) -> None:
     grid, values = signal.grid, signal.values
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,re,im\n")
-        for lo in range(0, values.size, _WRITE_CHUNK):
-            hi = lo + _WRITE_CHUNK
+        for rows in _blocks(values.size, 1, _WRITE_CHUNK):
             fh.write("".join(
                 f"{x!r},{v.real!r},{v.imag!r}\n"
-                for x, v in zip(grid[lo:hi].tolist(), values[lo:hi].tolist())
+                for x, v in zip(grid[rows].tolist(), values[rows].tolist())
             ))
 
 

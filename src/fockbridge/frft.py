@@ -146,8 +146,8 @@ def frft_integral(f, alpha, x, rule: LineRule):
     (alpha = (alpha - pi/2) + pi/2, exact by the group law); a single rule
     of admissible size cannot resolve the chirp in that regime.
 
-    ``x`` may be a scalar or a 1-d array of finite points; the return
-    matches.
+    ``x`` may be a scalar or an array of finite points of any shape; the
+    return has its shape.
     """
     a = _angle(alpha)
     if abs(a.sin) < MIN_SIN_ALPHA:
@@ -155,7 +155,7 @@ def frft_integral(f, alpha, x, rule: LineRule):
             f"integral form unavailable at sin(alpha)={a.sin:.2e}; "
             "frft_coeffs is exact for every angle"
         )
-    xarr = np.atleast_1d(finite_points(x, "evaluation point"))
+    xarr = finite_points(x, "evaluation point").ravel()
     if abs(a.cot) <= MAX_DIRECT_COT:
         fvals = _evaluate(f, rule.nodes, "FrFT integrand")
         out = _stage_values(fvals, a, xarr, rule)

@@ -37,7 +37,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationFailureError
-from .special import _check_size, shaped_like
+from .special import _check_size
 
 __all__ = [
     "LineRule",
@@ -311,13 +311,6 @@ def rule_sum(weights, values: np.ndarray, nodes: np.ndarray, what: str) -> compl
         return complex(math.fsum(memoryview(terms.real)), math.fsum(memoryview(terms.imag)))
     except OverflowError as exc:
         raise EvaluationFailureError(f"{what}: the rule sum overflows") from exc
-
-
-def rule_sum_per_point(weights_values, z, nodes: np.ndarray, what: str, dtype=complex):
-    """One :func:`rule_sum` per point of a scalar or array ``z``, in ``z``'s
-    shape; ``weights_values(zk)`` gives the weights and values at one point."""
-    points = np.asarray(z, dtype=dtype).ravel().tolist()
-    return shaped_like([rule_sum(*weights_values(zk), nodes, what) for zk in points], z)
 
 
 def integrate_line(rule: LineRule, f, gaussian_part_removed: bool = False) -> complex:

@@ -18,8 +18,9 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, EnvelopeError, EvaluationFailureError
-from .quadrature import LineRule, PlaneRule, _check_finite, _evaluate, rule_sum_per_point
-from .special import NORM_CONSTANT, _check_size, finite_param, finite_points, hermite_fn_all, shaped_like
+from .quadrature import LineRule, PlaneRule, _check_finite, _evaluate, rule_sum
+from .special import NORM_CONSTANT, _blocks, _check_size, finite_param, finite_points
+from .special import hermite_fn_all, shaped_like
 
 __all__ = [
     "SampledSignal",
@@ -175,26 +176,17 @@ def _grid(x0: float, dx: float, lo: int, hi: int) -> np.ndarray:
     return x0 + dx * np.arange(lo, hi)
 
 
-def _hermite_blocks(order: int, m: int, points):
-    """(slice, h_0..h_{order-1} at points(lo, hi)) over consecutive blocks of
-    m points, each at most _GRID_BLOCK matrix entries.  A caller deletes each
-    block before asking for the next, so one block is alive at a time and
-    memory stays bounded for any number of points."""
-    step = max(1, _GRID_BLOCK // order)
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        yield slice(lo, hi), hermite_fn_all(order - 1, points(lo, hi))
-
-
 def _hermite_project(points, v: np.ndarray, order: int) -> np.ndarray:
-    """sum_j h_n(x_j) v_j for n < order, the x_j given by ``points`` (see
-    :func:`_hermite_blocks`): real and imaginary parts are two real products
-    per block, so the Hermite matrix is never cast to complex.  An overflow
-    gives a non-finite entry, for the caller to refuse."""
+    """sum_j h_n(x_j) v_j for n < order, the x_j of each block of the
+    Hermite matrix (at most _GRID_BLOCK entries, one alive at a time) given
+    by ``points(lo, hi)``: real and imaginary parts are two real products per
+    block, so the matrix is never cast to complex.  An overflow gives a
+    non-finite entry, for the caller to refuse."""
     re = np.zeros(order)
     im = np.zeros(order)
     with np.errstate(over="ignore", invalid="ignore"):
-        for block, hmat in _hermite_blocks(order, v.size, points):
+        for block in _blocks(v.size, order, _GRID_BLOCK):
+            hmat = hermite_fn_all(order - 1, points(block.start, block.stop))
             re += hmat @ v.real[block]
             im += hmat @ v.imag[block]
             del hmat
@@ -202,11 +194,12 @@ def _hermite_project(points, v: np.ndarray, order: int) -> np.ndarray:
 
 
 def _hermite_expand(c: np.ndarray, m: int, points) -> np.ndarray:
-    """sum_n c_n h_n at the m ``points`` (see :func:`_hermite_blocks`), as a
-    new complex array: two real products per block, so the Hermite matrix is
-    never cast to complex."""
+    """sum_n c_n h_n at the m points, blocked as :func:`_hermite_project`
+    blocks them, as a new complex array: two real products per block, so the
+    Hermite matrix is never cast to complex."""
     out = np.empty(m, dtype=complex)
-    for block, hmat in _hermite_blocks(c.size, m, points):
+    for block in _blocks(m, c.size, _GRID_BLOCK):
+        hmat = hermite_fn_all(c.size - 1, points(block.start, block.stop))
         out.real[block] = c.real @ hmat
         out.imag[block] = c.imag @ hmat
         del hmat
@@ -294,8 +287,9 @@ def _fock_basis(z: np.ndarray, n: int):
 
 def fock_eval(F: FockCoeffs, z):
     """Evaluate sum_n c_n z^n/sqrt(n!) at a scalar or ndarray ``z`` by :func:`_fock_basis`,
-    on a 1-d array either way, so a scalar gets the bits it has in an array."""
-    basis = _fock_basis(np.asarray(z, dtype=complex).ravel(), F.order)
+    on a 1-d array either way, so a scalar gets the bits it has in an array.
+    A non-finite point raises ConfigurationError before any arithmetic."""
+    basis = _fock_basis(finite_points(z, "evaluation point", complex).ravel(), F.order)
     acc = F.coeffs[0] * next(basis)
     for c, term in zip(F.coeffs[1:], basis):
         acc = acc + c * term
@@ -333,10 +327,12 @@ def bargmann_direct(f, z, rule: LineRule):
     check_envelope(None, z, DIRECT_Z_MAX)
     x = rule.nodes
     fx = _evaluate(f, x, "Bargmann integrand")
-    return NORM_CONSTANT * rule_sum_per_point(
-        lambda zk: (rule.weights_nogauss, fx * np.exp(2.0 * x * zk - x * x - 0.5 * zk * zk)),
-        z, x, "Bargmann integrand",
-    )
+    sums = [
+        rule_sum(rule.weights_nogauss, fx * np.exp(2.0 * x * zk - x * x - 0.5 * zk * zk), x,
+                 "Bargmann integrand")
+        for zk in np.asarray(z, dtype=complex).ravel().tolist()
+    ]
+    return NORM_CONSTANT * shaped_like(sums, z)
 
 
 def inverse_bargmann_direct(F: FockCoeffs, x, rule: PlaneRule):
@@ -350,7 +346,9 @@ def inverse_bargmann_direct(F: FockCoeffs, x, rule: PlaneRule):
     fz = fock_eval(F, rule.nodes)
     zb = np.conj(rule.nodes)
     half_zb2 = 0.5 * zb * zb
-    return NORM_CONSTANT * rule_sum_per_point(
-        lambda xk: (rule.weights, fz * np.exp(2.0 * xk * zb - xk * xk - half_zb2)),
-        x, rule.nodes, "inverse Bargmann integrand", float,
-    )
+    sums = [
+        rule_sum(rule.weights, fz * np.exp(2.0 * xk * zb - xk * xk - half_zb2), rule.nodes,
+                 "inverse Bargmann integrand")
+        for xk in np.asarray(x, dtype=float).ravel().tolist()
+    ]
+    return NORM_CONSTANT * shaped_like(sums, x)

@@ -32,7 +32,7 @@ from .errors import ConfigurationError, EnvelopeError
 from .quadrature import LineRule, PlaneRule, _check_finite, _evaluate, gauss_hermite_rule
 from .quadrature import rule_sum
 from .representation import FockCoeffs, _fock_basis, check_envelope, fock_eval
-from .special import A_eval, SQRT_PI, _check_size, finite_param, finite_points
+from .special import A_eval, SQRT_PI, _blocks, _check_size, finite_param, finite_points
 from .special import shaped_like, sqrt_factorials
 
 __all__ = [
@@ -68,9 +68,9 @@ PLANE_POLY_DEGREE_MAX = 12
 DERIV_ORDER_CAP = 40
 
 _SYMBOL_CHECK_TOL = 1e-8
-#: Points of the cross-check's circles |z| = 0.5, 1, 1.5 and 2.
+#: Points of each of the cross-check's circles (|z| = 0.5, 1, 1.5 and 2; 4, 6
+#: and 8 too for a polynomial).
 _CHECK_RING = np.exp(2j * math.pi * np.arange(24) / 24)
-_LOG_MAX = math.log(np.finfo(float).max)
 _PHI_N_MAX = 30
 
 #: Radius of the circle on which s_phi_matrix's quadrature route samples.
@@ -104,7 +104,7 @@ class FockSymbol:
     ConfigurationError, a growth bound outside [0, 0.5], a ``poly`` or
     ``const`` kind whose growth bound is not 0 (the band route reads such a
     symbol's series as the whole symbol), and an evaluator that disagrees
-    with the coefficients on |z| <= 2.
+    with the coefficients on |z| <= 2, or on |z| <= 8 for those two kinds.
     """
 
     kind: str
@@ -124,15 +124,17 @@ class FockSymbol:
                 f"got {self.growth_bound}"
             )
         # evaluator against series on circles |z| <= 2, relative where the symbol is
-        # large (family members reach ~1e11 there); not finite where either side is not
-        z = np.concatenate([r * _CHECK_RING for r in (0.5, 1.0, 1.5, 2.0)])
+        # large (family members reach ~1e11 there); not finite where either side is not.
+        # A polynomial's series is the whole symbol, so it must hold further out too
+        radii = (0.5, 1.0, 1.5, 2.0) + ((4.0, 6.0, 8.0) if self.kind in _POLY_KINDS else ())
+        z = np.concatenate([r * _CHECK_RING for r in radii])
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.asarray(self.evaluate(z))
             resid = (np.abs(vals - fock_eval(self.taylor, z)) / np.maximum(1.0, np.abs(vals))).max()
         if not resid <= _SYMBOL_CHECK_TOL:
             raise ConfigurationError(
                 f"symbol '{self.kind}': stored coefficients disagree with the evaluator "
-                f"by {resid:.2e} on |z| <= 2 (tolerance {_SYMBOL_CHECK_TOL:.0e})"
+                f"by {resid:.2e} on |z| <= {radii[-1]:g} (tolerance {_SYMBOL_CHECK_TOL:.0e})"
             )
 
     def monomial(self) -> np.ndarray:
@@ -243,8 +245,7 @@ def _plane_sums(phi: FockSymbol, ea: complex, z: list, columns, rule: PlaneRule)
     for zk in z:
         weights = np.empty(rule.size, dtype=complex)
         values = np.empty(rule.size, dtype=complex)
-        for lo in range(0, rule.size, _KERNEL_BLOCK):
-            blk = slice(lo, lo + _KERNEL_BLOCK)
+        for blk in _blocks(rule.size, 1, _KERNEL_BLOCK):
             wbar = np.conj(rule.nodes[blk])
             weights[blk] = rule.weights[blk] * np.exp(zk * wbar)
             values[blk] = phi.evaluate(ea * zk - wbar / ea)
@@ -386,10 +387,9 @@ def wavelet_transform(f, spec: WaveletSpec, x, rule: LineRule):
     points = finite_points(x, "evaluation point").ravel()
     t = rule.nodes
     ft = _evaluate(f, t, "wavelet integrand")
-    rows = max(1, _WAVELET_BLOCK // t.size)
     sums = []
-    for lo in range(0, points.size, rows):
-        args = ((t - points[lo : lo + rows, None]) / spec.s).ravel()
+    for block in _blocks(points.size, t.size, _WAVELET_BLOCK):
+        args = ((t - points[block, None]) / spec.s).ravel()
         gvals = _evaluate(spec.g, args, "wavelet").reshape(-1, t.size)
         sums += [rule_sum(rule.weights_nogauss, ft * g, t, "wavelet integrand") for g in gvals]
     # divided as an array, so a scalar gets the bits it has in an array
@@ -448,14 +448,13 @@ def phi_from_g(spec: WaveletSpec, rule: LineRule) -> FockSymbol:
     def evaluate(z):
         u = np.ravel(np.asarray(z, dtype=complex))
         out = np.empty(u.shape, dtype=complex)
-        rows = max(1, _INNER_BLOCK // t.size)
-        for lo in range(0, u.size, rows):
-            block = np.multiply.outer(u[lo : lo + rows], t)
+        for rows in _blocks(u.size, t.size, _INNER_BLOCK):
+            block = np.multiply.outer(u[rows], t)
             block *= s
             np.subtract(gauss, block, out=block)
             np.exp(block, out=block)
             block *= gw
-            out[lo : lo + rows] = block.sum(axis=-1)
+            out[rows] = block.sum(axis=-1)
             del block
         return shaped_like(pref * out, z)
 
@@ -505,8 +504,11 @@ def gaussian_symbol(a: float, b: float) -> FockSymbol:
     The induced operator is bounded exactly for a < 1/2 and unbounded past
     it; the quadrature envelope stays strictly inside, so larger a is
     rejected rather than computed badly.  The shift's envelope is what the
-    40-term series resolves on |z| <= 2 (:func:`_check_shift`): |b| up to
-    about 2.5 at a = 0.4, 5.3 at 0.25, 17 at 0.1 and 37 at 0.05.
+    construction cross-check admits, the 40-term series within its
+    tolerance of the symbol on |z| <= 2: |b| up to about 2.5 at a = 0.4,
+    5.3 at 0.25, 17 at 0.1 and 37 at 0.05.  Every refusal of a shift, an
+    overflow included, is one EnvelopeError naming b and a, with no numpy
+    warning.
     """
     if not 0.0 < a <= GROWTH_CAP:
         raise EnvelopeError(
@@ -514,34 +516,15 @@ def gaussian_symbol(a: float, b: float) -> FockSymbol:
             f"operator fails from 1/2 on; the envelope stops at {GROWTH_CAP}), got {a}"
         )
     b = finite_param(b, "Gaussian symbol shift")
-    _check_shift(a, b)
-    return _poly_gaussian_symbol("gauss", [1.0], a, b, DERIV_ORDER_CAP, {"a": a, "b": b})
-
-
-def _check_shift(a: float, b: float) -> None:
-    """Refuse, before any series is formed, a shift b whose symbol
-    exp(a (z - b)^2) the DERIV_ORDER_CAP-term series cannot carry through
-    the construction cross-check: the symbol overflows on |z| <= 2, or the
-    series' tail on |z| = 2, relative as the cross-check measures it,
-    exceeds 1.25 times its tolerance.  The tail is summed from the
-    normalized series exp(a z^2 - 2ab z) up to degree 199, and leaves out
-    rounding; the margin keeps every shift the cross-check admits.
-    """
-    reach = abs(b) + 2.0
-    if not a * reach * reach <= _LOG_MAX:
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _poly_gaussian_symbol("gauss", [1.0], a, b, DERIV_ORDER_CAP, {"a": a, "b": b})
+    except (ConfigurationError, OverflowError) as exc:
         raise EnvelopeError(
-            f"Gaussian symbol exp(a (z - b)^2) overflows on |z| <= 2 at a={a}, b={b}"
-        )
-    z = 2.0 * _CHECK_RING
-    h = _gaussian_series(a, b, 1.0, 200)
-    tail = np.abs(z**DERIV_ORDER_CAP * np.polyval(h[DERIV_ORDER_CAP:][::-1], z))
-    rel = tail / np.maximum(math.exp(-a * b * b), np.abs(np.exp(a * z * z - 2.0 * a * b * z)))
-    if not rel.max() <= 1.25 * _SYMBOL_CHECK_TOL:
-        raise EnvelopeError(
-            f"Gaussian symbol shift b={b} is outside the envelope at a={a}: the "
-            f"{DERIV_ORDER_CAP}-term series misses exp(a (z - b)^2) by {rel.max():.2e} "
-            f"relative on |z| = 2 (tolerance {_SYMBOL_CHECK_TOL:.0e})"
-        )
+            f"Gaussian symbol shift b={b} is outside the envelope at a={a}: exp(a (z - b)^2) "
+            f"overflows, or its {DERIV_ORDER_CAP}-term series misses it by more than "
+            f"{_SYMBOL_CHECK_TOL:.0e} relative, on |z| <= 2"
+        ) from exc
 
 
 def _gaussian_series(a: float, b: float, g0: float, size: int) -> np.ndarray:

@@ -62,10 +62,11 @@ def finite_param(value, what: str) -> float:
     return value
 
 
-def finite_points(x, what: str) -> np.ndarray:
-    """Real points ``x`` as a float array, the array counterpart of
-    :func:`finite_param`: a NaN or infinite point raises ConfigurationError."""
-    arr = np.asarray(x, dtype=float)
+def finite_points(x, what: str, dtype=float) -> np.ndarray:
+    """Points ``x`` as an array of ``dtype`` (real by default), the array
+    counterpart of :func:`finite_param`: a NaN or infinite point raises
+    ConfigurationError."""
+    arr = np.asarray(x, dtype=dtype)
     bad = arr[~np.isfinite(arr)]
     if bad.size:
         raise ConfigurationError(f"{what} must be finite, got {bad[0]}")
@@ -81,6 +82,15 @@ def _check_size(k, what: str, hi: int | None = None, lo: int = 1) -> None:
         raise ConfigurationError(f"{what} must be {bound}, got {k!r}")
 
 
+def _blocks(n: int, width: int, budget: int):
+    """Consecutive slices covering range(n) in order, each of at most
+    max(1, budget // width) rows: the one way a loop forms rows of ``width``
+    elements in blocks of at most ``budget`` elements (one row if a row is
+    wider)."""
+    step = max(1, budget // width)
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
 def shaped_like(values, z):
     """``values`` with the shape of the points ``z``: a Python complex for a
     scalar or 0-d ``z``, else a complex ndarray of ``z``'s shape."""
@@ -92,8 +102,10 @@ def hermite_fn(n: int, x: float) -> float:
     """Normalized Hermite function h_n(x), one value of :func:`hermite_fn_all`.
 
     h_n(x) = (2/pi)^{1/4} / sqrt(2^n n!) * exp(-x^2) * H_n(sqrt(2) x).
+    A non-finite x raises ConfigurationError before any arithmetic.
     """
-    return float(hermite_fn_all(n, np.array([x], dtype=float))[n, 0])
+    x = finite_param(x, "Hermite function point")
+    return float(hermite_fn_all(n, np.array([x]))[n, 0])
 
 
 def hermite_fn_all(nmax: int, x: np.ndarray) -> np.ndarray:

@@ -297,12 +297,11 @@ def _check_frft_group_law(rng: random.Random, compare: _Comparisons):
 def _check_frft_eigenvalues(rng: random.Random, compare: _Comparisons):
     rule = gauss_hermite_rule(240)
     xs = np.linspace(-3.0, 3.0, 13)
-    hx = hermite_fn_all(12, xs)
     for alpha in (0.7, math.pi / 2, 2.1, 0.3, 2.9):
         for n in range(13):
             f = lambda t: hermite_fn_all(n, np.atleast_1d(t))[n]
             compare("hermite_eigenvalues", 1e-7, lambda: _frft.frft_integral(f, alpha, xs, rule),
-                    lambda: np.exp(-1j * n * alpha) * hx[n])
+                    lambda: np.exp(-1j * n * alpha) * hermite_fn_all(n, xs)[n])
 
 
 @_check("frft.spectral_projection", "frft")
@@ -423,12 +422,13 @@ def _check_symbol_family(rng: random.Random, compare: _Comparisons):
     for s in (1.0, -1.0, 2.0):
         for n in range(7):
             spec = _singular.WaveletSpec(lambda t: t**n * np.exp(-t * t), s)
-            sym_c = _singular.phi_n_closed(n, s)
-            sym_g = lambda: _singular.phi_from_g(spec, line)
-            compare("from_g_vs_closed", 1e-8, lambda: sym_g().evaluate(zs),
-                    lambda: sym_c.evaluate(zs))
+            # each closed side is built inside its route, where the route audit sees it
+            compare("from_g_vs_closed", 1e-8,
+                    lambda: _singular.phi_from_g(spec, line).evaluate(zs),
+                    lambda: _singular.phi_n_closed(n, s).evaluate(zs))
             d = s * s + 2.0
-            compare("leading_coefficient", 1e-10, lambda: sym_c.params["leading"],
+            compare("leading_coefficient", 1e-10,
+                    lambda: _singular.phi_n_closed(n, s).params["leading"],
                     lambda: math.sqrt(2.0 * abs(s) / d) * (-s) ** n / d**n)
     for eps, b in ((0.5, 0.0), (1.0, 1.2), (2.0, -0.7)):
         spec = _singular.WaveletSpec(lambda t: np.exp(-0.5 * eps * t * t + b * t), 1.0)

@@ -720,15 +720,16 @@ class TestContract:
 
     def test_overflowing_symbol_is_a_numerical_failure(self, workdir):
         # a separate process, so any numpy warning would reach its stderr.
-        # The degree-12 symbol is finite on |z| <= 2, but a coefficient of
-        # S_phi F overflows on the band route; a band route with finite
-        # coefficients overflows at z; the plane route's rule sum overflows
-        taylor = [[0.0, 0.0]] * 12 + [[1e308, 0.0]]
+        # The degree-12 symbol is finite on the |z| <= 8 its construction
+        # checks, but a coefficient of S_phi F overflows on the band route; a
+        # band route with finite coefficients overflows at z; the plane
+        # route's rule sum overflows
+        taylor = [[0.0, 0.0]] * 12 + [[1e3, 0.0]]
         (workdir / "sym.json").write_text(json.dumps({"kind": "poly", "taylor": taylor}))
         fileio.write_coeffs_json(FockCoeffs(np.array([1e308, 1e308])), workdir / "big.json")
         env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
         for argv in (
-            ["--symbol-file", "sym.json", "--in", "F.json", "--z", "0.5,0"],
+            ["--symbol-file", "sym.json", "--in", "big.json", "--z", "0.5,0"],
             ["--symbol", "const", "--in", "big.json", "--z", "1.9,0"],
             ["--symbol", "gauss", "--a", "0.25", "--in", "big.json", "--z", "0.5,0"],
         ):

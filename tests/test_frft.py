@@ -243,9 +243,21 @@ class TestFrftIntegral:
         assert float(np.abs(vals - ref).max()) < 1e-4
 
     def test_scalar_and_array_agree(self):
-        out_arr = frft_integral(hermite_function(2), 1.1, np.array([0.5]), RULE)
-        out_scal = frft_integral(hermite_function(2), 1.1, 0.5, RULE)
+        f = hermite_function(2)
+        out_arr = frft_integral(f, 1.1, np.array([0.5]), RULE)
+        out_scal = frft_integral(f, 1.1, 0.5, RULE)
         assert out_scal == out_arr[0]
+        # points of any shape come back in it with the bits of the flat
+        # points, on the direct (1.1) and the two-pass (0.3) route: a (2, 2)
+        # array once raised numpy's broadcast ValueError
+        xs = np.array([0.0, 0.5, -1.2, 2.0])
+        for alpha in (1.1, 0.3):
+            flat = frft_integral(f, alpha, xs, RULE)
+            for shape in [(2, 2), (4, 1), (1, 2, 2)]:
+                got = frft_integral(f, alpha, xs.reshape(shape), RULE)
+                assert got.shape == shape
+                np.testing.assert_array_equal(got, flat.reshape(shape))
+            assert frft_integral(f, alpha, np.zeros((2, 2)), RULE).shape == (2, 2)
 
     @pytest.mark.parametrize("alpha", [0.7, 2.1, 0.3])
     def test_stage_kernel_bits(self, alpha):

@@ -456,6 +456,18 @@ class TestFockEval:
         F = FockCoeffs(rng.standard_normal(12) + 1j * rng.standard_normal(12))
         array_contract(lambda z: fock_eval(F, z))
 
+    @pytest.mark.parametrize(
+        "z", [np.nan, np.inf, -np.inf, complex(0.5, np.nan), np.array([0.5, np.nan, 1j])]
+    )
+    def test_non_finite_point_refused(self, z, monkeypatch):
+        # once nan+nanj; refused before the basis recurrence runs
+        def no_basis(*_):
+            raise AssertionError("the series was evaluated")
+
+        monkeypatch.setattr(representation, "_fock_basis", no_basis)
+        with pytest.raises(ConfigurationError, match="evaluation point must be finite, got"):
+            fock_eval(unit_fock(2), z)
+
 
 class TestBargmannDirect:
     def test_ground_state(self):

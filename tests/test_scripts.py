@@ -98,3 +98,22 @@ def test_route_audit_reports_one_row_per_identity():
     assert rows[2][2] == "verify._check_gaussian_shift_invariance.<locals>.rule_sums"
     assert "special.gaussian_integral_closed" in rows[2][3].split()
     assert "special.hermite_fn_all" in rows[0][3].split()
+
+
+def test_src_size_counts_every_module():
+    env = dict(os.environ, PYTHONPATH=str(Path(fockbridge.__file__).parents[1]))
+    script = next(p for p in SCRIPTS if p.name == "src_size.py")
+    proc = subprocess.run(
+        [sys.executable, "-B", str(script)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    header, *rows, total = proc.stdout.splitlines()
+    assert header.split("\t") == ["module", "lines", "code lines", "AST nodes"]
+    package = Path(fockbridge.__file__).parent
+    assert [r.split("\t")[0] for r in rows] == sorted(p.stem for p in package.glob("*.py"))
+    sizes = [[int(v) for v in r.split("\t")[1:]] for r in rows]
+    for (lines, code, nodes), path in zip(sizes, sorted(package.glob("*.py"))):
+        # the line count is wc -l's; code lines exclude comments, docstrings
+        # and blank lines, so they are fewer
+        assert lines == path.read_bytes().count(b"\n") and 0 < code < lines and nodes > 0
+    assert total.split("\t") == ["total"] + [str(sum(col)) for col in zip(*sizes)]

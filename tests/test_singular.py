@@ -128,6 +128,34 @@ class TestFockSymbol:
         with pytest.raises(ConfigurationError, match="growth bound 0; got 0.4"):
             make_symbol(kind, g.evaluate, g.taylor, 0.4)
 
+    @pytest.mark.parametrize("kind", ["poly", "const"])
+    def test_series_under_a_polynomial_label_refused(self, kind):
+        # exp(0.4 u^2) and its 40-term series agree on |z| <= 2, and labelled
+        # a polynomial of growth 0 the band route once read the series as the
+        # whole symbol: e_23 at 1.5+0.5i came back 8.3% off, with no error.
+        # The series misses the symbol by 5.2e-3 relative on |z| = 4 already
+        g = gaussian_symbol(0.4, 0.0)
+        with pytest.raises(ConfigurationError, match=r"disagree with the evaluator .* on \|z\| <= 8"):
+            make_symbol(kind, g.evaluate, g.taylor, 0.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_true_polynomials_pass_the_wider_check(self, seed):
+        # degree <= 40, through poly_symbol and through make_symbol with a
+        # numpy.polynomial evaluator and a float factorial scale
+        rng = np.random.default_rng([seed, 37])
+        for _ in range(25):
+            deg = int(rng.integers(0, 41))
+            mono = (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)) * (
+                rng.uniform(0.1, 1.0) ** np.arange(deg + 1)
+            )
+            assert poly_symbol(mono).taylor.order == deg + 1
+            scale = np.sqrt([float(math.factorial(k)) for k in range(deg + 1)])
+            sym = make_symbol(
+                "poly", lambda z: np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), mono),
+                FockCoeffs(mono * scale), 0.0,
+            )
+            assert sym.kind == "poly"
+
     def test_monomial_conversion(self):
         sym = poly_symbol([0.0, 2.0])
         np.testing.assert_allclose(sym.monomial(), [0.0, 2.0], atol=1e-15)
@@ -906,8 +934,7 @@ class TestGaussianSymbol:
             with pytest.raises(EnvelopeError):
                 gaussian_symbol(a, 0.0)
 
-    #: The largest shift the construction cross-check admitted before the
-    #: shift had an envelope of its own, per a.
+    #: About the largest shift the construction cross-check admits, per a.
     SHIFT_EDGES = {0.4: 2.47, 0.25: 5.28, 0.1: 17.1, 0.05: 37.3}
 
     @pytest.mark.parametrize("a", sorted(SHIFT_EDGES))
@@ -926,39 +953,38 @@ class TestGaussianSymbol:
                     (0.02, 98.2), (0.005, 374.8)]
     )
     def test_shift_envelope_keeps_what_the_cross_check_admits(self, a, edge):
-        # _poly_gaussian_symbol alone, as gaussian_symbol called it before the
-        # shift had an envelope, about the edge its cross-check measured; the
-        # overflow edge binds at a = 0.005, where its exp(a b^2) may overflow
-        def admitted(build, b):
+        # _poly_gaussian_symbol alone, about the edge its cross-check measured;
+        # the overflow edge binds at a = 0.005, where its exp(a b^2) may overflow
+        def series_admits(b):
             try:
                 with np.errstate(all="ignore"):
-                    build(a, b)
+                    singular._poly_gaussian_symbol("gauss", [1.0], a, b, 40, {})
             except (ConfigurationError, OverflowError):
                 return False
             return True
 
-        def series_only(a, b):
-            return singular._poly_gaussian_symbol("gauss", [1.0], a, b, 40, {})
-
         seen = set()
         for b in np.linspace(0.9 * edge, 1.1 * edge, 41):
             for shift in (b, -b):
-                new = admitted(gaussian_symbol, shift)
-                assert new or not admitted(series_only, shift), shift
+                try:
+                    gaussian_symbol(a, shift)
+                    new = True
+                except EnvelopeError as exc:
+                    # every refusal, the cross-check's included, names the shift
+                    assert f"b={shift} is outside the envelope at a={a}" in str(exc)
+                    new = False
+                assert new == series_admits(shift), shift
                 seen.add(new)
         assert seen == {True, False}
 
-    @pytest.mark.parametrize("b", [10.0, 20.0, 41.0])
-    def test_shift_refused_before_the_series(self, b, monkeypatch):
-        # no series is formed, so no overflow warning and no cross-check
-        # failure that does not name the shift
-        def no_series(*_):
-            raise AssertionError("the series was formed")
-
-        monkeypatch.setattr(singular, "_poly_gaussian_symbol", no_series)
+    @pytest.mark.parametrize("b", [2.49, -2.49, 10.0, 20.0, 41.0])
+    def test_shift_refusal_names_the_shift(self, b):
+        # one EnvelopeError naming b and a, with no numpy warning; just past
+        # the edge (2.49) the cross-check's ConfigurationError once escaped,
+        # naming neither
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EnvelopeError, match=rf"a=0.4, b={b}|b={b} .* at a=0.4"):
+            with pytest.raises(EnvelopeError, match=rf"b={b} is outside the envelope at a=0.4"):
                 gaussian_symbol(0.4, b)
 
     def test_arises_from_gaussian_wavelet(self):

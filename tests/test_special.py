@@ -15,6 +15,7 @@ from fockbridge.special import (
     SQRT_FACTORIAL_TERMS,
     A_eval,
     A_phi_eval,
+    _blocks,
     _check_size,
     _erf,
     branch_sqrt,
@@ -167,6 +168,12 @@ class TestHermiteFn:
             assert got.shape == (nmax + 1, 1)
             assert got.tobytes() == hermite_fn_all_reference(nmax, np.float64(x)).tobytes()
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_refused(self, x):
+        # hermite_fn(2, nan) once returned nan
+        with pytest.raises(ConfigurationError, match=f"Hermite function point must be finite, got {x}"):
+            hermite_fn(2, x)
+
     def test_all_matches_scalar(self):
         xs = np.array([-3.0, -0.5, 0.0, 1.2, 2.8])
         table = hermite_fn_all(20, xs)
@@ -194,6 +201,21 @@ class TestFockBasis:
     def test_large_order_no_overflow(self):
         v = normalized_monomial(400, 2.0 + 1.0j)
         assert np.isfinite(v.real) and np.isfinite(v.imag)
+
+
+class TestBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=3000),
+        width=st.integers(min_value=1, max_value=600),
+        budget=st.integers(min_value=1, max_value=2**18),
+    )
+    def test_cover_in_order_within_the_bound(self, n, width, budget):
+        # consecutive nonempty slices, range(n) covered once in order, none
+        # longer than max(1, budget // width) rows
+        blocks = list(_blocks(n, width, budget))
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        assert all(0 < b.stop - b.start <= max(1, budget // width) for b in blocks)
 
 
 class TestSqrtFactorials:
